@@ -137,26 +137,20 @@ def line_bundle_cohomology(m: int, n: int, r: int) -> CohomologyTable:
 # ---------------------------------------------------------------------------
 # direct path: contraction-matrix kernels
 
-def _parities(entries) -> list[int]:
-    return [e.parity for e in entries]
+def _parity_dims(entries) -> SuperDim:
+    odd = sum(e.parity for e in entries)
+    return SuperDim(len(entries) - odd, odd)
 
 
-def _kernel_dims(mat: ExactMatrix, src_pars: list[int], dst_pars: list[int], base) -> SuperDim:
-    dims = []
+def _parity_ranks(mat: ExactMatrix, src, dst, base) -> SuperDim:
+    """Ranks of the even and odd blocks of ``mat``, whose columns are the
+    ``src`` entries and whose rows are the ``dst`` entries."""
+    ranks = []
     for parity in (0, 1):
-        s = [i for i, pp in enumerate(src_pars) if pp == parity]
-        d = [i for i, pp in enumerate(dst_pars) if pp == parity]
-        dims.append(len(s) - rank(mat.submatrix(d, s), base))
-    return SuperDim(dims[0], dims[1])
-
-
-def _image_dims(mat: ExactMatrix, src_pars: list[int], dst_pars: list[int], base) -> SuperDim:
-    dims = []
-    for parity in (0, 1):
-        s = [i for i, pp in enumerate(src_pars) if pp == parity]
-        d = [i for i, pp in enumerate(dst_pars) if pp == parity]
-        dims.append(rank(mat.submatrix(d, s), base))
-    return SuperDim(dims[0], dims[1])
+        s = [i for i, e in enumerate(src) if e.parity == parity]
+        d = [i for i, e in enumerate(dst) if e.parity == parity]
+        ranks.append(rank(mat.submatrix(d, s), base))
+    return SuperDim(*ranks)
 
 
 @lru_cache(maxsize=None)
@@ -171,11 +165,9 @@ def _koszul_cycles(m: int, n: int, p: int, r: int, base) -> SuperDim:
     C = _koszul(m, n, r)
     if -p not in C.basis_at:
         return ZERO_DIM  # beyond the finite support when n = 0
-    basis = C.basis_at[-p]
+    src = C.basis_at[-p].entries
     up = C.basis_at.get(-p + 1)
-    return _kernel_dims(
-        C.outgoing(-p), _parities(basis.entries), _parities(up.entries) if up else [], base
-    )
+    return _parity_dims(src) - _parity_ranks(C.outgoing(-p), src, up.entries if up else (), base)
 
 
 def _koszul_homology(m: int, n: int, pos: int, r: int, base) -> SuperDim:
@@ -274,10 +266,9 @@ def _local_kernel(m: int, n: int, p: int, r: int, base) -> SuperDim:
     if not src:
         return ZERO_DIM
     if p == 0:
-        odd = sum(e.parity for e in src)
-        return SuperDim(len(src) - odd, odd)
+        return _parity_dims(src)
     dst = local_basis(m, n, p - 1, r)
-    return _kernel_dims(local_matrix(m, n, r, p), _parities(src), _parities(dst), base)
+    return _parity_dims(src) - _parity_ranks(local_matrix(m, n, r, p), src, dst, base)
 
 
 def _local_image(m: int, n: int, p: int, r: int, base) -> SuperDim:
@@ -286,7 +277,7 @@ def _local_image(m: int, n: int, p: int, r: int, base) -> SuperDim:
     dst = local_basis(m, n, p, r)
     if not src or not dst:
         return ZERO_DIM
-    return _image_dims(local_matrix(m, n, r, p + 1), _parities(src), _parities(dst), base)
+    return _parity_ranks(local_matrix(m, n, r, p + 1), src, dst, base)
 
 
 # the m = 0 model: Laurent in the single x, so its matrices never truncate
@@ -345,10 +336,9 @@ def _laurent_kernel(n: int, p: int, base) -> SuperDim:
     if not src:
         return ZERO_DIM
     if p == 0:
-        odd = sum(e.parity for e in src)
-        return SuperDim(len(src) - odd, odd)
+        return _parity_dims(src)
     dst = laurent_basis(n, p - 1)
-    return _kernel_dims(laurent_matrix(n, p), _parities(src), _parities(dst), base)
+    return _parity_dims(src) - _parity_ranks(laurent_matrix(n, p), src, dst, base)
 
 
 def _row_top_r0(m: int, n: int, p: int, base) -> SuperDim:

@@ -1,14 +1,19 @@
 """Exact linear algebra over Z, Q and prime fields.
 
 All matrices carry arbitrary-precision integer entries; base change to
-Q or F_p happens here, at rank-computation time.  Homology of a graded
-complex is reported per parity block: free ranks always, invariant
-factors of the torsion when the base is Z.
+Q or F_p happens here, at rank-computation time.  Rank over Q and F_p
+and the Smith normal form over Z share one sparse elimination kernel
+that pivots only on units; over Z the residual core without a +-1 entry
+goes to a dense Smith form.  Homology of a graded complex is reported
+per parity block: free ranks always, and over Z the torsion, which is
+read off the invariant factors of the incoming differential alone.
+Every homology call first checks that the two differentials at the
+position compose to zero.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
@@ -66,14 +71,12 @@ class ExactMatrix:
 
     __slots__ = ("rows", "cols", "_d")
 
-    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int] | None = None):
+    def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
         self.rows = rows
         self.cols = cols
         self._d: dict[tuple[int, int], int] = {}
-        for (r, c), v in (entries or {}).items():
-            self._set(r, c, v)
 
     def _set(self, r: int, c: int, v: int) -> None:
         if not 0 <= r < self.rows or not 0 <= c < self.cols:
@@ -135,9 +138,6 @@ class ExactMatrix:
     def triplets(self) -> list[tuple[int, int, int]]:
         return sorted((r, c, v) for (r, c), v in self._d.items())
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self._d.items()})
-
     def submatrix(self, row_indices: list[int], col_indices: list[int]) -> "ExactMatrix":
         rmap = {r: i for i, r in enumerate(row_indices)}
         cmap = {c: j for j, c in enumerate(col_indices)}
@@ -148,11 +148,6 @@ class ExactMatrix:
             if i is not None and j is not None:
                 out._set(i, j, v)
         return out
-
-    def scale(self, k: int) -> "ExactMatrix":
-        if k == 0:
-            return ExactMatrix(self.rows, self.cols)
-        return ExactMatrix(self.rows, self.cols, {rc: k * v for rc, v in self._d.items()})
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -167,9 +162,6 @@ class ExactMatrix:
         m = ExactMatrix(self.rows, self.cols)
         m._d = out
         return m
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + other.scale(-1)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -197,21 +189,77 @@ class ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# elimination
 
-def _snf_dense(dense: list[list[int]], n: int, track: bool):
-    """Diagonalize by unimodular row/column operations.
+def _rows(M: ExactMatrix, convert) -> list[dict]:
+    """Nonzero rows of ``M`` as sparse {column: entry} dicts, entries converted."""
+    grouped: dict[int, dict] = defaultdict(dict)
+    for (r, c), v in M._d.items():
+        v = convert(v)
+        if v:
+            grouped[r][c] = v
+    return list(grouped.values())
+
+
+def _eliminate(rows: list[dict], is_unit, inverse, p: int | None = None) -> tuple[int, list[dict]]:
+    """Pivot on unit entries until no row holds one; return (pivots, rows left).
+
+    Each pivot clears its column from the other rows that hold it, found
+    through a column -> rows index, and then drops its own row: column
+    operations on the pivot would clear the rest of that row without
+    touching any other row.  So the rows left are the matrix with every
+    pivot row and column deleted.  Over a field every nonzero entry is a
+    unit and no row is left.  Over Z only +-1 are units, every step is
+    unimodular, and the Smith form is (1,...,1) + the Smith form of the
+    rows left.  Entries are reduced mod ``p`` when it is given.  Rows
+    are visited sparsest first, and each pivot is taken in the sparsest
+    column its row offers, to keep fill-in down.
+    """
+    where: dict[int, set[int]] = defaultdict(set)
+    for i, row in enumerate(rows):
+        for c in row:
+            where[c].add(i)
+    todo = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+    while True:
+        waiting = []
+        for i in todo:
+            row = rows[i]
+            units = [c for c, v in row.items() if is_unit(v)]
+            if not units:
+                waiting.append(i)
+                continue
+            pc = min(units, key=lambda c: (len(where[c]), c))
+            for c in row:
+                where[c].discard(i)
+            pinv = inverse(row.pop(pc))
+            for j in where.pop(pc):
+                other = rows[j]
+                f = other.pop(pc) * pinv
+                for c, v in row.items():
+                    nv = other.get(c, 0) - f * v
+                    if p:
+                        nv %= p
+                    if nv:
+                        if c not in other:
+                            where[c].add(j)
+                        other[c] = nv
+                    elif c in other:
+                        del other[c]
+                        where[c].discard(j)
+        if len(waiting) == len(todo):
+            return len(rows) - len(waiting), [rows[i] for i in waiting if rows[i]]
+        todo = waiting
+
+
+def _snf_dense(dense: list[list[int]], n: int) -> tuple[int, ...]:
+    """Invariant factors by unimodular row/column operations.
 
     ``n`` is the column count (explicit so zero-row matrices keep their
-    shape).  Returns (factors, rank, T, Tinv) where A @ T has its last
-    n-rank columns zero and T is unimodular; T/Tinv are None unless
-    ``track``.  Pivots are chosen by minimal absolute value to keep
+    shape).  Pivots are chosen by minimal absolute value to keep
     coefficient growth down.
     """
     D = [row[:] for row in dense]
     m = len(D)
-    T = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
-    Tinv = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
@@ -224,20 +272,10 @@ def _snf_dense(dense: list[list[int]], n: int, track: bool):
     def col_swap(i, j):
         for row in D:
             row[i], row[j] = row[j], row[i]
-        if track:
-            for row in T:
-                row[i], row[j] = row[j], row[i]
-            Tinv[i], Tinv[j] = Tinv[j], Tinv[i]
 
     def col_addmul(src, dst, q):
         for row in D:
             row[dst] += q * row[src]
-        if track:
-            for row in T:
-                row[dst] += q * row[src]
-            Ti, Td = Tinv[src], Tinv[dst]
-            for k in range(n):
-                Ti[k] -= q * Td[k]
 
     t = 0
     while t < min(m, n):
@@ -297,94 +335,33 @@ def _snf_dense(dense: list[list[int]], n: int, track: bool):
             row_addmul(bad, t, 1)
         t += 1
 
-    factors = []
-    for i in range(t):
-        v = abs(D[i][i])
-        factors.append(v)
-    return tuple(factors), t, T, Tinv
+    return tuple(abs(D[i][i]) for i in range(t))
 
 
 def smith_normal_form(M: ExactMatrix | list[list[int]]) -> tuple[tuple[int, ...], int]:
-    """Invariant factors d1 | d2 | ... | dr and the rank over Q."""
-    if isinstance(M, ExactMatrix):
-        dense, cols = M.to_dense(), M.cols
-    else:
-        dense = [list(r) for r in M]
-        cols = len(dense[0]) if dense else 0
-    factors, rank, _, _ = _snf_dense(dense, cols, track=False)
-    return factors, rank
+    """Invariant factors d1 | d2 | ... | dr and the rank over Q.
+
+    Unit pivots are eliminated sparsely; only the residual core, where
+    no entry is +-1, goes to the dense Smith form.
+    """
+    if not isinstance(M, ExactMatrix):
+        M = ExactMatrix.from_dense([list(r) for r in M])
+    # +-1 is its own inverse, so ``int`` serves as the inverse map
+    units, core = _eliminate(_rows(M, int), lambda v: v == 1 or v == -1, int)
+    cols = sorted({c for row in core for c in row})
+    factors = (1,) * units + _snf_dense([[row.get(c, 0) for c in cols] for row in core], len(cols))
+    return factors, len(factors)
 
 
 # ---------------------------------------------------------------------------
 # ranks over fields
 
 def _rank_fractions(M: ExactMatrix) -> int:
-    rows: list[dict[int, Fraction]] = []
-    grouped: dict[int, dict[int, Fraction]] = defaultdict(dict)
-    for (r, c), v in M._d.items():
-        grouped[r][c] = Fraction(v)
-    rows = [d for d in grouped.values() if d]
-    rank = 0
-    while rows:
-        colcount: Counter = Counter()
-        for row in rows:
-            colcount.update(row.keys())
-        prow = min(rows, key=lambda row: (len(row), min(row)))
-        pc = min(prow, key=lambda c: (colcount[c], c))
-        pinv = 1 / prow[pc]
-        rank += 1
-        nxt = []
-        for row in rows:
-            if row is prow:
-                continue
-            f = row.get(pc)
-            if f is not None:
-                f = f * pinv
-                for c, v in prow.items():
-                    nv = row.get(c, 0) - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            if row:
-                nxt.append(row)
-        rows = nxt
-    return rank
+    return _eliminate(_rows(M, Fraction), bool, lambda v: 1 / v)[0]
 
 
 def _rank_mod_p(M: ExactMatrix, p: int) -> int:
-    grouped: dict[int, dict[int, int]] = defaultdict(dict)
-    for (r, c), v in M._d.items():
-        vp = v % p
-        if vp:
-            grouped[r][c] = vp
-    rows = [d for d in grouped.values() if d]
-    rank = 0
-    while rows:
-        colcount: Counter = Counter()
-        for row in rows:
-            colcount.update(row.keys())
-        prow = min(rows, key=lambda row: (len(row), min(row)))
-        pc = min(prow, key=lambda c: (colcount[c], c))
-        pinv = pow(prow[pc], -1, p)
-        rank += 1
-        nxt = []
-        for row in rows:
-            if row is prow:
-                continue
-            f = row.get(pc)
-            if f is not None:
-                f = f * pinv % p
-                for c, v in prow.items():
-                    nv = (row.get(c, 0) - f * v) % p
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            if row:
-                nxt.append(row)
-        rows = nxt
-    return rank
+    return _eliminate(_rows(M, lambda v: v % p), bool, lambda v: pow(v, -1, p), p)[0]
 
 
 def rank(M: ExactMatrix, base="Q") -> int:
@@ -436,41 +413,16 @@ class HomologySummary:
         )
 
 
-def _mat_dense_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    n = len(A)
-    k = len(B)
-    m = len(B[0]) if k else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    if Bt[j]:
-                        Oi[j] += a * Bt[j]
-    return out
-
-
 def _block_homology_z(out_block: ExactMatrix, in_block: ExactMatrix) -> tuple[int, tuple[int, ...]]:
-    """Free rank and torsion of ker(out)/im(in) over Z for one parity block."""
-    dim = out_block.cols
-    if dim == 0:
-        return 0, ()
-    _, r, _, Tinv = _snf_dense(out_block.to_dense(), dim, track=True)
-    ker_dim = dim - r
-    if in_block.cols == 0:
-        return ker_dim, ()
-    coords = _mat_dense_mul(Tinv, in_block.to_dense())
-    for i in range(r):
-        if any(coords[i]):
-            raise ArithmeticError("image not contained in kernel: not a complex")
-    X = coords[r:]
-    factors, rank_x = _snf_dense(X, in_block.cols, track=False)[:2]
-    torsion = tuple(f for f in factors if f > 1)
-    return ker_dim - rank_x, torsion
+    """Free rank and torsion of ker(out)/im(in) over Z for one parity block.
+
+    ker(out) is a direct summand of the lattice, so the torsion of the
+    homology is the torsion of coker(in): the invariant factors > 1 of
+    ``in`` alone.
+    """
+    factors, rank_in = smith_normal_form(in_block)
+    free = out_block.cols - _rank_fractions(out_block) - rank_in
+    return free, tuple(f for f in factors if f > 1)
 
 
 def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
@@ -478,13 +430,19 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
 
     Requires the position and both neighbors to be materialized (or
     provably zero beyond the complex's support); raises WindowError
-    otherwise.  Over fields the torsion lists are empty; over Z the
-    invariant factors > 1 of the incoming image inside the kernel
-    lattice are reported.
+    otherwise, and ArithmeticError if the differentials leaving and
+    entering the position do not compose to zero.  Over fields the
+    torsion lists are empty; over Z the invariant factors > 1 of the
+    incoming differential are reported.
     """
     kind, p = parse_base(base)
     out_m = C.outgoing(position)
     in_m = C.incoming(position)
+    dd = out_m @ in_m
+    if not dd.is_zero():
+        raise ArithmeticError(
+            f"not a complex at position {position}: d∘d has {dd.nnz} nonzero entries"
+        )
     basis = C.basis_at[position]
     up = C.basis_at.get(position + 1)
     down = C.basis_at.get(position - 1)

@@ -29,6 +29,9 @@ class SuperDim(NamedTuple):
     def __add__(self, other: "SuperDim") -> "SuperDim":  # type: ignore[override]
         return SuperDim(self.even + other.even, self.odd + other.odd)
 
+    def __sub__(self, other: "SuperDim") -> "SuperDim":
+        return SuperDim(self.even - other.even, self.odd - other.odd)
+
     def flip(self, times: int = 1) -> "SuperDim":
         """Parity swap applied ``times`` times."""
         return SuperDim(self.odd, self.even) if times & 1 else self

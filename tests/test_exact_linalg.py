@@ -54,6 +54,21 @@ def _det(sub):
     return total
 
 
+def _dense_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _unimodular(k, rng):
+    """Sparse k x k product of a row permutation and k transvections."""
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(k):
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        U[i] = [u + c * v for u, v in zip(U[i], U[j])]
+    rng.shuffle(U)
+    return U
+
+
 class TestSmithNormalForm:
     def test_diag_2_3(self):
         factors, r = smith_normal_form(ExactMatrix.from_dense([[2, 0], [0, 3]]))
@@ -78,6 +93,19 @@ class TestSmithNormalForm:
             for d1, d2 in zip(factors, factors[1:]):
                 assert d2 % d1 == 0
             assert r == len(factors)
+
+    def test_residual_core_beyond_minor_oracle(self):
+        # M = U D V with U, V unimodular: the +-1 pivots are eliminated
+        # sparsely, and the factors 2, 6, 12 can only come from the core
+        rng = random.Random(11)
+        for m, n in ((20, 20), (30, 26), (40, 36)):
+            diag = [1] * (m // 2) + [2, 6, 12]
+            D = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)] for i in range(m)]
+            M = ExactMatrix.from_dense(_dense_mul(_dense_mul(_unimodular(m, rng), D), _unimodular(n, rng)))
+            assert smith_normal_form(M) == (tuple(diag), len(diag))
+            assert rank(M, "Q") == len(diag)
+            assert rank(M, "Fp:2") == sum(1 for d in diag if d % 2)
+            assert rank(M, "Fp:5") == sum(1 for d in diag if d % 5)
 
     def test_big_entries(self):
         dense = [[2**40, 3**25], [5**17, 7**13]]
@@ -148,10 +176,9 @@ class TestMatrixOps:
         want = [[sum(A[i][k] * B[k][j] for k in range(4)) for j in range(2)] for i in range(3)]
         assert got == ExactMatrix.from_dense(want)
 
-    def test_submatrix_and_transpose(self):
+    def test_submatrix(self):
         M = ExactMatrix.from_dense([[1, 2, 3], [4, 5, 6]])
         assert M.submatrix([1], [0, 2]) == ExactMatrix.from_dense([[4, 6]])
-        assert M.transpose().get(2, 1) == 6
 
     def test_triplets_sorted(self):
         M = ExactMatrix.from_triplets(2, 2, [(1, 1, 5), (0, 0, 1), (1, 1, -5)])
@@ -198,6 +225,15 @@ class TestHomology:
         assert homology(C, "Fp:2", -2).free == SuperDim(1, 0)
         assert homology(C, "Fp:3", -1).free == SuperDim(0, 0)
         assert homology(C, "Fp:3", -2).free == SuperDim(0, 0)
+
+    @pytest.mark.parametrize("base", ["Z", "Q", "Fp:3"])
+    def test_not_a_complex_raises(self, base):
+        C = build_koszul(1, 1, 3, 3)
+        d = C.diff_at[-2]
+        (r, c, v), *rest = d.triplets()
+        C.diff_at[-2] = ExactMatrix.from_triplets(d.rows, d.cols, [(r, c, 2 * v)] + rest)
+        with pytest.raises(ArithmeticError, match="position -2"):
+            homology(C, base, -2)
 
     def test_homology_record(self):
         C = build_koszul(0, 1, 3, 3)
