@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from skos.complexes import GradedComplex, build_koszul
+from skos.complexes import GradedComplex, assemble, build_koszul, contraction_stencil, times_theta
 from skos.exact_linalg import ExactMatrix, homology, parse_base, rank
 from skos.multilinear import (
     SuperDim,
@@ -33,7 +33,7 @@ from skos.multilinear import (
     iter_wedge_monomials,
     wedge_rank,
 )
-from skos.super_poly import GeneratorSet, SuperMonomial, SuperPolynomial, contract_euler
+from skos.super_poly import THETA, GeneratorSet, contract_euler
 
 
 class MethodDisagreementError(ValueError):
@@ -182,11 +182,14 @@ def _koszul_homology(m: int, n: int, pos: int, r: int, base) -> SuperDim:
 # the negative-exponent local model: monomials  x^(-alpha-1) * t_T * dx_E * dt^beta
 
 class LocalMonomial(NamedTuple):
-    """Basis monomial of the local cohomology model at the origin.
+    """Basis monomial of the local cohomology model at the origin, or of
+    the Laurent model of the (0|n) space.
 
     ``x_neg[i] = k`` stands for the factor x_i^(-k-1); every slot is
     present with exponent <= -1.  Multiplication by x_i decrements the
-    stored value and annihilates the monomial when it is already 0.
+    stored value and annihilates the monomial when it is already 0.  The
+    Laurent model stores ``x_neg = ()``: its one x exponent is fixed by
+    the ambient degree.
     """
 
     x_neg: tuple[int, ...]
@@ -197,16 +200,6 @@ class LocalMonomial(NamedTuple):
     @property
     def parity(self) -> int:
         return (len(self.thetas) + sum(self.dt_pow)) & 1
-
-    def degree(self) -> int:
-        m_plus_1 = len(self.x_neg)
-        return (
-            -m_plus_1
-            - sum(self.x_neg)
-            + len(self.thetas)
-            + len(self.dxs)
-            + sum(self.dt_pow)
-        )
 
     def sort_key(self):
         return (self.dxs, self.dt_pow, self.x_neg, self.thetas)
@@ -230,6 +223,17 @@ def local_basis(m: int, n: int, p: int, r: int) -> tuple[LocalMonomial, ...]:
     return tuple(entries)
 
 
+def _cone_times(coef, gen):
+    """x_i lowers x_neg[i] and leaves the cone at 0; t_j is inserted with its sign."""
+    kind, i = gen
+    if kind == THETA:
+        return times_theta(coef, i)
+    x_neg, thetas = coef
+    if x_neg[i] == 0:
+        return None
+    return 1, (x_neg[:i] + (x_neg[i] - 1,) + x_neg[i + 1 :], thetas)
+
+
 @lru_cache(maxsize=None)
 def local_matrix(m: int, n: int, r: int, p: int) -> ExactMatrix:
     """Contraction matrix from wedge degree p to p-1 on the local model.
@@ -238,27 +242,12 @@ def local_matrix(m: int, n: int, r: int, p: int) -> ExactMatrix:
     the monomial at the truncation boundary; t_j-multiplication inserts
     t_j with the anticommutation sign or annihilates on repetition.
     """
-    src = local_basis(m, n, p, r)
-    dst = local_basis(m, n, p - 1, r)
-    index = {mono: i for i, mono in enumerate(dst)}
-    gens = GeneratorSet(m + 1, n)
-    zeros = (0,) * (m + 1)
-    triplets = []
-    for col, mono in enumerate(src):
-        seed = SuperMonomial(zeros, mono.thetas, mono.dxs, mono.dt_pow)
-        image = contract_euler(SuperPolynomial.single(gens, seed, 1))
-        for tm, c in image.terms.items():
-            if sum(tm.x_pow) == 1:
-                i = tm.x_pow.index(1)
-                if mono.x_neg[i] == 0:
-                    continue  # leaves the negative cone
-                x_neg = list(mono.x_neg)
-                x_neg[i] -= 1
-                target = LocalMonomial(tuple(x_neg), tm.thetas, tm.dxs, tm.dt_pow)
-            else:
-                target = LocalMonomial(mono.x_neg, tm.thetas, tm.dxs, tm.dt_pow)
-            triplets.append((index[target], col, int(c)))
-    return ExactMatrix.from_triplets(len(dst), len(src), triplets)
+    return assemble(
+        local_basis(m, n, p, r),
+        local_basis(m, n, p - 1, r),
+        contraction_stencil(GeneratorSet(m + 1, n), p, contract_euler),
+        _cone_times,
+    )
 
 
 def _local_kernel(m: int, n: int, p: int, r: int, base) -> SuperDim:
@@ -282,53 +271,35 @@ def _local_image(m: int, n: int, p: int, r: int, base) -> SuperDim:
 
 # the m = 0 model: Laurent in the single x, so its matrices never truncate
 
-class LaurentMonomial(NamedTuple):
-    """Model monomial x^(r-p-|T|) * t_T * dx_E * dt^beta on the (0|n) space.
-
-    The x exponent is determined by the ambient degree, so only
-    (thetas, dxs, dt_pow) are stored; the basis is independent of r.
-    """
-
-    thetas: tuple[int, ...]
-    dxs: tuple[int, ...]
-    dt_pow: tuple[int, ...]
-
-    @property
-    def parity(self) -> int:
-        return (len(self.thetas) + sum(self.dt_pow)) & 1
-
-    def sort_key(self):
-        return (self.dxs, self.dt_pow, self.thetas)
-
-
 @lru_cache(maxsize=None)
-def laurent_basis(n: int, p: int) -> tuple[LaurentMonomial, ...]:
+def laurent_basis(n: int, p: int) -> tuple[LocalMonomial, ...]:
+    """Model monomials x^(r-p-|T|) * t_T * dx_E * dt^beta on the (0|n)
+    space; the basis is independent of r."""
     if p < 0:
         return ()
     entries = [
-        LaurentMonomial(thetas, dxs, dt_pow)
+        LocalMonomial((), thetas, dxs, dt_pow)
         for dxs, dt_pow in iter_wedge_monomials(1, n, p)
         for k in range(n + 1)
         for thetas in combinations(range(1, n + 1), k)
     ]
-    entries.sort(key=LaurentMonomial.sort_key)
+    entries.sort(key=LocalMonomial.sort_key)
     return tuple(entries)
+
+
+def _laurent_times(coef, gen):
+    """x leaves the coefficient part as it is; t_j is inserted with its sign."""
+    return times_theta(coef, gen[1]) if gen[0] == THETA else (1, coef)
 
 
 @lru_cache(maxsize=None)
 def laurent_matrix(n: int, p: int) -> ExactMatrix:
-    src = laurent_basis(n, p)
-    dst = laurent_basis(n, p - 1)
-    index = {mono: i for i, mono in enumerate(dst)}
-    gens = GeneratorSet(1, n)
-    triplets = []
-    for col, mono in enumerate(src):
-        seed = SuperMonomial((0,), mono.thetas, mono.dxs, mono.dt_pow)
-        image = contract_euler(SuperPolynomial.single(gens, seed, 1))
-        for tm, c in image.terms.items():
-            target = LaurentMonomial(tm.thetas, tm.dxs, tm.dt_pow)
-            triplets.append((index[target], col, int(c)))
-    return ExactMatrix.from_triplets(len(dst), len(src), triplets)
+    return assemble(
+        laurent_basis(n, p),
+        laurent_basis(n, p - 1),
+        contraction_stencil(GeneratorSet(1, n), p, contract_euler),
+        _laurent_times,
+    )
 
 
 def _laurent_kernel(n: int, p: int, base) -> SuperDim:

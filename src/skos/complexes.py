@@ -25,7 +25,6 @@ from skos.super_poly import (
     GeneratorSet,
     SuperMonomial,
     SuperPolynomial,
-    _normalize_singles,
     contract_euler,
     exterior_d,
     parse_monomial,
@@ -159,13 +158,94 @@ def _operator_matrix(
     return ExactMatrix.from_triplets(len(dst), len(src), triplets)
 
 
+def contraction_stencil(
+    gens: GeneratorSet, degree: int, op: Callable[[SuperPolynomial], SuperPolynomial]
+) -> dict[tuple, list]:
+    """Apply ``op`` once to every pure wedge monomial dx_E dt^beta of ``degree``.
+
+    Maps each wedge part ``(dxs, dt_pow)`` to the terms of its image,
+    written as ``(coefficient, generator, wedge part)`` with the weight-1
+    generator ``(X, i)`` or ``(THETA, j)`` in front of the wedge part.
+    ``op`` must be linear over the coefficient part and trade one wedge
+    generator per term for its weight-1 partner, as the Euler contraction
+    does.
+    """
+    a, b = gens
+    stencil = {}
+    for wedge in iter_wedge_monomials(a, b, degree):
+        image = op(SuperPolynomial.single(gens, SuperMonomial((0,) * a, (), *wedge), 1))
+        stencil[wedge] = [
+            (int(c), (THETA, tm.thetas[0]) if tm.thetas else (X, tm.x_pow.index(1)), (tm.dxs, tm.dt_pow))
+            for tm, c in image.terms.items()
+        ]
+    return stencil
+
+
+def assemble(src, dst, stencil: dict[tuple, list], times) -> ExactMatrix:
+    """Matrix of the map sending the column ``s * v`` (coefficient part s,
+    wedge part v) to the sum of ``c * (s*gen) * w`` over the stencil terms
+    ``(c, gen, w)`` of v.
+
+    Basis entries are 4-tuples: two fields of coefficient part, then the
+    wedge part ``(dxs, dt_pow)``.  ``times(s, gen)`` returns
+    ``(scalar, coefficient part of s*gen)``, or ``None`` when it vanishes.
+    """
+    index = {mono: i for i, mono in enumerate(dst)}
+    triplets = []
+    for col, mono in enumerate(src):
+        coef = mono[:2]
+        for c, gen, wedge in stencil.get(mono[2:], ()):
+            res = times(coef, gen)
+            if res is not None:
+                scalar, target = res
+                triplets.append((index[target + wedge], col, c * scalar))
+    return ExactMatrix.from_triplets(len(dst), len(src), triplets)
+
+
+def times_theta(coef: tuple, j: int) -> tuple[int, tuple] | None:
+    """Right product of the coefficient part (x part, t_S) with t_j.
+
+    The sign is (-1)^#{s in S : s > j}; the product vanishes when j is
+    in S.
+    """
+    x, thetas = coef
+    if j in thetas:
+        return None
+    k = sum(1 for s in thetas if s < j)
+    return (-1 if (len(thetas) - k) & 1 else 1), (x, thetas[:k] + (j,) + thetas[k:])
+
+
+def _polynomial_times(coef, gen):
+    """x_i raises an exponent; t_j is inserted with its sign."""
+    kind, i = gen
+    if kind == THETA:
+        return times_theta(coef, i)
+    x_pow, thetas = coef
+    return 1, (x_pow[:i] + (x_pow[i] + 1,) + x_pow[i + 1 :], thetas)
+
+
+def _dual_stencil(stencil: dict[tuple, list]) -> dict[tuple, list]:
+    """Precomposition with the map of ``stencil``, on the dual wedge basis.
+
+    The dual element phi_v maps to the sum over the wedge monomials u
+    whose image holds ``c * w * v`` of ``c * w * phi_u``, with the sign of
+    moving w across phi_v folded into ``c``.
+    """
+    dual: dict[tuple, list] = {}
+    for u, terms in stencil.items():
+        for c, gen, v in terms:
+            sign = -1 if gen[0] == THETA and sum(v[1]) & 1 else 1
+            dual.setdefault(v, []).append((c * sign, gen, u))
+    return dual
+
+
 def _check_args(a: int, b: int, cap: int, n: int | None = None) -> None:
     if a < 0 or b < 0:
         raise ValueError("rank components must be nonnegative")
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
     if n is not None and n < 0:
         raise ValueError("weight must be nonnegative")
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
 
 
 def build_koszul(a: int, b: int, n: int, cap: int | None = None) -> GradedComplex:
@@ -184,10 +264,10 @@ def build_koszul(a: int, b: int, n: int, cap: int | None = None) -> GradedComple
     gens = GeneratorSet(a, b)
     positions = tuple(range(lo, 1))
     basis_at = {pos: _basis_or_empty(a, b, -pos, n + pos) for pos in positions}
-    diff_at = {
-        pos: _operator_matrix(gens, basis_at[pos], basis_at[pos + 1], contract_euler)
-        for pos in positions[:-1]
-    }
+    diff_at = {}
+    for pos in positions[:-1]:
+        stencil = contraction_stencil(gens, -pos, contract_euler)
+        diff_at[pos] = assemble(basis_at[pos].entries, basis_at[pos + 1].entries, stencil, _polynomial_times)
     return GradedComplex(
         kind="koszul",
         gens=gens,
@@ -228,66 +308,6 @@ def build_derham(a: int, b: int, n: int, cap: int | None = None) -> GradedComple
     )
 
 
-def _wedge_part(mono: SuperMonomial, a: int, b: int) -> SuperMonomial:
-    return SuperMonomial((0,) * a, (), mono.dxs, mono.dt_pow)
-
-
-def _contraction_expansions(gens: GeneratorSet, degree: int):
-    """Expand the Euler contraction of every pure wedge monomial of ``degree``.
-
-    Yields a map: wedge monomial v -> list of (target wedge monomial u,
-    coefficient, weight-1 generator single, generator parity) over all
-    terms u with contraction containing v.
-    """
-    a, b = gens
-    by_source: dict[SuperMonomial, list] = {}
-    for dxs, dt_pow in iter_wedge_monomials(a, b, degree):
-        u = SuperMonomial((0,) * a, (), dxs, dt_pow)
-        image = contract_euler(SuperPolynomial.single(gens, u, 1))
-        for tm, c in image.terms.items():
-            if sum(tm.x_pow) == 1:
-                w = (X, tm.x_pow.index(1))
-                wpar = 0
-            else:
-                w = (THETA, tm.thetas[0])
-                wpar = 1
-            v = _wedge_part(tm, a, b)
-            by_source.setdefault(v, []).append((u, int(c), w, wpar))
-    return by_source
-
-
-def _dual_contraction_matrix(gens: GeneratorSet, src: FreeBasis, dst: FreeBasis, wedge_degree: int) -> ExactMatrix:
-    """Matrix of precomposition with the Euler contraction.
-
-    ``src`` sits at dual wedge degree ``wedge_degree``.  A dual basis
-    element phi_v tensor s maps to a sum over wedge monomials u one
-    degree up: each contraction term of u that hits v contributes the
-    right product s*w at the row (phi_u tensor s*w), with the sign of
-    moving the weight-1 generator w across phi_v (commutation rule)
-    folded into the entry.
-    """
-    a, b = gens
-    index = dst.index()
-    by_source = _contraction_expansions(gens, wedge_degree + 1)
-    triplets = []
-    for col, mono in enumerate(src.entries):
-        v = _wedge_part(mono, a, b)
-        terms = by_source.get(v)
-        if not terms:
-            continue
-        s_singles = [s for s in mono.singles() if s[0] in (X, THETA)]
-        vpar = v.parity
-        for u, c, w, wpar in terms:
-            sign1 = -1 if (wpar and vpar) else 1
-            res = _normalize_singles(gens, s_singles + [w])
-            if res is None:
-                continue
-            sign2, t = res
-            target = SuperMonomial(t.x_pow, t.thetas, u.dxs, u.dt_pow)
-            triplets.append((index[target], col, c * sign1 * sign2))
-    return ExactMatrix.from_triplets(len(dst), len(src), triplets)
-
-
 def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:
     """Weight-n slice of the dual of the contraction complex.
 
@@ -308,10 +328,10 @@ def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:
     gens = GeneratorSet(a, b)
     positions = tuple(range(0, top + 1))
     basis_at = {i: _basis_or_empty(a, b, i, n + i) for i in positions}
-    diff_at = {
-        pos: _dual_contraction_matrix(gens, basis_at[pos], basis_at[pos + 1], pos)
-        for pos in positions[:-1]
-    }
+    diff_at = {}
+    for pos in positions[:-1]:
+        stencil = _dual_stencil(contraction_stencil(gens, pos + 1, contract_euler))
+        diff_at[pos] = assemble(basis_at[pos].entries, basis_at[pos + 1].entries, stencil, _polynomial_times)
     return GradedComplex(
         kind="berezinian",
         gens=gens,
@@ -323,23 +343,6 @@ def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:
         support_min=0,
         support_max=support_max,
     )
-
-
-def _specialized_matrix(gens: GeneratorSet, src: FreeBasis, dst: FreeBasis, omega: tuple[int, ...]) -> ExactMatrix:
-    a, b = gens
-    index = dst.index()
-    triplets = []
-    for col, mono in enumerate(src.entries):
-        image = contract_euler(SuperPolynomial.single(gens, mono, 1))
-        for tm, c in image.terms.items():
-            if sum(tm.x_pow) != 1:
-                continue  # odd slots specialize to zero
-            i = tm.x_pow.index(1)
-            if omega[i] == 0:
-                continue
-            target = _wedge_part(tm, a, b)
-            triplets.append((index[target], col, int(c) * omega[i]))
-    return ExactMatrix.from_triplets(len(dst), len(src), triplets)
 
 
 def specialize_koszul(a: int, b: int, omega: tuple[int, ...], cap: int | None = None) -> GradedComplex:
@@ -366,10 +369,14 @@ def specialize_koszul(a: int, b: int, omega: tuple[int, ...], cap: int | None = 
     lo = -a if b == 0 else -cap
     positions = tuple(range(lo, 1))
     basis_at = {pos: _basis_or_empty(a, b, -pos, 0) for pos in positions}
-    diff_at = {
-        pos: _specialized_matrix(gens, basis_at[pos], basis_at[pos + 1], omega)
-        for pos in positions[:-1]
-    }
+
+    def times(coef, gen):  # x_i becomes the scalar omega_i; t_j becomes 0
+        return (omega[gen[1]], coef) if gen[0] == X else None
+
+    diff_at = {}
+    for pos in positions[:-1]:
+        stencil = contraction_stencil(gens, -pos, contract_euler)
+        diff_at[pos] = assemble(basis_at[pos].entries, basis_at[pos + 1].entries, stencil, times)
     return GradedComplex(
         kind="specialized",
         gens=gens,

@@ -10,6 +10,7 @@ from skos.bott import (
     forms_cohomology_direct,
     forms_cohomology_formula,
     laurent_basis,
+    laurent_matrix,
     line_bundle_cohomology,
     line_bundle_rank,
     local_basis,
@@ -134,6 +135,9 @@ class TestLocalModel:
                         a = local_matrix(m, n, r, p)
                         b = local_matrix(m, n, r, p - 1)
                         assert (b @ a).is_zero()
+        for n in range(5):
+            for p in range(2, 6):
+                assert (laurent_matrix(n, p - 1) @ laurent_matrix(n, p)).is_zero()
 
     def test_truncation_kills_boundary_exponents(self):
         # x_i-multiplication annihilates exactly the monomials with x_i

@@ -92,6 +92,12 @@ class TestComplexCommands:
         assert code == 0
         assert "position -3" in out
 
+    @pytest.mark.parametrize("command,weight", [("koszul", "-2"), ("derham", "-1")])
+    def test_negative_weight_names_the_weight(self, command, weight):
+        code, _, err = call([command, "--rank", "1,1", f"--weight={weight}"])
+        assert code == 1
+        assert "weight must be nonnegative" in err
+
     def test_nonzero_odd_slot_rejected(self):
         code, _, err = call(["specialize", "--rank", "1,1", "--omega", "2,5"])
         assert code == 1
