@@ -1,140 +1,159 @@
 """Supermatrices over Grassmann coefficient rings and the Berezin determinant.
 
 The coefficient ring is Q[t1..tg] with anticommuting generators t_i and
-exact rational scalars (integers embed).  An even supermatrix in block
-form (X Y; Z T) is invertible exactly when the bodies of X and T are
-invertible, and then
+exact rational scalars (integers embed).  An element keeps its terms as a
+dict from bitmask (bit i - 1 stands for t_i) to integer numerator, over
+one positive denominator that is coprime to the numerators taken
+together, so equal elements have equal fields.
+
+The even elements form a commutative local ring whose units are the
+elements with a nonzero body, so determinants and inverses of even
+matrices come from one elimination that pivots only on such entries.
+An even supermatrix in block form (X Y; Z T) is invertible exactly when
+the bodies of X and T are invertible, and then
 
     ber(M) = det(X - Y T^-1 Z) * det(T)^-1
            = det(X) * det(T - Z X^-1 Y)^-1
 
 both closed forms are evaluated and compared as a built-in self check.
+
+Input is checked where it enters: ``GrassmannElement.make``,
+``SuperMatrix.from_blocks`` and ``SuperMatrix.from_record``.  Results of
+the arithmetic are built without re-checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations
+from math import gcd, lcm
 
 from skos.multilinear import SuperDim
 
-Scalar = Fraction
 
+def _prefix_parity(mask: int) -> int:
+    """Bit i is set when an odd number of the bits of ``mask`` lie below i.
 
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Sorted merge of two theta index tuples with the anticommutation sign.
-
-    Returns None when an index repeats (theta squared is zero).
+    For disjoint masks a and b, t_a * t_b = (-1)^popcount(a & P(b)) t_(a|b):
+    sorting the product moves each generator of b left across the
+    generators of a above it.  The result has infinitely many high bits
+    (a negative int) when popcount(mask) is odd; only ``a & P(b)`` is used.
     """
-    if set(left) & set(right):
-        return None
-    sign = 1
-    merged = list(left)
-    for t in right:
-        pos = len(merged)
-        while pos > 0 and merged[pos - 1] > t:
-            pos -= 1
-        # t moves left across len(merged) - pos odd generators
-        if (len(merged) - pos) & 1:
-            sign = -sign
-        merged.insert(pos, t)
-    return sign, tuple(merged)
+    prefix = 0
+    while mask:
+        low = mask & -mask
+        prefix ^= -(low << 1)  # every bit above ``low``
+        mask ^= low
+    return prefix
 
 
-@dataclass(frozen=True)
+def _thetas(mask: int) -> tuple[int, ...]:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 class GrassmannElement:
-    """Element of the Grassmann algebra on ``gens`` anticommuting generators.
+    """Immutable element of the Grassmann algebra on ``gens`` anticommuting generators.
 
-    ``terms`` maps ascending theta index tuples to nonzero rationals;
-    the body is the coefficient of the empty tuple.
+    The coefficient of t_a is ``_num[a] / _den``; the body is the
+    coefficient of the empty mask 0.  ``terms`` gives the sorted
+    (theta index tuple, Fraction) view.
     """
 
-    gens: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    __slots__ = ("gens", "_num", "_den")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GrassmannElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GrassmannElement is immutable")
 
     @classmethod
     def make(cls, gens: int, terms: dict[tuple[int, ...], Fraction | int]) -> "GrassmannElement":
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[int, Fraction] = {}
         for thetas, coeff in terms.items():
             thetas = tuple(thetas)
             if any(not 1 <= t <= gens for t in thetas):
                 raise ValueError(f"theta index out of range in {thetas}")
             if tuple(sorted(set(thetas))) != thetas:
                 raise ValueError(f"theta indices must be strictly increasing: {thetas}")
-            c = Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
-                clean[thetas] = clean.get(thetas, Fraction(0)) + c
-        return cls(gens, tuple(sorted((k, v) for k, v in clean.items() if v)))
+                mask = sum(1 << (t - 1) for t in thetas)
+                clean[mask] = clean[mask] + c if mask in clean else c
+        return _from_fractions(gens, clean)
 
     @classmethod
     def scalar(cls, gens: int, value: Fraction | int) -> "GrassmannElement":
-        return cls.make(gens, {(): Fraction(value)})
+        return cls.make(gens, {(): value})
 
     @classmethod
     def zero(cls, gens: int) -> "GrassmannElement":
-        return cls.make(gens, {})
+        return _element(gens, {}, 1)
 
-    def term_map(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self.terms)
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+        den = self._den
+        return tuple(sorted((_thetas(m), Fraction(c, den)) for m, c in self._num.items()))
 
     @property
     def body(self) -> Fraction:
-        for thetas, coeff in self.terms:
-            if not thetas:
-                return coeff
-        return Fraction(0)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def parity(self) -> int | None:
         """0 or 1 for homogeneous elements, None for mixed ones."""
-        if not self.terms:
-            return 0
-        parities = {len(thetas) & 1 for thetas, _ in self.terms}
-        return parities.pop() if len(parities) == 1 else None
+        parities = {m.bit_count() & 1 for m in self._num}
+        if len(parities) > 1:
+            return None
+        return parities.pop() if parities else 0
 
-    def _binary(self, other, fn) -> "GrassmannElement":
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GrassmannElement):
+            return NotImplemented
+        return self.gens == other.gens and self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        return hash((self.gens, self._den, frozenset(self._num.items())))
+
+    def __repr__(self) -> str:
+        return f"GrassmannElement(gens={self.gens}, terms={self.terms!r})"
+
+    def _operand(self, other) -> "GrassmannElement":
         if not isinstance(other, GrassmannElement):
             other = GrassmannElement.scalar(self.gens, other)
         if self.gens != other.gens:
             raise ValueError("mismatched Grassmann generator counts")
-        out = self.term_map()
-        for thetas, coeff in other.terms:
-            out[thetas] = out.get(thetas, Fraction(0)) + fn(coeff)
-        return GrassmannElement.make(self.gens, out)
+        return other
 
     def __add__(self, other) -> "GrassmannElement":
-        return self._binary(other, lambda c: c)
+        return _add(self, self._operand(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GrassmannElement":
-        return self._binary(other, lambda c: -c)
+        return _add(self, self._operand(other), -1)
 
     def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement(self.gens, tuple((t, -c) for t, c in self.terms))
+        return _element(self.gens, {m: -c for m, c in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "GrassmannElement":
         if isinstance(other, (int, Fraction)):
-            return GrassmannElement.make(self.gens, {t: c * other for t, c in self.terms})
+            other = Fraction(other)
+            return _scaled(self, other.numerator, other.denominator)
+        if not isinstance(other, GrassmannElement):
+            return NotImplemented
         if self.gens != other.gens:
             raise ValueError("mismatched Grassmann generator counts")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for t1, c1 in self.terms:
-            for t2, c2 in other.terms:
-                merged = _merge_sign(t1, t2)
-                if merged is None:
-                    continue
-                sign, thetas = merged
-                out[thetas] = out.get(thetas, Fraction(0)) + sign * c1 * c2
-        return GrassmannElement.make(self.gens, out)
+        return _dot(self.gens, ((self, other),))
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for thetas, coeff in sorted(self.terms, key=lambda tc: (len(tc[0]), tc[0])):
@@ -153,28 +172,114 @@ class GrassmannElement:
         return [{"coeff": str(c), "thetas": list(t)} for t, c in self.terms]
 
 
-def invert_unit(u: GrassmannElement) -> GrassmannElement:
-    """Exact inverse of an even unit: a finite geometric series.
+# Internal constructors and arithmetic: operands share ``gens`` and are
+# already in normal form, so nothing is re-checked.
 
-    With u = body + n (n nilpotent, even), the inverse is
-    body^-1 * sum_k (-n/body)^k; the sum stops at k = gens // 2 since
-    every even nilpotent term carries at least two generators.
-    """
+_SET = object.__setattr__
+
+
+def _element(gens: int, num: dict[int, int], den: int) -> GrassmannElement:
+    e = object.__new__(GrassmannElement)
+    _SET(e, "gens", gens)
+    _SET(e, "_num", num)
+    _SET(e, "_den", den)
+    return e
+
+
+def _reduced(gens: int, raw: dict[int, int], den: int) -> GrassmannElement:
+    """Normal form of ``raw / den`` for a positive ``den``."""
+    num = {m: c for m, c in raw.items() if c}
+    if not num:
+        return _element(gens, num, 1)
+    g = gcd(den, *num.values())
+    if g != 1:
+        den //= g
+        num = {m: c // g for m, c in num.items()}
+    return _element(gens, num, den)
+
+
+def _from_fractions(gens: int, fracs: dict[int, Fraction]) -> GrassmannElement:
+    den = lcm(*(c.denominator for c in fracs.values()))
+    return _reduced(gens, {m: c.numerator * (den // c.denominator) for m, c in fracs.items()}, den)
+
+
+def _scaled(x: GrassmannElement, num: int, den: int) -> GrassmannElement:
+    """x * num / den for a nonzero ``den``."""
+    if den < 0:
+        num, den = -num, -den
+    return _reduced(x.gens, {m: c * num for m, c in x._num.items()}, x._den * den)
+
+
+def _add(x: GrassmannElement, y: GrassmannElement, sign: int) -> GrassmannElement:
+    """x + sign * y."""
+    den = lcm(x._den, y._den)
+    sx, sy = den // x._den, sign * (den // y._den)
+    out = {m: c * sx for m, c in x._num.items()}
+    for m, c in y._num.items():
+        out[m] = out.get(m, 0) + c * sy
+    return _reduced(x.gens, out, den)
+
+
+def _dot(gens: int, pairs, start: GrassmannElement | None = None) -> GrassmannElement:
+    """``start`` (default 0) plus the sum of x * y over ``pairs``, normalized once."""
+    if start is None:
+        out, den = {}, 1
+    else:
+        out, den = dict(start._num), start._den
+    get = out.get
+    for x, y in pairs:
+        if not x._num or not y._num:
+            continue
+        d = x._den * y._den
+        common = lcm(den, d)
+        if common != den:
+            s = common // den
+            for m in out:
+                out[m] *= s
+            den = common
+        s = common // d
+        right = [(b, _prefix_parity(b), cb) for b, cb in y._num.items()]
+        for a, ca in x._num.items():
+            ca *= s
+            for b, pb, cb in right:
+                if a & b:
+                    continue
+                c = ca * cb
+                if (a & pb).bit_count() & 1:
+                    c = -c
+                m = a | b
+                out[m] = get(m, 0) + c
+    return _reduced(gens, out, den)
+
+
+def invert_unit(u: GrassmannElement) -> GrassmannElement:
+    """Exact inverse of an even unit."""
     if u.parity() != 0:
         raise ValueError("only even elements can be inverted here")
-    body = u.body
-    if body == 0:
+    if not u._num.get(0):
         raise ZeroDivisionError("zero body: not a unit")
-    nil = u - GrassmannElement.scalar(u.gens, body)
-    ratio = nil * (-1 / body)
-    total = GrassmannElement.scalar(u.gens, 1)
-    power = GrassmannElement.scalar(u.gens, 1)
-    for _ in range(u.gens // 2):
-        power = power * ratio
-        if power.is_zero():
+    return _inverse_unit(u)
+
+
+def _inverse_unit(u: GrassmannElement) -> GrassmannElement:
+    """Inverse of an even element with a nonzero body: a finite geometric series.
+
+    With u = (b + n) / D (n nilpotent, even), the inverse is
+    D/b * sum_k (-n/b)^k; the sum stops at k = gens // 2 since every
+    even nilpotent term carries at least two generators.
+    """
+    gens, num, den = u.gens, u._num, u._den
+    body = num[0]
+    sign = 1 if body > 0 else -1
+    ratio = _reduced(gens, {m: -sign * c for m, c in num.items() if m}, sign * body)
+    total = power = ratio
+    for _ in range(gens // 2 - 1):
+        power = _dot(gens, ((power, ratio),))
+        if not power._num:
             break
-        total = total + power
-    return total * (1 / body)
+        total = _add(total, power, 1)
+    total = _add(total, _element(gens, {0: 1}, 1), 1)
+    return _scaled(total, den, body)
 
 
 Matrix = tuple[tuple[GrassmannElement, ...], ...]
@@ -182,6 +287,70 @@ Matrix = tuple[tuple[GrassmannElement, ...], ...]
 
 def _as_matrix(rows) -> Matrix:
     return tuple(tuple(r) for r in rows)
+
+
+def _eliminate(A: list[list[GrassmannElement]], n: int, jordan: bool) -> tuple[GrassmannElement, int]:
+    """Unit-pivot elimination of the first ``n`` columns of the rows ``A``, in place.
+
+    Column k pivots on the first row from k on whose entry has a nonzero
+    body (a unit of the even subring) and clears the entries below it;
+    with ``jordan`` it also scales the pivot row to a leading 1 and
+    clears above, so [M | I] becomes [I | M^-1].  Returns (d, k): k is
+    the first column with no unit pivot (n when every column has one)
+    and det(M) = d * det(rows k.., columns k..).
+    """
+    gens = A[0][0].gens
+    sign = 1
+    pivots = []
+    for k in range(n):
+        r = next((r for r in range(k, n) if A[r][k]._num.get(0)), None)
+        if r is None:
+            break
+        if r != k:
+            A[k], A[r] = A[r], A[k]
+            sign = -sign
+        row = A[k]
+        pivots.append(row[k])
+        if jordan or k + 1 < n:
+            inv = _inverse_unit(row[k])
+        if jordan:
+            A[k] = row = [_dot(gens, ((inv, e),)) for e in row]
+            targets = [r for r in range(n) if r != k]
+        else:
+            targets = range(k + 1, n)
+        tail = [(j, e) for j, e in enumerate(row[k + 1 :], k + 1) if e._num]
+        for r in targets:
+            lead = A[r][k]
+            if not lead._num:
+                continue
+            factor = -lead if jordan else -_dot(gens, ((lead, inv),))
+            new = A[r][:]
+            new[k] = _element(gens, {}, 1)
+            for j, e in tail:
+                new[j] = _dot(gens, ((factor, e),), new[j])
+            A[r] = new
+    det = _element(gens, {0: sign}, 1)
+    for p in pivots:
+        det = _dot(gens, ((det, p),))
+    return det, len(pivots)
+
+
+def _det(A: list[list[GrassmannElement]]) -> GrassmannElement:
+    n = len(A)
+    det, k = _eliminate(A, n, False)
+    if k == n:
+        return det
+    # No entry of column k from row k on has a body: expand the trailing
+    # block along that column, which needs no division.
+    gens = det.gens
+    block = [row[k:] for row in A[k:]]
+    terms = []
+    for i, row in enumerate(block):
+        if row[0]._num:
+            rest = [r[1:] for j, r in enumerate(block) if j != i]
+            minor = _det(rest) if rest else _element(gens, {0: 1}, 1)
+            terms.append((row[0] if i % 2 == 0 else -row[0], minor))
+    return _dot(gens, ((det, _dot(gens, terms)),))
 
 
 def det_even(M) -> GrassmannElement:
@@ -195,60 +364,37 @@ def det_even(M) -> GrassmannElement:
         if len(row) != n:
             raise ValueError("det_even requires a square matrix")
         for e in row:
+            if e.gens != gens:
+                raise ValueError("mismatched Grassmann generator counts")
             if e.parity() != 0:
                 raise ValueError("odd entry present in det_even")
-    total = GrassmannElement.zero(gens)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        prod = GrassmannElement.scalar(gens, sign)
-        for i in range(n):
-            prod = prod * M[i][perm[i]]
-            if prod.is_zero():
-                break
-        total = total + prod
-    return total
+    return _det([list(row) for row in M])
 
 
 def _matmul(A: Matrix, B: Matrix, gens: int) -> Matrix:
-    rows = len(A)
-    inner = len(B)
-    cols = len(B[0]) if inner else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = GrassmannElement.zero(gens)
-            for k in range(inner):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = list(zip(*B))
+    return tuple(tuple(_dot(gens, zip(row, col)) for col in cols) for row in A)
 
 
-def _inverse_even(M: Matrix, gens: int) -> Matrix:
-    """Inverse via adjugate over the commutative even subring."""
+def _inverse_even(M: Matrix, gens: int) -> tuple[GrassmannElement, Matrix]:
+    """Determinant and inverse of an even matrix with an invertible body,
+    by Gauss-Jordan elimination of [M | I]."""
     n = len(M)
-    d_inv = invert_unit(det_even(M))
-    if n == 1:
-        return ((d_inv,),)
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(M[r][c] for c in range(n) if c != i) for r in range(n) if r != j
-            )
-            cof = det_even(minor)
-            if (i + j) & 1:
-                cof = -cof
-            row.append(cof * d_inv)
-        adj.append(tuple(row))
-    return tuple(adj)
+    one, zero = _element(gens, {0: 1}, 1), _element(gens, {}, 1)
+    A = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(M)]
+    det, k = _eliminate(A, n, True)
+    if k < n:
+        raise ValueError("supermatrix is not invertible (a diagonal block body is singular)")
+    return det, tuple(tuple(row[n:]) for row in A)
+
+
+def _split(p: int, rows: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    return (
+        tuple(r[:p] for r in rows[:p]),
+        tuple(r[p:] for r in rows[:p]),
+        tuple(r[:p] for r in rows[p:]),
+        tuple(r[p:] for r in rows[p:]),
+    )
 
 
 @dataclass(frozen=True)
@@ -314,17 +460,14 @@ class SuperMatrix:
         rows = _as_matrix(rows)
         if len(rows) != p + q or any(len(r) != p + q for r in rows):
             raise ValueError("full matrix shape mismatch")
-        X = tuple(r[:p] for r in rows[:p])
-        Y = tuple(r[p:] for r in rows[:p])
-        Z = tuple(r[:p] for r in rows[p:])
-        T = tuple(r[p:] for r in rows[p:])
-        return cls.from_blocks(p, q, gens, X, Y, Z, T)
+        return cls.from_blocks(p, q, gens, *_split(p, rows))
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         if (self.p, self.q, self.gens) != (other.p, other.q, other.gens):
             raise ValueError("supermatrix shape mismatch")
         prod = _matmul(self.full_rows(), other.full_rows(), self.gens)
-        return SuperMatrix.from_full(self.p, self.q, self.gens, prod)
+        # a product of even supermatrices is even: its blocks need no check
+        return SuperMatrix(self.p, self.q, self.gens, *_split(self.p, prod))
 
     def to_record(self) -> dict:
         return {
@@ -346,87 +489,71 @@ class SuperMatrix:
             terms: dict[tuple[int, ...], Fraction] = {}
             for t in entry:
                 key = tuple(int(i) for i in t["thetas"])
-                terms[key] = terms.get(key, Fraction(0)) + Fraction(str(t["coeff"]))
+                c = _parse_coeff(str(t["coeff"]))
+                terms[key] = terms[key] + c if key in terms else c
             elems.append(GrassmannElement.make(gens, terms))
         rows = tuple(tuple(elems[i * n : (i + 1) * n]) for i in range(n))
         return cls.from_full(p, q, gens, rows)
 
 
+# Records repeat a few small coefficients; a bounded cache parses each once.
+_parse_coeff = lru_cache(maxsize=1024)(Fraction)
+
+
 def is_invertible(M: SuperMatrix) -> bool:
-    """True iff the bodies of both diagonal blocks are invertible."""
-    body_ok = True
+    """True iff the bodies of both diagonal blocks are invertible: the
+    unit-pivot elimination of each body matrix pivots in every column."""
     for block, n in ((M.X, M.p), (M.T, M.q)):
         if n == 0:
             continue
-        body = [[Fraction(e.body) for e in row] for row in block]
-        body_ok = body_ok and _rational_det(body) != 0
-    return body_ok
-
-
-def _rational_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    rows = [r[:] for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
+        bodies = [[_reduced(e.gens, {0: e._num.get(0, 0)}, e._den) for e in row] for row in block]
+        if _eliminate(bodies, n, False)[1] < n:
+            return False
+    return True
 
 
 def ber(M: SuperMatrix) -> GrassmannElement:
     """Berezin determinant of an invertible even supermatrix.
 
     Both closed forms are evaluated; a mismatch would indicate an
-    internal arithmetic error and raises.
+    internal arithmetic error and raises.  det(T) and det(X) come with
+    the block inverses from the same elimination.
     """
     if not is_invertible(M):
         raise ValueError("supermatrix is not invertible (a diagonal block body is singular)")
     gens = M.gens
-    one = GrassmannElement.scalar(gens, 1)
     if M.q == 0:
-        return det_even(M.X) if M.p else one
+        return det_even(M.X) if M.p else GrassmannElement.scalar(gens, 1)
     if M.p == 0:
         return invert_unit(det_even(M.T))
 
-    T_inv = _inverse_even(M.T, gens)
-    schur_x = _sub(M.X, _matmul(_matmul(M.Y, T_inv, gens), M.Z, gens), gens)
-    first = det_even(schur_x) * invert_unit(det_even(M.T))
+    det_t, T_inv = _inverse_even(M.T, gens)
+    schur_x = _sub(M.X, _matmul(_matmul(M.Y, T_inv, gens), M.Z, gens))
+    first = det_even(schur_x) * invert_unit(det_t)
 
-    X_inv = _inverse_even(M.X, gens)
-    schur_t = _sub(M.T, _matmul(_matmul(M.Z, X_inv, gens), M.Y, gens), gens)
-    second = det_even(M.X) * invert_unit(det_even(schur_t))
+    det_x, X_inv = _inverse_even(M.X, gens)
+    schur_t = _sub(M.T, _matmul(_matmul(M.Z, X_inv, gens), M.Y, gens))
+    second = det_x * invert_unit(det_even(schur_t))
 
     if first != second:
         raise ArithmeticError("internal error: the two Berezin determinant forms disagree")
     return first
 
 
-def _sub(A: Matrix, B: Matrix, gens: int) -> Matrix:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+def _sub(A: Matrix, B: Matrix) -> Matrix:
+    return tuple(tuple(_add(a, b, -1) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def random_grassmann(rng, gens: int, parity: int, bound: int = 3, term_chance: float = 0.5) -> GrassmannElement:
     """Random homogeneous element with small rational coefficients."""
-    from itertools import combinations
-
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[int, Fraction] = {}
     for size in range(parity, gens + 1, 2):
-        for subset in combinations(range(1, gens + 1), size):
+        for subset in combinations(range(gens), size):
             if rng.random() < term_chance:
                 num = rng.randint(-bound, bound)
                 if num:
-                    terms[subset] = Fraction(num, rng.randint(1, 2))
-    return GrassmannElement.make(gens, terms)
+                    terms[sum(1 << i for i in subset)] = Fraction(num, rng.randint(1, 2))
+    return _from_fractions(gens, terms)
 
 
 def random_invertible_supermatrix(rng, p: int, q: int, gens: int, bound: int = 3) -> SuperMatrix:

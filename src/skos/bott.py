@@ -145,12 +145,8 @@ def _parity_dims(entries) -> SuperDim:
 def _parity_ranks(mat: ExactMatrix, src, dst, base) -> SuperDim:
     """Ranks of the even and odd blocks of ``mat``, whose columns are the
     ``src`` entries and whose rows are the ``dst`` entries."""
-    ranks = []
-    for parity in (0, 1):
-        s = [i for i, e in enumerate(src) if e.parity == parity]
-        d = [i for i, e in enumerate(dst) if e.parity == parity]
-        ranks.append(rank(mat.submatrix(d, s), base))
-    return SuperDim(*ranks)
+    blocks = mat.parity_blocks([e.parity for e in dst], [e.parity for e in src])
+    return SuperDim(*(rank(block, base) for block in blocks))
 
 
 @lru_cache(maxsize=None)

@@ -66,6 +66,16 @@ def parse_base(base) -> tuple[str, int | None]:
 # ---------------------------------------------------------------------------
 # sparse integer matrices
 
+def _positions(parities: list[int]) -> tuple[list[int], list[int]]:
+    """Each index's position among the indices of its parity, and the two counts."""
+    counts = [0, 0]
+    pos = []
+    for p in parities:
+        pos.append(counts[p])
+        counts[p] += 1
+    return pos, counts
+
+
 class ExactMatrix:
     """Sparse integer matrix in coordinate form; no explicit zeros stored."""
 
@@ -138,16 +148,20 @@ class ExactMatrix:
     def triplets(self) -> list[tuple[int, int, int]]:
         return sorted((r, c, v) for (r, c), v in self._d.items())
 
-    def submatrix(self, row_indices: list[int], col_indices: list[int]) -> "ExactMatrix":
-        rmap = {r: i for i, r in enumerate(row_indices)}
-        cmap = {c: j for j, c in enumerate(col_indices)}
-        out = ExactMatrix(len(row_indices), len(col_indices))
+    def parity_blocks(self, row_parity: list[int], col_parity: list[int]) -> tuple["ExactMatrix", "ExactMatrix"]:
+        """The even and the odd diagonal block, split in one pass over the entries.
+
+        ``row_parity[r]`` and ``col_parity[c]`` are 0 or 1.  Each block keeps
+        its rows and columns in their original order; entries that join a
+        row and a column of different parity belong to neither block.
+        """
+        (rpos, rows), (cpos, cols) = (_positions(p) for p in (row_parity, col_parity))
+        blocks = (ExactMatrix(rows[0], cols[0]), ExactMatrix(rows[1], cols[1]))
         for (r, c), v in self._d.items():
-            i = rmap.get(r)
-            j = cmap.get(c)
-            if i is not None and j is not None:
-                out._set(i, j, v)
-        return out
+            parity = row_parity[r]
+            if parity == col_parity[c]:
+                blocks[parity]._d[(rpos[r], cpos[c])] = v
+        return blocks
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -447,19 +461,19 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
     up = C.basis_at.get(position + 1)
     down = C.basis_at.get(position - 1)
 
+    par = [m.parity for m in basis.entries]
+    out_blocks = out_m.parity_blocks([m.parity for m in up.entries] if up is not None else [], par)
+    in_blocks = in_m.parity_blocks(par, [m.parity for m in down.entries] if down is not None else [])
+
     free = {}
     torsion = {}
     for parity in (0, 1):
-        src = basis.parity_indices(parity)
-        dst = up.parity_indices(parity) if up is not None else []
-        prev = down.parity_indices(parity) if down is not None else []
-        out_block = out_m.submatrix(dst, src)
-        in_block = in_m.submatrix(src, prev)
+        out_block, in_block = out_blocks[parity], in_blocks[parity]
         if kind == "Z":
             free[parity], torsion[parity] = _block_homology_z(out_block, in_block)
         else:
             fbase = (kind, p)
-            ker = len(src) - rank(out_block, fbase)
+            ker = out_block.cols - rank(out_block, fbase)
             free[parity] = ker - rank(in_block, fbase)
             torsion[parity] = ()
     return HomologySummary(position, SuperDim(free[0], free[1]), torsion[0], torsion[1])

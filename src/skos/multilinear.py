@@ -62,9 +62,6 @@ class FreeBasis:
         odd = sum(m.parity for m in self.entries)
         return SuperDim(len(self.entries) - odd, odd)
 
-    def parity_indices(self, parity: int) -> list[int]:
-        return [i for i, m in enumerate(self.entries) if m.parity == parity]
-
     def index(self) -> dict[SuperMonomial, int]:
         return {m: i for i, m in enumerate(self.entries)}
 

@@ -12,6 +12,7 @@ from skos.berezinian import (
     det_even,
     invert_unit,
     is_invertible,
+    random_grassmann,
     random_invertible_supermatrix,
 )
 from skos.multilinear import SuperDim
@@ -23,6 +24,19 @@ def G(terms, gens=4):
 
 ONE = GrassmannElement.scalar(4, 1)
 ZERO = GrassmannElement.zero(4)
+
+
+def laplace(M):
+    """Determinant by cofactor expansion along the first row: no division."""
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    total = GrassmannElement.zero(M[0][0].gens)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
+        term = M[0][j] * laplace(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
 
 
 class TestGrassmannElement:
@@ -65,8 +79,6 @@ class TestInvertUnit:
 
     def test_product_is_one_on_random_units(self):
         rng = random.Random(11)
-        from skos.berezinian import random_grassmann
-
         for _ in range(25):
             u = random_grassmann(rng, 4, 0) + GrassmannElement.scalar(4, rng.choice([1, 2, -3]))
             if u.body == 0:
@@ -98,22 +110,43 @@ class TestDetEven:
 
     def test_against_laplace_expansion(self):
         rng = random.Random(5)
-        from skos.berezinian import random_grassmann
-
-        def laplace(M):
-            n = len(M)
-            if n == 1:
-                return M[0][0]
-            total = GrassmannElement.zero(M[0][0].gens)
-            for j in range(n):
-                minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-                term = M[0][j] * laplace(minor)
-                total = total + (term if j % 2 == 0 else -term)
-            return total
-
         for _ in range(10):
             M = [[random_grassmann(rng, 4, 0) for _ in range(3)] for _ in range(3)]
             assert det_even(M) == laplace(M)
+
+    def test_nilpotent_pivot_column(self):
+        # column 0 has no unit entry: the determinant is an expansion along it
+        tt = G({(1, 2): 1})
+        assert det_even([[tt, ZERO], [ZERO, ONE]]) == tt
+        assert det_even([[ONE, ZERO], [ZERO, tt]]) == tt
+        assert det_even([[tt, ONE], [ONE, ZERO]]) == -ONE
+
+    def test_row_swap_changes_sign(self):
+        a = G({(): 2, (1, 2): 1})
+        assert det_even([[ZERO, ONE], [a, ONE]]) == -a
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("defect", ["first", "last"])
+    def test_singular_body_against_laplace(self, n, defect):
+        # A singular body leaves some column without a unit pivot, so the
+        # elimination hands a trailing block to the expansion: at once when
+        # the first column is nilpotent, late when the last column's body
+        # repeats the first column's.
+        rng = random.Random(f"{n}{defect}")
+        for _ in range(15):
+            M = [[random_grassmann(rng, 5, 0) for _ in range(n)] for _ in range(n)]
+            for row in M:
+                if defect == "first":
+                    row[0] = row[0] - GrassmannElement.scalar(5, row[0].body)
+                else:
+                    row[0] = row[0] + GrassmannElement.scalar(5, rng.choice([1, -1, 2]))
+                    row[-1] = row[-1] + GrassmannElement.scalar(5, row[0].body - row[-1].body)
+            expected = laplace(M)
+            assert expected.body == 0
+            assert det_even(M) == expected
+
+    def test_zero_matrix(self):
+        assert det_even([[ZERO] * 3 for _ in range(3)]) == ZERO
 
     def test_odd_entry_rejected(self):
         with pytest.raises(ValueError, match="odd"):

@@ -134,6 +134,11 @@ class TestBerCommand:
                   "--gens", "3", "--seed", "7"])
         assert a == b and a[0] == 0
 
+    def test_random_check_four_four_six_generators(self):
+        code, out, err = call(["ber", "--random-check", "2", "--p", "4", "--q", "4", "--gens", "6"])
+        assert code == 0, err
+        assert out.startswith("ok: 2 seeded supermatrices (p=4, q=4, gens=6")
+
     def test_missing_input_is_exit_1(self):
         code, _, err = call(["ber"])
         assert code == 1

@@ -176,9 +176,13 @@ class TestMatrixOps:
         want = [[sum(A[i][k] * B[k][j] for k in range(4)) for j in range(2)] for i in range(3)]
         assert got == ExactMatrix.from_dense(want)
 
-    def test_submatrix(self):
-        M = ExactMatrix.from_dense([[1, 2, 3], [4, 5, 6]])
-        assert M.submatrix([1], [0, 2]) == ExactMatrix.from_dense([[4, 6]])
+    def test_parity_blocks(self):
+        M = ExactMatrix.from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        even, odd = M.parity_blocks([1, 0, 0], [0, 1, 0])
+        assert even == ExactMatrix.from_dense([[4, 6], [7, 9]])
+        assert odd == ExactMatrix.from_dense([[2]])
+        empty, rest = ExactMatrix.zeros(0, 2).parity_blocks([], [1, 1])
+        assert (empty.rows, empty.cols, rest.rows, rest.cols) == (0, 0, 0, 2)
 
     def test_triplets_sorted(self):
         M = ExactMatrix.from_triplets(2, 2, [(1, 1, 5), (0, 0, 1), (1, 1, -5)])
