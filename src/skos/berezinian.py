@@ -479,19 +479,36 @@ class SuperMatrix:
 
     @classmethod
     def from_record(cls, record: dict) -> "SuperMatrix":
-        p, q, gens = int(record["p"]), int(record["q"]), int(record["grassmann_gens"])
-        flat = record["entries"]
-        n = p + q
-        if len(flat) != n * n:
-            raise ValueError(f"expected {n * n} entries, got {len(flat)}")
-        elems = []
-        for entry in flat:
-            terms: dict[tuple[int, ...], Fraction] = {}
-            for t in entry:
-                key = tuple(int(i) for i in t["thetas"])
-                c = _parse_coeff(str(t["coeff"]))
-                terms[key] = terms[key] + c if key in terms else c
-            elems.append(GrassmannElement.make(gens, terms))
+        """Inverse of ``to_record``.  A missing key or a field of the wrong
+        type raises ``ValueError`` naming it."""
+        header, k = [], -1
+        try:
+            for field in ("p", "q", "grassmann_gens"):
+                header.append(int(record[field]))
+            p, q, gens = header
+            field = "entries"
+            flat = record[field]
+            n = p + q
+            if len(flat) != n * n:
+                raise ValueError(f"expected {n * n} entries, got {len(flat)}")
+            elems = []
+            for k, entry in enumerate(flat):
+                terms: dict[tuple[int, ...], Fraction] = {}
+                for t in entry:
+                    key = tuple(int(i) for i in t["thetas"])
+                    c = _parse_coeff(str(t["coeff"]))
+                    terms[key] = terms[key] + c if key in terms else c
+                elems.append(GrassmannElement.make(gens, terms))
+        except KeyError as e:
+            where = f" in a term of entries[{k}]" if k >= 0 else ""
+            raise ValueError(f"supermatrix record has no {e.args[0]!r} key{where}") from e
+        except TypeError as e:
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"supermatrix record must be a JSON object, got {type(record).__name__}"
+                ) from e
+            where = f"entries[{k}]" if k >= 0 else field
+            raise ValueError(f"supermatrix record field {where!r} is malformed: {e}") from e
         rows = tuple(tuple(elems[i * n : (i + 1) * n]) for i in range(n))
         return cls.from_full(p, q, gens, rows)
 

@@ -393,10 +393,12 @@ def bott_table(
     """Batch driver: tables for p = 0..p_max, r = r_min..r_max in that order.
 
     With ``method="both"`` every cell is computed along both paths and a
-    disagreement is a hard error.
+    disagreement is a hard error.  ``base`` other than Q needs ``method="direct"``.
     """
     if method not in ("formula", "direct", "both"):
         raise ValueError(f"unknown method {method!r}")
+    if method != "direct" and parse_base(base)[0] != "Q":
+        raise ValueError(f"method {method!r} computes over Q only, not over {base}")
     tables = []
     for p in range(p_max + 1):
         for r in range(r_min, r_max + 1):

@@ -4,12 +4,14 @@ Exit codes: 0 on success, 1 on a computation-level error (non-invertible
 supermatrix, method disagreement, window violation), 2 on usage errors.
 Output is byte-deterministic for fixed arguments and seed; JSON is the
 canonical machine format, CSV is available for cohomology tables.
+Dispatch goes through the subparser table: each subcommand binds its handler.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import random
 import sys
@@ -46,7 +48,9 @@ def _base(text: str) -> str:
     return text
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``skos`` parser, built on first use and shared by every ``run``."""
     parser = argparse.ArgumentParser(
         prog="skos",
         description="Exact super Koszul / De Rham / Berezinian complexes, "
@@ -57,24 +61,27 @@ def build_parser() -> argparse.ArgumentParser:
     def out_flag(sp, choices=("text", "json")):
         sp.add_argument("--output", choices=choices, default="text")
 
-    for name, help_text in (
-        ("koszul", "weight slice of the contraction (Koszul) complex"),
-        ("derham", "weight slice of the exterior-derivative complex"),
-        ("berezinian-complex", "weight slice of the dual (Berezinian) complex"),
+    for name, kind, help_text in (
+        ("koszul", "koszul", "weight slice of the contraction (Koszul) complex"),
+        ("derham", "derham", "weight slice of the exterior-derivative complex"),
+        ("berezinian-complex", "berezinian", "weight slice of the dual (Berezinian) complex"),
     ):
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=_cmd_complex, kind=kind)
         sp.add_argument("--rank", type=_rank_pair, required=True, metavar="a,b")
         sp.add_argument("--weight", type=int, required=True)
         sp.add_argument("--cap", type=int, default=None)
         out_flag(sp)
 
     sp = sub.add_parser("specialize", help="classical Koszul complex of a coefficient vector")
+    sp.set_defaults(handler=_cmd_complex, kind="specialize")
     sp.add_argument("--rank", type=_rank_pair, required=True, metavar="a,b")
     sp.add_argument("--omega", type=_int_vector, required=True, metavar="w0,w1,...")
     sp.add_argument("--cap", type=int, default=None)
     out_flag(sp)
 
     sp = sub.add_parser("homology", help="exact homology of a built complex")
+    sp.set_defaults(handler=_cmd_homology)
     sp.add_argument("--kind", choices=("koszul", "derham", "berezinian", "specialize"), required=True)
     sp.add_argument("--rank", type=_rank_pair, required=True, metavar="a,b")
     sp.add_argument("--base", type=_base, default="Z", metavar="Z|Q|Fp:<p>")
@@ -85,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_flag(sp)
 
     sp = sub.add_parser("ber", help="Berezin determinant of a supermatrix")
+    sp.set_defaults(handler=_cmd_ber)
     sp.add_argument("--input", metavar="FILE", help="JSON supermatrix record ('-' for stdin)")
     sp.add_argument("--random-check", type=int, default=None, metavar="COUNT",
                     help="run COUNT seeded random property checks instead of reading input")
@@ -95,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_flag(sp)
 
     sp = sub.add_parser("bott", help="cohomology tables of twisted differential forms")
+    sp.set_defaults(handler=_cmd_bott)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
@@ -106,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_flag(sp, ("text", "json", "csv"))
 
     sp = sub.add_parser("line-bundle", help="cohomology of a twisted line bundle")
+    sp.set_defaults(handler=_cmd_line_bundle)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
@@ -120,21 +130,23 @@ def _emit_json(record, stdout) -> None:
     stdout.write("\n")
 
 
-def _build_complex(kind: str, rank, weight, omega, cap, position=None):
-    a, b = rank
-    if kind == "specialize":
-        if omega is None:
+def _build_complex(args, position=None):
+    """The complex of kind ``args.kind``; only the options of that kind are read."""
+    a, b = args.rank
+    if args.kind == "specialize":
+        if args.omega is None:
             raise ValueError("--omega is required for the specialized complex")
-        return complexes.specialize_koszul(a, b, omega, cap)
-    if weight is None:
+        return complexes.specialize_koszul(a, b, args.omega, args.cap)
+    if args.weight is None:
         raise ValueError("--weight is required for this complex kind")
-    if kind == "koszul":
-        return complexes.build_koszul(a, b, weight, cap)
-    if kind == "derham":
-        return complexes.build_derham(a, b, weight, cap)
+    if args.kind == "koszul":
+        return complexes.build_koszul(a, b, args.weight, args.cap)
+    if args.kind == "derham":
+        return complexes.build_derham(a, b, args.weight, args.cap)
+    cap = args.cap
     if cap is None:
         cap = max(abs(position) + 1, 6) if position is not None else 6
-    return complexes.build_berezinian(a, b, weight, cap)
+    return complexes.build_berezinian(a, b, args.weight, cap)
 
 
 def _complex_text(C, stdout) -> None:
@@ -153,10 +165,7 @@ def _complex_text(C, stdout) -> None:
 
 
 def _cmd_complex(args, stdout) -> int:
-    kind = {"koszul": "koszul", "derham": "derham", "berezinian-complex": "berezinian",
-            "specialize": "specialize"}[args.command]
-    C = _build_complex(kind, args.rank, getattr(args, "weight", None),
-                       getattr(args, "omega", None), args.cap)
+    C = _build_complex(args)
     if args.output == "json":
         _emit_json(C.to_record(), stdout)
     else:
@@ -165,7 +174,7 @@ def _cmd_complex(args, stdout) -> int:
 
 
 def _cmd_homology(args, stdout) -> int:
-    C = _build_complex(args.kind, args.rank, args.weight, args.omega, args.cap, args.position)
+    C = _build_complex(args, args.position)
     if args.position is not None:
         positions = [args.position]
     else:
@@ -221,7 +230,8 @@ def _cmd_ber(args, stdout) -> int:
 def _ber_random_check(args, stdout) -> int:
     count = args.random_check
     if count <= 0 or args.p < 0 or args.q < 0 or args.gens < 0:
-        raise ValueError("--random-check COUNT and block sizes must be positive")
+        raise ValueError("--random-check COUNT must be positive and "
+                         "--p, --q and --gens nonnegative")
     rng = random.Random(args.seed)
     one = berezinian.GrassmannElement.scalar(args.gens, 1)
     for _ in range(count):
@@ -279,24 +289,13 @@ def run(argv, stdout=None, stderr=None) -> int:
     """Parse and execute one invocation; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 2
     try:
-        if args.command in ("koszul", "derham", "berezinian-complex", "specialize"):
-            return _cmd_complex(args, stdout)
-        if args.command == "homology":
-            return _cmd_homology(args, stdout)
-        if args.command == "ber":
-            return _cmd_ber(args, stdout)
-        if args.command == "bott":
-            return _cmd_bott(args, stdout)
-        if args.command == "line-bundle":
-            return _cmd_line_bundle(args, stdout)
-        raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
+        return args.handler(args, stdout)
     except (ValueError, ArithmeticError, OSError) as e:
         stderr.write(f"skos: error: {e}\n")
         return 1

@@ -268,6 +268,12 @@ class TestBottTable:
         with pytest.raises(ValueError):
             bott_table(1, 1, 1, 1, 1, "magic")
 
+    @pytest.mark.parametrize("method", ["formula", "both"])
+    @pytest.mark.parametrize("base", ["Z", "Fp:3"])
+    def test_base_other_than_q_needs_direct(self, method, base):
+        with pytest.raises(ValueError, match="computes over Q only"):
+            bott_table(1, 1, 1, 2, 2, method, base)
+
     def test_deterministic_order(self):
         tables = bott_table(1, 0, 1, -1, 1, "formula")
         assert [(t.p, t.r) for t in tables] == [

@@ -1,12 +1,14 @@
+import argparse
 import io
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 from skos.berezinian import SuperMatrix
-from skos.cli import run
+from skos.cli import build_parser, run
 from skos.complexes import GradedComplex
 
 
@@ -143,6 +145,31 @@ class TestBerCommand:
         code, _, err = call(["ber"])
         assert code == 1
 
+    def test_random_check_negative_size_is_exit_1(self):
+        code, _, err = call(["ber", "--random-check", "1", "--gens", "-1"])
+        assert code == 1
+        assert err == ("skos: error: --random-check COUNT must be positive "
+                       "and --p, --q and --gens nonnegative\n")
+
+    @pytest.mark.parametrize(
+        "record,named",
+        [
+            ({"q": 1, "grassmann_gens": 1, "entries": [[]]}, "no 'p' key"),
+            ({"p": None, "q": 0, "grassmann_gens": 0, "entries": []}, "field 'p'"),
+            ({"p": 1, "q": 0, "grassmann_gens": 0, "entries": [5]}, "field 'entries[0]'"),
+            ([1, 2], "must be a JSON object, got list"),
+            ({"p": 1, "q": 0, "grassmann_gens": 1, "entries": [[{"coeff": "1"}]]},
+             "no 'thetas' key in a term of entries[0]"),
+        ],
+    )
+    def test_malformed_record_is_exit_1(self, tmp_path, record, named):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(record))
+        code, out, err = call(["ber", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("skos: error: supermatrix record") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+
 
 class TestBottCommands:
     def test_csv_row(self):
@@ -170,6 +197,12 @@ class TestBottCommands:
         cells = [(t["p"], t["r"]) for t in rec["tables"]]
         assert cells == sorted(cells)
 
+    def test_base_other_than_q_needs_direct(self):
+        code, out, err = call(["bott", "--m", "1", "--n", "1", "--p", "1", "--r", "2",
+                               "--method", "both", "--base", "Z"])
+        assert (code, out) == (1, "")
+        assert err == "skos: error: method 'both' computes over Q only, not over Z\n"
+
     def test_line_bundle(self):
         code, out, _ = call(["line-bundle", "--m", "1", "--n", "1", "--r", "2",
                              "--output", "csv"])
@@ -192,6 +225,64 @@ class TestUsageErrors:
     def test_exit_2(self, argv):
         code, _, _ = call(argv)
         assert code == 2
+
+
+def _subcommands():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestCommandTable:
+    def test_every_subcommand_binds_a_handler(self):
+        subcommands = _subcommands()
+        assert set(subcommands) == {"koszul", "derham", "berezinian-complex", "specialize",
+                                    "homology", "ber", "bott", "line-bundle"}
+        for name, sp in subcommands.items():
+            assert callable(sp.get_default("handler")), name
+
+    def test_help_goes_to_the_given_stdout(self):
+        for argv in [["--help"]] + [[name, "--help"] for name in _subcommands()]:
+            first = call(argv)
+            assert first[0] == 0 and first[1].startswith("usage: skos") and first[2] == "", argv
+            assert call(argv) == first, argv
+
+    def test_usage_error_repeats_identically(self):
+        first = call(["homology", "--kind", "bogus"])
+        assert first[0] == 2 and "invalid choice: 'bogus'" in first[2]
+        assert call(["homology", "--kind", "bogus"]) == first
+
+    def test_second_run_builds_no_parser(self, monkeypatch):
+        argv = ["koszul", "--rank", "0,1", "--weight", "1"]
+        first = call(argv)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert call(argv) == first
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        code = textwrap.dedent(
+            """
+            import argparse
+            init, built = argparse.ArgumentParser.__init__, []
+
+            def counting_init(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                init(self, *args, **kwargs)
+
+            argparse.ArgumentParser.__init__ = counting_init
+            import skos.cli
+            print(len(built))
+            """
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_console_entry_point():
