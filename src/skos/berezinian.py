@@ -480,11 +480,12 @@ class SuperMatrix:
     @classmethod
     def from_record(cls, record: dict) -> "SuperMatrix":
         """Inverse of ``to_record``.  A missing key or a field of the wrong
-        type raises ``ValueError`` naming it."""
+        type (sizes and theta indices must be JSON integers) raises
+        ``ValueError`` naming it."""
         header, k = [], -1
         try:
             for field in ("p", "q", "grassmann_gens"):
-                header.append(int(record[field]))
+                header.append(_integer(record[field]))
             p, q, gens = header
             field = "entries"
             flat = record[field]
@@ -495,7 +496,7 @@ class SuperMatrix:
             for k, entry in enumerate(flat):
                 terms: dict[tuple[int, ...], Fraction] = {}
                 for t in entry:
-                    key = tuple(int(i) for i in t["thetas"])
+                    key = tuple(map(_integer, t["thetas"]))
                     c = _parse_coeff(str(t["coeff"]))
                     terms[key] = terms[key] + c if key in terms else c
                 elems.append(GrassmannElement.make(gens, terms))
@@ -511,6 +512,12 @@ class SuperMatrix:
             raise ValueError(f"supermatrix record field {where!r} is malformed: {e}") from e
         rows = tuple(tuple(elems[i * n : (i + 1) * n]) for i in range(n))
         return cls.from_full(p, q, gens, rows)
+
+
+def _integer(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 # Records repeat a few small coefficients; a bounded cache parses each once.

@@ -7,6 +7,8 @@ coefficient vector.  A complex stores, per position, a monomial basis
 and the integer matrix of the differential leaving that position; the
 differential always maps position ``pos`` to ``pos + 1``.
 
+Each kind places one piece Lambda^p (x) S^q at each position (``_PIECE``)
+and assembles each differential from one stencil and one generator rule.
 All structure constants are integers regardless of the eventual base
 ring; base change happens in :mod:`skos.exact_linalg`.  Built complexes
 are immutable and safe to share between threads.
@@ -17,22 +19,48 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import skos.multilinear as multilinear
 from skos.exact_linalg import ExactMatrix
-from skos.multilinear import FreeBasis, iter_wedge_monomials
+from skos.multilinear import FreeBasis, iter_sym_monomials, iter_wedge_monomials, sym_rank, wedge_rank
 from skos.super_poly import (
-    THETA,
-    X,
-    GeneratorSet,
-    SuperMonomial,
-    SuperPolynomial,
-    contract_euler,
-    exterior_d,
-    parse_monomial,
+    DTHETA, DX, THETA, X, GeneratorSet, SuperMonomial, SuperPolynomial, contract_euler, exterior_d,
 )
 
 
 class WindowError(ValueError):
     """A homology request needs a neighbor outside the materialized window."""
+
+
+# kind -> (position, weight) -> (wedge degree, symmetric degree) of the piece there
+_PIECE = {
+    "koszul": lambda pos, n: (-pos, n + pos),
+    "derham": lambda pos, n: (pos, n - pos),
+    "berezinian": lambda pos, n: (pos, n + pos),
+    "specialized": lambda pos, n: (-pos, 0),
+}
+
+
+def _direction(kind: str) -> int:
+    """+1 when the differential raises the wedge degree, -1 when it lowers it."""
+    return _PIECE[kind](1, 0)[0] - _PIECE[kind](0, 0)[0]
+
+
+def _basis(kind: str, gens: GeneratorSet, n: int | None, pos: int) -> FreeBasis:
+    p, q = _PIECE[kind](pos, n)
+    if p < 0 or q < 0:
+        return FreeBasis(gens, ())
+    # read from skos.multilinear per call: perfbench's tracer rebinds it there, not in this module
+    return multilinear.basis_wedge_sym(gens.even, gens.odd, p, q)
+
+
+def _is_int(value, least=None) -> bool:
+    return type(value) is int and (least is None or value >= least)
+
+
+def _ints(value, length=None, least=None, none=False) -> bool:
+    """A list of ``length`` integers >= ``least`` (or nulls, if ``none``)."""
+    return type(value) is list and length in (None, len(value)) and all(
+        none and x is None or _is_int(x, least) for x in value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +86,7 @@ class GradedComplex:
     omega: tuple[int, ...] | None = None
 
     def dim(self, pos: int) -> int:
-        basis = self.basis_at.get(pos)
-        return len(basis) if basis is not None else 0
+        return len(self.basis_at.get(pos, ()))
 
     def outgoing(self, pos: int) -> ExactMatrix:
         """Matrix of the differential leaving ``pos``."""
@@ -93,74 +120,85 @@ class GradedComplex:
             "positions": list(self.positions),
             "bases": [[str(m) for m in self.basis_at[p].entries] for p in self.positions],
             "differentials": [
-                {
-                    "from": p,
-                    "rows": self.diff_at[p].rows,
-                    "cols": self.diff_at[p].cols,
-                    "entries": [list(t) for t in self.diff_at[p].triplets()],
-                }
-                for p in self.positions
-                if p in self.diff_at
+                {"from": p, "rows": M.rows, "cols": M.cols, "entries": [list(t) for t in M.triplets()]}
+                for p, M in sorted(self.diff_at.items())
             ],
         }
 
     @classmethod
     def from_record(cls, record: dict) -> "GradedComplex":
+        """Inverse of ``to_record``.  Each basis must be the enumerated basis
+        of the record's kind, string for string and in order, and each
+        matrix must list its nonzero entries once, sorted; anything else
+        raises ``ValueError`` naming the field or the position."""
+        if not isinstance(record, dict):
+            raise ValueError(f"complex record must be a JSON object, got {type(record).__name__}")
         if record.get("format") != "skos.graded-complex/1":
             raise ValueError(f"unknown complex format {record.get('format')!r}")
-        gens = GeneratorSet(*record["rank"])
-        positions = tuple(record["positions"])
+
+        def get(key, ok, expected):
+            if key not in record:
+                raise ValueError(f"complex record has no {key!r} key")
+            if not ok(record[key]):
+                raise ValueError(f"complex record field {key!r} must be {expected}, got {record[key]!r}")
+            return record[key]
+
+        kind = get("kind", lambda v: isinstance(v, str) and v in _PIECE, f"one of {sorted(_PIECE)}")
+        special, direction = kind == "specialized", _direction(kind)
+        a, b = get("rank", lambda v: _ints(v, 2, 0), "two nonnegative integers")
+        weight = get("weight", lambda v: v is None if special else _is_int(v),
+                     "null" if special else "an integer")
+        get("direction", lambda v: _is_int(v) and v == direction, str(direction))
+        omega = get("omega", lambda v: _ints(v, a + b) if special else v is None,
+                    f"{a + b} integers" if special else "null")
+        support = get("support", lambda v: _ints(v, 2, none=True), "two integers or nulls")
+        positions = tuple(get("positions", lambda v: _ints(v) and v[:1] and v == list(range(v[0], v[-1] + 1)),
+                              "consecutive integers"))
+        bases = get("bases", lambda v: type(v) is list and len(v) == len(positions), f"{len(positions)} bases")
+        diffs = get("differentials", lambda v: type(v) is list and len(v) == len(positions) - 1,
+                    f"{len(positions) - 1} matrices")
+
+        gens = GeneratorSet(a, b)
         basis_at = {}
-        for pos, monos in zip(positions, record["bases"]):
-            entries = tuple(parse_monomial(gens, s) for s in monos)
-            basis_at[pos] = FreeBasis(gens, entries)
+        for pos, strings in zip(positions, bases):
+            p, q = _PIECE[kind](pos, weight)
+            # counted before it is enumerated, so a short record cannot ask for a huge basis
+            size = wedge_rank(p, a, b).total * sym_rank(q, a, b).total if min(p, q) >= 0 else 0
+            if type(strings) is not list or len(strings) != size:
+                raise ValueError(f"complex record basis at position {pos} must have {size} entries")
+            basis_at[pos] = _basis(kind, gens, weight, pos)
+            if [str(m) for m in basis_at[pos].entries] != strings:
+                raise ValueError(f"complex record basis at position {pos} is not the {kind} basis")
         diff_at = {}
-        for d in record["differentials"]:
-            diff_at[d["from"]] = ExactMatrix.from_triplets(
-                d["rows"], d["cols"], [tuple(t) for t in d["entries"]]
-            )
-        support = record.get("support", [None, None])
-        omega = record.get("omega")
-        return cls(
-            kind=record["kind"],
-            gens=gens,
-            weight=record["weight"],
-            direction=record["direction"],
-            positions=positions,
-            basis_at=basis_at,
-            diff_at=diff_at,
-            support_min=support[0],
-            support_max=support[1],
-            omega=tuple(omega) if omega is not None else None,
-        )
+        for pos, d in zip(positions, diffs):
+            where = f"complex record differential from position {pos}"
+            rows, cols = len(basis_at[pos + 1]), len(basis_at[pos])
+            shape = {"from": pos, "rows": rows, "cols": cols}
+            if type(d) is not dict or type(d.get("entries")) is not list or any(
+                    not _is_int(d.get(k)) or d[k] != v for k, v in shape.items()):
+                raise ValueError(f"{where} must have {shape} and a list of entries")
+            M = diff_at[pos] = ExactMatrix.zeros(rows, cols)
+            entries = d["entries"]
+            for t in entries:
+                if not (_ints(t, 3) and 0 <= t[0] < rows and 0 <= t[1] < cols):
+                    raise ValueError(f"{where} has entry {t!r}")
+                M._set(*t)
+            if M.triplets() != [tuple(t) for t in entries]:
+                raise ValueError(f"{where} must list its nonzero entries once, sorted")
+        return cls(kind, gens, weight, direction, positions, basis_at, diff_at, *support,
+                   tuple(omega) if special else None)
 
 
-def _basis_or_empty(a: int, b: int, p: int, q: int) -> FreeBasis:
-    from skos.multilinear import basis_wedge_sym
-
-    if p < 0 or q < 0:
-        return FreeBasis(GeneratorSet(a, b), ())
-    return basis_wedge_sym(a, b, p, q)
-
-
-def _operator_matrix(
-    gens: GeneratorSet,
-    src: FreeBasis,
-    dst: FreeBasis,
-    op: Callable[[SuperPolynomial], SuperPolynomial],
-) -> ExactMatrix:
-    index = dst.index()
-    triplets = []
-    for col, mono in enumerate(src.entries):
-        image = op(SuperPolynomial.single(gens, mono, 1))
-        for tm, c in image.terms.items():
-            triplets.append((index[tm], col, int(c)))
-    return ExactMatrix.from_triplets(len(dst), len(src), triplets)
+def _complex(kind: str, gens: GeneratorSet, n: int | None, positions: range, support: tuple,
+             diff: Callable[[int, tuple, tuple], ExactMatrix], omega: tuple | None = None) -> GradedComplex:
+    """The enumerated basis of ``kind`` at each position, and ``diff(pos, source entries, target entries)``."""
+    basis_at = {pos: _basis(kind, gens, n, pos) for pos in positions}
+    diff_at = {pos: diff(pos, basis_at[pos].entries, basis_at[pos + 1].entries) for pos in positions[:-1]}
+    return GradedComplex(kind, gens, n, _direction(kind), tuple(positions), basis_at, diff_at, *support, omega)
 
 
-def contraction_stencil(
-    gens: GeneratorSet, degree: int, op: Callable[[SuperPolynomial], SuperPolynomial]
-) -> dict[tuple, list]:
+def contraction_stencil(gens: GeneratorSet, degree: int,
+                        op: Callable[[SuperPolynomial], SuperPolynomial]) -> dict[tuple, list]:
     """Apply ``op`` once to every pure wedge monomial dx_E dt^beta of ``degree``.
 
     Maps each wedge part ``(dxs, dt_pow)`` to the terms of its image,
@@ -181,14 +219,33 @@ def contraction_stencil(
     return stencil
 
 
-def assemble(src, dst, stencil: dict[tuple, list], times) -> ExactMatrix:
-    """Matrix of the map sending the column ``s * v`` (coefficient part s,
-    wedge part v) to the sum of ``c * (s*gen) * w`` over the stencil terms
-    ``(c, gen, w)`` of v.
+def _derivative_stencil(gens: GeneratorSet, degree: int) -> dict[tuple, list]:
+    """Apply ``exterior_d`` once to every coefficient monomial x^alpha t_S of ``degree``.
 
-    Basis entries are 4-tuples: two fields of coefficient part, then the
-    wedge part ``(dxs, dt_pow)``.  ``times(s, gen)`` returns
-    ``(scalar, coefficient part of s*gen)``, or ``None`` when it vanishes.
+    The mirror of :func:`contraction_stencil`, as d(s*w) = ds*w for a wedge
+    part w: maps ``(x_pow, thetas)`` to the terms ``(coefficient, (DX, i) or
+    (DTHETA, j), coefficient part)`` of its image.
+    """
+    a, b = gens
+    stencil = {}
+    for coef in iter_sym_monomials(a, b, degree):
+        image = exterior_d(SuperPolynomial.single(gens, SuperMonomial(*coef, (), (0,) * b), 1))
+        stencil[coef] = [
+            (int(c), (DX, tm.dxs[0]) if tm.dxs else (DTHETA, tm.dt_pow.index(1) + 1), (tm.x_pow, tm.thetas))
+            for tm, c in image.terms.items()
+        ]
+    return stencil
+
+
+def assemble(src, dst, stencil: dict[tuple, list], times) -> ExactMatrix:
+    """Matrix of the map sending the column ``s * v`` to the sum of
+    ``c * (s*gen) * w`` over the stencil terms ``(c, gen, w)`` of v.
+
+    Basis entries are 4-tuples: the first half s is what ``times`` acts
+    on, the second half v is the stencil key.  The contraction builders
+    pass monomials (coefficient part first); De Rham passes their
+    ``sort_key()`` (wedge part first).  ``times(s, gen)`` returns
+    ``(scalar, first half of s*gen)``, or ``None`` when it vanishes.
     """
     index = {mono: i for i, mono in enumerate(dst)}
     triplets = []
@@ -224,6 +281,20 @@ def _polynomial_times(coef, gen):
     return 1, (x_pow[:i] + (x_pow[i] + 1,) + x_pow[i + 1 :], thetas)
 
 
+def _wedge_times(wedge, gen):
+    """Left product of dx_i or dt_j with the wedge part dx_E dt^beta: the
+    sign is (-1)^#{e in E : e < i} for dx_i, which vanishes for i in E,
+    and (-1)^|E| for dt_j."""
+    dxs, dt_pow = wedge
+    kind, i = gen
+    if kind == DTHETA:
+        return (-1 if len(dxs) & 1 else 1), (dxs, dt_pow[: i - 1] + (dt_pow[i - 1] + 1,) + dt_pow[i:])
+    if i in dxs:
+        return None
+    k = sum(1 for e in dxs if e < i)
+    return (-1 if k & 1 else 1), (dxs[:k] + (i,) + dxs[k:], dt_pow)
+
+
 def _dual_stencil(stencil: dict[tuple, list]) -> dict[tuple, list]:
     """Precomposition with the map of ``stencil``, on the dual wedge basis.
 
@@ -256,56 +327,25 @@ def build_koszul(a: int, b: int, n: int, cap: int | None = None) -> GradedComple
     slice is finite and ``cap`` is ignored; otherwise positions
     -min(n, cap)..0 are materialized.
     """
-    if cap is None:
-        cap = n
+    cap = n if cap is None else cap
     _check_args(a, b, cap, n)
     top = min(n, a) if b == 0 else n
     lo = -top if b == 0 else -min(top, cap)
     gens = GeneratorSet(a, b)
-    positions = tuple(range(lo, 1))
-    basis_at = {pos: _basis_or_empty(a, b, -pos, n + pos) for pos in positions}
-    diff_at = {}
-    for pos in positions[:-1]:
-        stencil = contraction_stencil(gens, -pos, contract_euler)
-        diff_at[pos] = assemble(basis_at[pos].entries, basis_at[pos + 1].entries, stencil, _polynomial_times)
-    return GradedComplex(
-        kind="koszul",
-        gens=gens,
-        weight=n,
-        direction=-1,
-        positions=positions,
-        basis_at=basis_at,
-        diff_at=diff_at,
-        support_min=-top,
-        support_max=0,
-    )
+    return _complex("koszul", gens, n, range(lo, 1), (-top, 0), lambda pos, src, dst: assemble(
+        src, dst, contraction_stencil(gens, -pos, contract_euler), _polynomial_times))
 
 
 def build_derham(a: int, b: int, n: int, cap: int | None = None) -> GradedComplex:
     """Weight-n slice of the exterior-derivative complex, positions 0..top."""
-    if cap is None:
-        cap = n
+    cap = n if cap is None else cap
     _check_args(a, b, cap, n)
     top = min(n, a) if b == 0 else min(n, cap)
     support_max = min(n, a) if b == 0 else n
     gens = GeneratorSet(a, b)
-    positions = tuple(range(0, top + 1))
-    basis_at = {p: _basis_or_empty(a, b, p, n - p) for p in positions}
-    diff_at = {
-        pos: _operator_matrix(gens, basis_at[pos], basis_at[pos + 1], exterior_d)
-        for pos in positions[:-1]
-    }
-    return GradedComplex(
-        kind="derham",
-        gens=gens,
-        weight=n,
-        direction=1,
-        positions=positions,
-        basis_at=basis_at,
-        diff_at=diff_at,
-        support_min=0,
-        support_max=support_max,
-    )
+    return _complex("derham", gens, n, range(0, top + 1), (0, support_max), lambda pos, src, dst: assemble(
+        [m.sort_key() for m in src], [m.sort_key() for m in dst],
+        _derivative_stencil(gens, n - pos), _wedge_times))
 
 
 def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:
@@ -326,23 +366,8 @@ def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:
     support_max = min(bounds) if bounds else None
     top = cap if support_max is None else min(cap, support_max)
     gens = GeneratorSet(a, b)
-    positions = tuple(range(0, top + 1))
-    basis_at = {i: _basis_or_empty(a, b, i, n + i) for i in positions}
-    diff_at = {}
-    for pos in positions[:-1]:
-        stencil = _dual_stencil(contraction_stencil(gens, pos + 1, contract_euler))
-        diff_at[pos] = assemble(basis_at[pos].entries, basis_at[pos + 1].entries, stencil, _polynomial_times)
-    return GradedComplex(
-        kind="berezinian",
-        gens=gens,
-        weight=n,
-        direction=1,
-        positions=positions,
-        basis_at=basis_at,
-        diff_at=diff_at,
-        support_min=0,
-        support_max=support_max,
-    )
+    return _complex("berezinian", gens, n, range(0, top + 1), (0, support_max), lambda pos, src, dst: assemble(
+        src, dst, _dual_stencil(contraction_stencil(gens, pos + 1, contract_euler)), _polynomial_times))
 
 
 def specialize_koszul(a: int, b: int, omega: tuple[int, ...], cap: int | None = None) -> GradedComplex:
@@ -353,39 +378,20 @@ def specialize_koszul(a: int, b: int, omega: tuple[int, ...], cap: int | None = 
     directions.  The even slots of ``omega`` are integers (canonical
     lifts into any supported base ring); the b odd slots must be zero.
     """
-    if cap is None:
-        cap = a + b
+    cap = a + b if cap is None else cap
     _check_args(a, b, cap)
     omega = tuple(omega)
     if len(omega) != a + b:
         raise ValueError(f"omega must have {a + b} entries, got {len(omega)}")
-    for v in omega[:a]:
-        if not isinstance(v, int):
-            raise ValueError("even slots of omega must be integers")
-    for v in omega[a:]:
-        if v != 0:
-            raise ValueError("nonzero odd slot rejected: base rings here have no odd part")
+    if not all(isinstance(v, int) for v in omega[:a]):
+        raise ValueError("even slots of omega must be integers")
+    if any(v != 0 for v in omega[a:]):
+        raise ValueError("nonzero odd slot rejected: base rings here have no odd part")
     gens = GeneratorSet(a, b)
-    lo = -a if b == 0 else -cap
-    positions = tuple(range(lo, 1))
-    basis_at = {pos: _basis_or_empty(a, b, -pos, 0) for pos in positions}
 
     def times(coef, gen):  # x_i becomes the scalar omega_i; t_j becomes 0
         return (omega[gen[1]], coef) if gen[0] == X else None
-
-    diff_at = {}
-    for pos in positions[:-1]:
-        stencil = contraction_stencil(gens, -pos, contract_euler)
-        diff_at[pos] = assemble(basis_at[pos].entries, basis_at[pos + 1].entries, stencil, times)
-    return GradedComplex(
-        kind="specialized",
-        gens=gens,
-        weight=None,
-        direction=-1,
-        positions=positions,
-        basis_at=basis_at,
-        diff_at=diff_at,
-        support_min=-a if b == 0 else None,
-        support_max=0,
-        omega=omega,
-    )
+    lo = -a if b == 0 else -cap
+    support = (lo if b == 0 else None, 0)
+    return _complex("specialized", gens, None, range(lo, 1), support, lambda pos, src, dst: assemble(
+        src, dst, contraction_stencil(gens, -pos, contract_euler), times), omega)

@@ -62,9 +62,6 @@ class FreeBasis:
         odd = sum(m.parity for m in self.entries)
         return SuperDim(len(self.entries) - odd, odd)
 
-    def index(self) -> dict[SuperMonomial, int]:
-        return {m: i for i, m in enumerate(self.entries)}
-
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``slots`` nonnegative integers summing to ``total``."""
@@ -140,7 +137,7 @@ def wedge_rank(p: int, a: int, b: int) -> SuperDim:
     if p < 0:
         raise ValueError("p must be nonnegative")
     even = odd = 0
-    for i in range(p + 1):
+    for i in range(max(p - a, 0), p + 1):  # C(a, p - i) = 0 below
         count = binom(a, p - i) * binom(b + i - 1, i)
         if i & 1:
             odd += count

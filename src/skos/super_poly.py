@@ -382,17 +382,6 @@ _FACTOR_RE = re.compile(r"^(x|t|dx|dt)(\d+)(?:\^(\d+))?$")
 _NUM_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
-def parse_monomial(gens: GeneratorSet, text: str) -> SuperMonomial:
-    """Parse a bare monomial string such as ``x0^2*t1*dx0``."""
-    poly = parse_poly(gens, text)
-    if len(poly.terms) != 1:
-        raise ValueError(f"not a single monomial: {text!r}")
-    ((mono, coeff),) = poly.terms.items()
-    if coeff != 1:
-        raise ValueError(f"not a bare monomial: {text!r}")
-    return mono
-
-
 def parse_poly(gens: GeneratorSet, text: str) -> SuperPolynomial:
     """Parse the textual polynomial format.
 

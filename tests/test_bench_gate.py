@@ -42,14 +42,20 @@ def _site_object(site: str):
     raise AssertionError(f"{site} names no module")
 
 
-def test_expected_sites_resolve(monkeypatch):
-    """Every site the traced benchmark run must see fire is bound to the
-    original of a function the tracer wraps, so a renamed or re-imported
-    binding (say ``skos.cli.homology``) fails here, not only in that run."""
+def _bench(monkeypatch):
+    """``perfbench/run.py`` as a module, with ``perfbench`` importable."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_expected_sites_resolve(monkeypatch):
+    """Every site the traced benchmark run must see fire is bound to the
+    original of a function the tracer wraps, so a renamed or re-imported
+    binding (say ``skos.cli.homology``) fails here, not only in that run."""
+    bench = _bench(monkeypatch)
     import tracer
 
     targets = [t for ts, _ in tracer.LAYERS.values() for t in ts]
@@ -59,3 +65,40 @@ def test_expected_sites_resolve(monkeypatch):
     assert "skos.cli.homology" in sites
     for site in sites:
         assert id(_site_object(site)) in wrapped, f"the tracer wraps nothing bound at {site}"
+
+
+# A few cheap requests of each workload that between them reach every
+# expected site: rank (1|1), both kinds, Z, Q and F_p, every export command.
+_CHEAP = {
+    "homology_sweep": lambda r: "--rank 1,1 --weight 2 " in r.key,
+    "bott_cross": lambda r: ("--m 2 --n 2 " in r.key and r.key.endswith(" --r 1"))
+    or ("--m 0 --n 4 " in r.key and r.key.endswith(" --r 0")),
+    "ber_check": lambda r: "(1|1, " in r.key,
+    "complex_export": lambda r: "--rank 1,1 " in r.key and ("--weight 2 " in r.key or r.payload[0] == "specialize"),
+}
+
+
+def test_expected_sites_fire(monkeypatch):
+    """Every site the traced benchmark run expects fires on a few requests
+    of its workload, so an import that binds a traced function early
+    (``from skos.multilinear import basis_wedge_sym`` in a caller, say)
+    fails here, not only in that run."""
+    bench = _bench(monkeypatch)
+    import skos.bott
+    import tracer
+    import workloads
+
+    golden = workloads.load_golden()
+    for workload, cheap in _CHEAP.items():
+        reqs = [r for r in workloads.build_requests(workload, 0) if cheap(r)]
+        for name in workloads.BOTT_CACHES:  # a warm cache would hide the sites behind it
+            getattr(skos.bott, name).cache_clear()
+        t = tracer.Tracer()
+        t.install()
+        try:
+            res, _, _ = workloads.run_requests(reqs, golden)
+        finally:
+            t.uninstall()
+        assert reqs and res.failed == 0, res.failures
+        silent = [s for s in bench.EXPECTED_SITES[workload] if not t.site_calls.get(s)]
+        assert not silent, f"{workload}: {silent} never fired"

@@ -160,6 +160,16 @@ class TestBerCommand:
             ([1, 2], "must be a JSON object, got list"),
             ({"p": 1, "q": 0, "grassmann_gens": 1, "entries": [[{"coeff": "1"}]]},
              "no 'thetas' key in a term of entries[0]"),
+            ({"p": 1.9, "q": 0, "grassmann_gens": 0, "entries": [[{"coeff": "2", "thetas": []}]]},
+             "field 'p'"),
+            ({"p": 1, "q": False, "grassmann_gens": 0, "entries": [[{"coeff": "2", "thetas": []}]]},
+             "field 'q'"),
+            ({"p": 1, "q": 0, "grassmann_gens": "1", "entries": [[{"coeff": "2", "thetas": []}]]},
+             "field 'grassmann_gens'"),
+            ({"p": 1, "q": 0, "grassmann_gens": 1, "entries": [[{"coeff": "2", "thetas": [1.0]}]]},
+             "field 'entries[0]'"),
+            ({"p": 1, "q": 0, "grassmann_gens": 1, "entries": [[{"coeff": "2", "thetas": [True]}]]},
+             "field 'entries[0]'"),
         ],
     )
     def test_malformed_record_is_exit_1(self, tmp_path, record, named):

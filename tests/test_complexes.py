@@ -102,6 +102,29 @@ class TestStructuralInvariants:
                 )
                 assert term1 + term2 == ExactMatrix.identity(dim, n)
 
+    def test_euler_characteristic_per_parity(self):
+        """On each fully materialized complex, sum (-1)^pos dim_pos equals
+        sum (-1)^pos of the free rank over Q at pos, parity by parity."""
+        finite = 0
+        for a, b, n in envelope():
+            complexes = [build_koszul(a, b, n), build_derham(a, b, n), build_berezinian(a, b, n, 4)]
+            if n == 0:
+                complexes.append(specialize_koszul(a, b, (2,) * a + (0,) * b))
+            for C in complexes:
+                if C.support_min is None or C.support_max is None:
+                    continue
+                if C.positions != tuple(range(C.support_min, C.support_max + 1)):
+                    continue
+                finite += 1
+                chi_basis = chi_homology = SuperDim(0, 0)
+                for pos in C.positions:
+                    sign = -1 if pos & 1 else 1
+                    dims, free = C.basis_at[pos].dims(), homology(C, "Q", pos).free
+                    chi_basis += SuperDim(sign * dims.even, sign * dims.odd)
+                    chi_homology += SuperDim(sign * free.even, sign * free.odd)
+                assert chi_basis == chi_homology, (C.kind, a, b, n)
+        assert finite == 239
+
     def test_koszul_derham_duality_shift(self):
         # odd-line slices match even-line slices after reversing positions
         # by the weight and flipping parity by weight mod 2
@@ -230,6 +253,7 @@ class TestSerialization:
             lambda: build_derham(1, 2, 2, 2),
             lambda: build_berezinian(1, 1, 1, 4),
             lambda: specialize_koszul(2, 1, (2, 3, 0), 3),
+            lambda: build_berezinian(0, 2, -2, 4),
         ],
     )
     def test_record_round_trip(self, make):
@@ -247,3 +271,79 @@ class TestSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             GradedComplex.from_record({"format": "nope"})
+
+    @staticmethod
+    def _record():
+        """Weight-2 Koszul slice of rank (2|1); position 0 holds x0*x1."""
+        return json.loads(json.dumps(build_koszul(2, 1, 2).to_record()))
+
+    def test_non_canonical_monomial_rejected(self):
+        rec = self._record()
+        assert "x0*x1" in rec["bases"][2]
+        rec["bases"][2] = ["x1*x0" if s == "x0*x1" else s for s in rec["bases"][2]]
+        with pytest.raises(ValueError, match="basis at position 0 "):
+            GradedComplex.from_record(rec)
+
+    def test_reversed_basis_rejected(self):
+        rec = self._record()
+        rec["bases"][1].reverse()
+        with pytest.raises(ValueError, match="basis at position -1 "):
+            GradedComplex.from_record(rec)
+
+    @pytest.mark.parametrize(
+        "key,value,named",
+        [
+            ("kind", "cech", "field 'kind'"),
+            ("kind", None, "no 'kind' key"),
+            ("weight", None, "no 'weight' key"),
+            ("weight", 2.0, "field 'weight'"),
+            ("rank", [2, True], "field 'rank'"),
+            ("direction", 1, "field 'direction'"),
+            ("positions", [-2, 0, -1], "field 'positions'"),
+            ("support", [-2], "field 'support'"),
+            ("omega", [1, 2, 0], "field 'omega'"),
+            ("bases", [], "field 'bases'"),
+        ],
+    )
+    def test_malformed_field_rejected(self, key, value, named):
+        """``value`` None deletes the key."""
+        rec = self._record()
+        if value is None:
+            del rec[key]
+        else:
+            rec[key] = value
+        with pytest.raises(ValueError, match=named):
+            GradedComplex.from_record(rec)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["entries"].reverse(),  # unsorted
+            lambda d: d["entries"].append(list(d["entries"][-1])),  # repeated
+            lambda d: d["entries"].append([d["rows"] - 1, d["cols"] - 1, 0]),  # explicit zero
+            lambda d: d["entries"].append([d["rows"], 0, 1]),  # outside the shape
+            lambda d: d["entries"][0].__setitem__(2, 2.0),  # not an integer
+            lambda d: d.__setitem__("rows", d["rows"] + 1),  # not the basis size
+        ],
+    )
+    def test_malformed_differential_rejected(self, edit):
+        rec = self._record()
+        edit(rec["differentials"][1])
+        with pytest.raises(ValueError, match="differential from position -1 "):
+            GradedComplex.from_record(rec)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"rank": [40, 40], "weight": 60}, {"weight": 2 * 10**9, "positions": [-(10**9) - 2, -(10**9) - 1, -(10**9)]}],
+    )
+    def test_basis_size_checked_before_enumeration(self, change):
+        """A short record that claims a huge piece fails on the count alone, at once."""
+        rec = self._record()
+        rec.update(change)
+        pos = rec["positions"][0]
+        with pytest.raises(ValueError, match=rf"basis at position {pos} must have \d{{10,}} entries"):
+            GradedComplex.from_record(rec)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="JSON object, got list"):
+            GradedComplex.from_record([])
