@@ -7,15 +7,19 @@ one positive denominator that is coprime to the numerators taken
 together, so equal elements have equal fields.
 
 The even elements form a commutative local ring whose units are the
-elements with a nonzero body, so determinants and inverses of even
-matrices come from one elimination that pivots only on such entries.
-An even supermatrix in block form (X Y; Z T) is invertible exactly when
-the bodies of X and T are invertible, and then
+elements with a nonzero body, so determinants of even matrices come
+from one elimination that pivots only on such entries.  An even
+supermatrix in block form (X Y; Z T) is invertible exactly when the
+bodies of X and T are invertible, and then
 
     ber(M) = det(X - Y T^-1 Z) * det(T)^-1
            = det(X) * det(T - Z X^-1 Y)^-1
 
-both closed forms are evaluated and compared as a built-in self check.
+Each Schur complement is what the same elimination leaves in the
+bottom-right block once it has cleared the columns of X (or, on the
+block-rotated rows, of T), and it yields det(X) (or det(T)) on the way;
+no block inverse is formed.  Both closed forms are evaluated and
+compared as a built-in self check.
 
 Input is checked where it enters: ``GrassmannElement.make``,
 ``SuperMatrix.from_blocks`` and ``SuperMatrix.from_record``.  Results of
@@ -289,15 +293,17 @@ def _as_matrix(rows) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
-def _eliminate(A: list[list[GrassmannElement]], n: int, jordan: bool) -> tuple[GrassmannElement, int]:
+def _eliminate(A: list[list[GrassmannElement]], n: int) -> tuple[GrassmannElement, int]:
     """Unit-pivot elimination of the first ``n`` columns of the rows ``A``, in place.
 
-    Column k pivots on the first row from k on whose entry has a nonzero
-    body (a unit of the even subring) and clears the entries below it;
-    with ``jordan`` it also scales the pivot row to a leading 1 and
-    clears above, so [M | I] becomes [I | M^-1].  Returns (d, k): k is
-    the first column with no unit pivot (n when every column has one)
-    and det(M) = d * det(rows k.., columns k..).
+    Column k pivots on the first row among k..n-1 whose entry has a
+    nonzero body (a unit of the even subring) and clears that column
+    from every row below the pivot, the rows past ``n`` included.  The
+    multiplier stays on the left of the pivot row, so for
+    A = [[D, C], [B, E]] with an n x n block D and odd B, C the rows
+    past ``n`` end as [0 | E - B D^-1 C].  Returns (d, k): k is the
+    first column with no unit pivot (n when every column has one) and
+    det(D) = d * det(rows k..n-1, columns k..n-1).
     """
     gens = A[0][0].gens
     sign = 1
@@ -311,19 +317,14 @@ def _eliminate(A: list[list[GrassmannElement]], n: int, jordan: bool) -> tuple[G
             sign = -sign
         row = A[k]
         pivots.append(row[k])
-        if jordan or k + 1 < n:
+        if k + 1 < len(A):
             inv = _inverse_unit(row[k])
-        if jordan:
-            A[k] = row = [_dot(gens, ((inv, e),)) for e in row]
-            targets = [r for r in range(n) if r != k]
-        else:
-            targets = range(k + 1, n)
         tail = [(j, e) for j, e in enumerate(row[k + 1 :], k + 1) if e._num]
-        for r in targets:
+        for r in range(k + 1, len(A)):
             lead = A[r][k]
             if not lead._num:
                 continue
-            factor = -lead if jordan else -_dot(gens, ((lead, inv),))
+            factor = -_dot(gens, ((lead, inv),))
             new = A[r][:]
             new[k] = _element(gens, {}, 1)
             for j, e in tail:
@@ -337,7 +338,7 @@ def _eliminate(A: list[list[GrassmannElement]], n: int, jordan: bool) -> tuple[G
 
 def _det(A: list[list[GrassmannElement]]) -> GrassmannElement:
     n = len(A)
-    det, k = _eliminate(A, n, False)
+    det, k = _eliminate(A, n)
     if k == n:
         return det
     # No entry of column k from row k on has a body: expand the trailing
@@ -376,16 +377,12 @@ def _matmul(A: Matrix, B: Matrix, gens: int) -> Matrix:
     return tuple(tuple(_dot(gens, zip(row, col)) for col in cols) for row in A)
 
 
-def _inverse_even(M: Matrix, gens: int) -> tuple[GrassmannElement, Matrix]:
-    """Determinant and inverse of an even matrix with an invertible body,
-    by Gauss-Jordan elimination of [M | I]."""
-    n = len(M)
-    one, zero = _element(gens, {0: 1}, 1), _element(gens, {}, 1)
-    A = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(M)]
-    det, k = _eliminate(A, n, True)
-    if k < n:
-        raise ValueError("supermatrix is not invertible (a diagonal block body is singular)")
-    return det, tuple(tuple(row[n:]) for row in A)
+def _schur(rows: Matrix, n: int) -> tuple[GrassmannElement, Matrix]:
+    """det(D) and the Schur complement E - B D^-1 C of the rows
+    [[D, C], [B, E]], for an n x n even block D with an invertible body."""
+    A = [list(r) for r in rows]
+    det = _eliminate(A, n)[0]
+    return det, tuple(tuple(r[n:]) for r in A[n:])
 
 
 def _split(p: int, rows: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
@@ -531,7 +528,7 @@ def is_invertible(M: SuperMatrix) -> bool:
         if n == 0:
             continue
         bodies = [[_reduced(e.gens, {0: e._num.get(0, 0)}, e._den) for e in row] for row in block]
-        if _eliminate(bodies, n, False)[1] < n:
+        if _eliminate(bodies, n)[1] < n:
             return False
     return True
 
@@ -540,8 +537,9 @@ def ber(M: SuperMatrix) -> GrassmannElement:
     """Berezin determinant of an invertible even supermatrix.
 
     Both closed forms are evaluated; a mismatch would indicate an
-    internal arithmetic error and raises.  det(T) and det(X) come with
-    the block inverses from the same elimination.
+    internal arithmetic error and raises.  Block elimination of the
+    columns of X gives det(X) and T - Z X^-1 Y; on the block-rotated
+    rows (T Z; Y X) it gives det(T) and X - Y T^-1 Z.
     """
     if not is_invertible(M):
         raise ValueError("supermatrix is not invertible (a diagonal block body is singular)")
@@ -551,21 +549,14 @@ def ber(M: SuperMatrix) -> GrassmannElement:
     if M.p == 0:
         return invert_unit(det_even(M.T))
 
-    det_t, T_inv = _inverse_even(M.T, gens)
-    schur_x = _sub(M.X, _matmul(_matmul(M.Y, T_inv, gens), M.Z, gens))
+    p, full = M.p, M.full_rows()
+    det_x, schur_t = _schur(full, p)
+    det_t, schur_x = _schur([r[p:] + r[:p] for r in full[p:] + full[:p]], M.q)
     first = det_even(schur_x) * invert_unit(det_t)
-
-    det_x, X_inv = _inverse_even(M.X, gens)
-    schur_t = _sub(M.T, _matmul(_matmul(M.Z, X_inv, gens), M.Y, gens))
     second = det_x * invert_unit(det_even(schur_t))
-
     if first != second:
         raise ArithmeticError("internal error: the two Berezin determinant forms disagree")
     return first
-
-
-def _sub(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(_add(a, b, -1) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def random_grassmann(rng, gens: int, parity: int, bound: int = 3, term_chance: float = 0.5) -> GrassmannElement:

@@ -35,6 +35,11 @@ from skos.multilinear import (
 )
 from skos.super_poly import THETA, GeneratorSet, contract_euler
 
+# Bound of each per-process cache below.  A whole
+# bott_table(m, n, 4, -4, 4, "both") sweep over the (m|n) in (2|2), (0|4),
+# (3|1), (1|2) fills at most 134 entries of any one of them.
+_CACHE_SIZE = 256
+
 
 class MethodDisagreementError(ValueError):
     """The closed-form and direct paths disagreed where both must apply."""
@@ -149,7 +154,7 @@ def _parity_ranks(mat: ExactMatrix, src, dst, base) -> SuperDim:
     return SuperDim(*(rank(block, base) for block in blocks))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _koszul(m: int, n: int, r: int) -> GradedComplex:
     return build_koszul(m + 1, n, r)
 
@@ -201,7 +206,7 @@ class LocalMonomial(NamedTuple):
         return (self.dxs, self.dt_pow, self.x_neg, self.thetas)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def local_basis(m: int, n: int, p: int, r: int) -> tuple[LocalMonomial, ...]:
     """All local monomials of wedge degree p and internal degree r."""
     if p < 0:
@@ -230,7 +235,7 @@ def _cone_times(coef, gen):
     return 1, (x_neg[:i] + (x_neg[i] - 1,) + x_neg[i + 1 :], thetas)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def local_matrix(m: int, n: int, r: int, p: int) -> ExactMatrix:
     """Contraction matrix from wedge degree p to p-1 on the local model.
 
@@ -267,7 +272,7 @@ def _local_image(m: int, n: int, p: int, r: int, base) -> SuperDim:
 
 # the m = 0 model: Laurent in the single x, so its matrices never truncate
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def laurent_basis(n: int, p: int) -> tuple[LocalMonomial, ...]:
     """Model monomials x^(r-p-|T|) * t_T * dx_E * dt^beta on the (0|n)
     space; the basis is independent of r."""
@@ -288,7 +293,7 @@ def _laurent_times(coef, gen):
     return times_theta(coef, gen[1]) if gen[0] == THETA else (1, coef)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def laurent_matrix(n: int, p: int) -> ExactMatrix:
     return assemble(
         laurent_basis(n, p),
@@ -399,6 +404,10 @@ def bott_table(
         raise ValueError(f"unknown method {method!r}")
     if method != "direct" and parse_base(base)[0] != "Q":
         raise ValueError(f"method {method!r} computes over Q only, not over {base}")
+    if p_max < 0:
+        raise ValueError(f"p_max must be nonnegative, got {p_max}")
+    if r_min > r_max:
+        raise ValueError(f"empty twist range: r_min {r_min} > r_max {r_max}")
     tables = []
     for p in range(p_max + 1):
         for r in range(r_min, r_max + 1):

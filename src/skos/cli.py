@@ -249,9 +249,19 @@ def _ber_random_check(args, stdout) -> int:
     return 0
 
 
+def _upper(lo: int, hi: int | None, name: str) -> int:
+    """Upper end of the inclusive range --NAME..--NAME-max (default --NAME)."""
+    if hi is None:
+        return lo
+    if hi < lo:
+        raise ValueError(f"--{name}-max {hi} is below --{name} {lo}: empty range")
+    return hi
+
+
 def _cmd_bott(args, stdout) -> int:
-    p_hi = args.p if args.p_max is None else args.p_max
-    r_hi = args.r if args.r_max is None else args.r_max
+    if args.p < 0:
+        raise ValueError(f"--p must be nonnegative, got {args.p}")
+    p_hi, r_hi = _upper(args.p, args.p_max, "p"), _upper(args.r, args.r_max, "r")
     tables = [
         t
         for t in bott.bott_table(args.m, args.n, p_hi, args.r, r_hi, args.method, args.base)
@@ -262,7 +272,7 @@ def _cmd_bott(args, stdout) -> int:
 
 
 def _cmd_line_bundle(args, stdout) -> int:
-    r_hi = args.r if args.r_max is None else args.r_max
+    r_hi = _upper(args.r, args.r_max, "r")
     tables = [bott.line_bundle_cohomology(args.m, args.n, r) for r in range(args.r, r_hi + 1)]
     _emit_tables(tables, args.output, stdout)
     return 0

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from operator import sub
 from typing import Iterator, NamedTuple
 
 from skos.super_poly import GeneratorSet, SuperMonomial
@@ -64,7 +65,13 @@ class FreeBasis:
 
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``slots`` nonnegative integers summing to ``total``."""
+    """All tuples of ``slots`` nonnegative integers summing to ``total``,
+    in lexicographic order.
+
+    Stars and bars without recursion, so any number of slots works: the
+    ``slots - 1`` cut points 0 <= c_1 <= ... <= c_(slots-1) <= total, taken
+    in lexicographic order, give the parts c_1, c_2 - c_1, ..., total - c_(slots-1).
+    """
     if slots == 0:
         if total == 0:
             yield ()
@@ -72,9 +79,8 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
     if slots == 1:
         yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+    for cuts in combinations_with_replacement(range(total + 1), slots - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def iter_sym_monomials(a: int, b: int, q: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -102,3 +102,16 @@ def test_expected_sites_fire(monkeypatch):
         assert reqs and res.failed == 0, res.failures
         silent = [s for s in bench.EXPECTED_SITES[workload] if not t.site_calls.get(s)]
         assert not silent, f"{workload}: {silent} never fired"
+
+
+def test_bott_caches_are_bounded(monkeypatch):
+    """Every cache the benchmark reads has a finite bound, so a long-lived
+    process cannot grow it without limit."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    import skos.bott
+
+    for name in workloads.BOTT_CACHES:
+        maxsize = getattr(skos.bott, name).cache_parameters()["maxsize"]
+        assert maxsize is not None, f"skos.bott.{name} has no bound"

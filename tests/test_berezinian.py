@@ -239,6 +239,58 @@ class TestBer:
             ber(M)
 
 
+def _swapping_supermatrix(rng, gens=4):
+    """(2|2) supermatrix whose X and T bodies have a zero (0,0) entry, so
+    both block eliminations must swap rows to find their first pivot."""
+
+    def even(body):
+        e = random_grassmann(rng, gens, 0)
+        return e - e.body + body
+
+    def diagonal():
+        unit = [1, -1, 2]
+        return [[even(0), even(rng.choice(unit))],
+                [even(rng.choice(unit)), even(rng.randint(-2, 2))]]
+
+    def odd():
+        return [[random_grassmann(rng, gens, 1) for _ in range(2)] for _ in range(2)]
+
+    return SuperMatrix.from_blocks(2, 2, gens, diagonal(), odd(), odd(), diagonal())
+
+
+def _mul2(A, B):
+    return [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)] for i in range(2)]
+
+
+def _det2(A):
+    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
+
+
+class TestBerBlockElimination:
+    def test_row_swaps_against_closed_form(self):
+        # ber = det(X - Y T^-1 Z) * det(T)^-1 with T^-1 = adj(T) * det(T)^-1
+        rng = random.Random(77)
+        for _ in range(15):
+            M = _swapping_supermatrix(rng)
+            assert M.X[0][0].body == M.T[0][0].body == 0
+            det_t_inv = invert_unit(_det2(M.T))
+            adj = [[M.T[1][1], -M.T[0][1]], [-M.T[1][0], M.T[0][0]]]
+            t_inv = [[e * det_t_inv for e in row] for row in adj]
+            ytz = _mul2(_mul2(M.Y, t_inv), M.Z)
+            schur = [[M.X[i][j] - ytz[i][j] for j in range(2)] for i in range(2)]
+            assert ber(M) == _det2(schur) * det_t_inv
+
+    def test_singular_x_body_rejected(self):
+        rng = random.Random(5)
+        M = _swapping_supermatrix(rng)
+        nil = G({(1, 2): 1})
+        X = [[ONE + nil, ONE * 2], [ONE * 2, ONE * 4 + nil]]  # body [[1, 2], [2, 4]]
+        singular = SuperMatrix.from_blocks(2, 2, 4, X, M.Y, M.Z, M.T)
+        assert not is_invertible(singular)
+        with pytest.raises(ValueError, match="not invertible"):
+            ber(singular)
+
+
 class TestModuleRank:
     def test_module_ranks(self):
         assert berezinian_module_rank(2, 0) == (SuperDim(1, 0), 2)

@@ -251,8 +251,11 @@ class TestBottTable:
         assert CSV_HEADER == "m,n,p,r,i,even,odd,method"
         assert table.csv_rows()[0] == "1,1,0,2,0,3,2,both"
 
-    def test_empty_range(self):
-        assert bott_table(1, 1, 1, 3, 2, "both") == []
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError, match="empty twist range"):
+            bott_table(1, 1, 1, 3, 2, "both")
+        with pytest.raises(ValueError, match="p_max must be nonnegative"):
+            bott_table(1, 1, -1, 0, 0, "both")
 
     def test_disagreement_raises(self, monkeypatch):
         import skos.bott as bott_mod

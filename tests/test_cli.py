@@ -100,6 +100,12 @@ class TestComplexCommands:
         assert code == 1
         assert "weight must be nonnegative" in err
 
+    def test_deep_basis(self):
+        # a basis over 1100 even generators: one slot per generator
+        code, out, err = call(["koszul", "--rank", "1100,0", "--weight", "1"])
+        assert (code, err) == (0, "")
+        assert "dim (1100|0)" in out
+
     def test_nonzero_odd_slot_rejected(self):
         code, _, err = call(["specialize", "--rank", "1,1", "--omega", "2,5"])
         assert code == 1
@@ -217,6 +223,21 @@ class TestBottCommands:
         code, out, _ = call(["line-bundle", "--m", "1", "--n", "1", "--r", "2",
                              "--output", "csv"])
         assert "1,1,0,2,0,3,2,formula" in out
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["bott", "--m", "1", "--n", "1", "--p", "0", "--r", "2", "--r-max", "1"], "--r-max"),
+            (["bott", "--m", "1", "--n", "1", "--p", "3", "--p-max", "1", "--r", "0"], "--p-max"),
+            (["bott", "--m", "1", "--n", "1", "--p", "-2", "--p-max", "1", "--r", "0"], "--p"),
+            (["line-bundle", "--m", "1", "--n", "1", "--r", "2", "--r-max", "1"], "--r-max"),
+        ],
+    )
+    def test_bad_range_is_exit_1(self, argv, option):
+        code, out, err = call(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("skos: error: ") and err.count("\n") == 1
+        assert f"{option} " in err
 
 
 class TestUsageErrors:
