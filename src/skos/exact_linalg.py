@@ -3,12 +3,18 @@
 All matrices carry arbitrary-precision integer entries; base change to
 Q or F_p happens here, at rank-computation time.  Rank over Q and F_p
 and the Smith normal form over Z share one sparse elimination kernel
-that pivots only on units; over Z the residual core without a +-1 entry
-goes to a dense Smith form.  Homology of a graded complex is reported
-per parity block: free ranks always, and over Z the torsion, which is
-read off the invariant factors of the incoming differential alone.
-Every homology call first checks that the two differentials at the
-position compose to zero.
+that pivots only on units.  Over Z and Q it first runs on the plain
+integer rows with +-1 as the only units.  Those pivots form a block of
+determinant +-1, so the rows left, the residual core, are its Schur
+complement: an integer matrix with entries bounded by minors of the
+input, whose rank is the rank of the input minus the pivot count.  Over
+Z the core goes to a dense Smith form; over Q it is ranked by the same
+kernel over ``Fraction``, so no other entry ever becomes a fraction.
+
+Homology of a graded complex is reported per parity block: free ranks
+always, and over Z the torsion, which is read off the invariant factors
+of the incoming differential alone.  Every homology call first checks
+that the two differentials at the position compose to zero.
 """
 
 from __future__ import annotations
@@ -135,9 +141,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return not self._d
-
-    def get(self, r: int, c: int) -> int:
-        return self._d.get((r, c), 0)
 
     def to_dense(self) -> list[list[int]]:
         dense = [[0] * self.cols for _ in range(self.rows)]
@@ -352,6 +355,18 @@ def _snf_dense(dense: list[list[int]], n: int) -> tuple[int, ...]:
     return tuple(abs(D[i][i]) for i in range(t))
 
 
+def _unit_core(M: ExactMatrix) -> tuple[int, list[dict[int, int]]]:
+    """Pivot on the +-1 entries of ``M`` over Z; return (pivots, residual core).
+
+    The pivots form a block A11 with det A11 = +-1, and every step is
+    unimodular, so the core rows are the Schur complement
+    A22 - A21 A11^-1 A12: integer entries, each a minor of ``M`` up to
+    sign, and rank M = pivots + rank(core) over any field.
+    """
+    # +-1 is its own inverse, so ``int`` serves as the inverse map
+    return _eliminate(_rows(M, int), lambda v: v == 1 or v == -1, int)
+
+
 def smith_normal_form(M: ExactMatrix | list[list[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors d1 | d2 | ... | dr and the rank over Q.
 
@@ -360,8 +375,7 @@ def smith_normal_form(M: ExactMatrix | list[list[int]]) -> tuple[tuple[int, ...]
     """
     if not isinstance(M, ExactMatrix):
         M = ExactMatrix.from_dense([list(r) for r in M])
-    # +-1 is its own inverse, so ``int`` serves as the inverse map
-    units, core = _eliminate(_rows(M, int), lambda v: v == 1 or v == -1, int)
+    units, core = _unit_core(M)
     cols = sorted({c for row in core for c in row})
     factors = (1,) * units + _snf_dense([[row.get(c, 0) for c in cols] for row in core], len(cols))
     return factors, len(factors)
@@ -371,7 +385,15 @@ def smith_normal_form(M: ExactMatrix | list[list[int]]) -> tuple[tuple[int, ...]
 # ranks over fields
 
 def _rank_fractions(M: ExactMatrix) -> int:
-    return _eliminate(_rows(M, Fraction), bool, lambda v: 1 / v)[0]
+    """Rank over Q: the +-1 pivots on ``int`` entries, then the core over Q.
+
+    The Schur-complement argument of ``_unit_core`` makes the sum exact.
+    Only the core's entries become ``Fraction``s, and the core never goes
+    to ``_snf_dense``, whose coefficients grow without bound.
+    """
+    units, core = _unit_core(M)
+    fractions = [{c: Fraction(v) for c, v in row.items()} for row in core]
+    return units + _eliminate(fractions, bool, lambda v: 1 / v)[0]
 
 
 def _rank_mod_p(M: ExactMatrix, p: int) -> int:
