@@ -9,7 +9,10 @@ even and n odd homogeneous directions:
 * a direct path that assembles actual contraction matrices and takes
   exact kernels: on the weight-r contraction complex for the bottom
   row, and on the negative-exponent local-cohomology model for the top
-  row.
+  row.  Model monomials are ``SuperMonomial``s whose x part holds the
+  offsets alpha of the exponents -alpha-1 (empty for the Laurent model
+  of the (0|n) space), so the models share the basis order, parity and
+  matrix assembler of the complexes.
 
 The two paths agreeing cell by cell is the headline cross-validation of
 this package.
@@ -21,7 +24,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
 
 from skos.complexes import GradedComplex, assemble, build_koszul, contraction_stencil, times_theta
 from skos.exact_linalg import ExactMatrix, homology, parse_base, rank
@@ -33,11 +35,11 @@ from skos.multilinear import (
     iter_wedge_monomials,
     wedge_rank,
 )
-from skos.super_poly import THETA, GeneratorSet, contract_euler
+from skos.super_poly import THETA, GeneratorSet, SuperMonomial, contract_euler
 
 # Bound of each per-process cache below.  A whole
 # bott_table(m, n, 4, -4, 4, "both") sweep over the (m|n) in (2|2), (0|4),
-# (3|1), (1|2) fills at most 134 entries of any one of them.
+# (3|1), (1|2) fills at most 158 entries of any one of them.
 _CACHE_SIZE = 256
 
 
@@ -105,9 +107,6 @@ class CohomologyTable:
     method: str
     rows: tuple[SuperDim, ...]
 
-    def row(self, i: int) -> SuperDim:
-        return self.rows[i]
-
     def to_record(self) -> dict:
         return {
             "m": self.m,
@@ -147,10 +146,12 @@ def _parity_dims(entries) -> SuperDim:
     return SuperDim(len(entries) - odd, odd)
 
 
-def _parity_ranks(mat: ExactMatrix, src, dst, base) -> SuperDim:
-    """Ranks of the even and odd blocks of ``mat``, whose columns are the
-    ``src`` entries and whose rows are the ``dst`` entries."""
-    blocks = mat.parity_blocks([e.parity for e in dst], [e.parity for e in src])
+def _parity_ranks(matrix, src, dst, base) -> SuperDim:
+    """Ranks of the even and odd blocks of the map from the ``src`` entries
+    to the ``dst`` entries; ``matrix()`` builds it only when both are nonempty."""
+    if not src or not dst:
+        return ZERO_DIM
+    blocks = matrix().parity_blocks([e.parity for e in dst], [e.parity for e in src])
     return SuperDim(*(rank(block, base) for block in blocks))
 
 
@@ -160,15 +161,13 @@ def _koszul(m: int, n: int, r: int) -> GradedComplex:
 
 
 def _koszul_cycles(m: int, n: int, p: int, r: int, base) -> SuperDim:
-    """Kernel of the contraction leaving position -p of the weight-r slice."""
+    """Kernel of the contraction leaving position -p of the weight-r slice;
+    a position the slice does not materialize (p > m + 1 when n = 0) is empty."""
     if r < 0 or p > r:
         return ZERO_DIM
     C = _koszul(m, n, r)
-    if -p not in C.basis_at:
-        return ZERO_DIM  # beyond the finite support when n = 0
-    src = C.basis_at[-p].entries
-    up = C.basis_at.get(-p + 1)
-    return _parity_dims(src) - _parity_ranks(C.outgoing(-p), src, up.entries if up else (), base)
+    src, dst = (C.basis_at[pos].entries if pos in C.basis_at else () for pos in (-p, 1 - p))
+    return _parity_dims(src) - _parity_ranks(lambda: C.outgoing(-p), src, dst, base)
 
 
 def _koszul_homology(m: int, n: int, pos: int, r: int, base) -> SuperDim:
@@ -182,33 +181,15 @@ def _koszul_homology(m: int, n: int, pos: int, r: int, base) -> SuperDim:
 
 # the negative-exponent local model: monomials  x^(-alpha-1) * t_T * dx_E * dt^beta
 
-class LocalMonomial(NamedTuple):
-    """Basis monomial of the local cohomology model at the origin, or of
-    the Laurent model of the (0|n) space.
-
-    ``x_neg[i] = k`` stands for the factor x_i^(-k-1); every slot is
-    present with exponent <= -1.  Multiplication by x_i decrements the
-    stored value and annihilates the monomial when it is already 0.  The
-    Laurent model stores ``x_neg = ()``: its one x exponent is fixed by
-    the ambient degree.
-    """
-
-    x_neg: tuple[int, ...]
-    thetas: tuple[int, ...]
-    dxs: tuple[int, ...]
-    dt_pow: tuple[int, ...]
-
-    @property
-    def parity(self) -> int:
-        return (len(self.thetas) + sum(self.dt_pow)) & 1
-
-    def sort_key(self):
-        return (self.dxs, self.dt_pow, self.x_neg, self.thetas)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
-def local_basis(m: int, n: int, p: int, r: int) -> tuple[LocalMonomial, ...]:
-    """All local monomials of wedge degree p and internal degree r."""
+def local_basis(m: int, n: int, p: int, r: int) -> tuple[SuperMonomial, ...]:
+    """All local monomials of wedge degree p and internal degree r.
+
+    ``SuperMonomial(alpha, T, E, beta)`` stands for
+    x^(-alpha-1) * t_T * dx_E * dt^beta: every x slot is present with
+    exponent <= -1, and multiplication by x_i decrements the exponent,
+    annihilating the monomial when ``alpha[i]`` is already 0.
+    """
     if p < 0:
         return ()
     entries = []
@@ -218,21 +199,21 @@ def local_basis(m: int, n: int, p: int, r: int) -> tuple[LocalMonomial, ...]:
             if total < 0:
                 continue
             for thetas in combinations(range(1, n + 1), k):
-                for x_neg in _compositions(total, m + 1):
-                    entries.append(LocalMonomial(x_neg, thetas, dxs, dt_pow))
-    entries.sort(key=LocalMonomial.sort_key)
+                for alpha in _compositions(total, m + 1):
+                    entries.append(SuperMonomial(alpha, thetas, dxs, dt_pow))
+    entries.sort(key=SuperMonomial.sort_key)
     return tuple(entries)
 
 
 def _cone_times(coef, gen):
-    """x_i lowers x_neg[i] and leaves the cone at 0; t_j is inserted with its sign."""
+    """x_i lowers alpha[i] and leaves the cone at 0; t_j is inserted with its sign."""
     kind, i = gen
     if kind == THETA:
         return times_theta(coef, i)
-    x_neg, thetas = coef
-    if x_neg[i] == 0:
+    alpha, thetas = coef
+    if alpha[i] == 0:
         return None
-    return 1, (x_neg[:i] + (x_neg[i] - 1,) + x_neg[i + 1 :], thetas)
+    return 1, (alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :], thetas)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -252,39 +233,26 @@ def local_matrix(m: int, n: int, r: int, p: int) -> ExactMatrix:
 
 
 def _local_kernel(m: int, n: int, p: int, r: int, base) -> SuperDim:
-    src = local_basis(m, n, p, r)
-    if not src:
-        return ZERO_DIM
-    if p == 0:
-        return _parity_dims(src)
-    dst = local_basis(m, n, p - 1, r)
-    return _parity_dims(src) - _parity_ranks(local_matrix(m, n, r, p), src, dst, base)
-
-
-def _local_image(m: int, n: int, p: int, r: int, base) -> SuperDim:
-    """Rank of the contraction arriving at wedge degree p on the local model."""
-    src = local_basis(m, n, p + 1, r)
-    dst = local_basis(m, n, p, r)
-    if not src or not dst:
-        return ZERO_DIM
-    return _parity_ranks(local_matrix(m, n, r, p + 1), src, dst, base)
+    src, dst = local_basis(m, n, p, r), local_basis(m, n, p - 1, r)
+    return _parity_dims(src) - _parity_ranks(lambda: local_matrix(m, n, r, p), src, dst, base)
 
 
 # the m = 0 model: Laurent in the single x, so its matrices never truncate
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def laurent_basis(n: int, p: int) -> tuple[LocalMonomial, ...]:
+def laurent_basis(n: int, p: int) -> tuple[SuperMonomial, ...]:
     """Model monomials x^(r-p-|T|) * t_T * dx_E * dt^beta on the (0|n)
-    space; the basis is independent of r."""
+    space, stored with an empty x part: the one x exponent is fixed by
+    the ambient degree, so the basis is independent of r."""
     if p < 0:
         return ()
     entries = [
-        LocalMonomial((), thetas, dxs, dt_pow)
+        SuperMonomial((), thetas, dxs, dt_pow)
         for dxs, dt_pow in iter_wedge_monomials(1, n, p)
         for k in range(n + 1)
         for thetas in combinations(range(1, n + 1), k)
     ]
-    entries.sort(key=LocalMonomial.sort_key)
+    entries.sort(key=SuperMonomial.sort_key)
     return tuple(entries)
 
 
@@ -304,27 +272,25 @@ def laurent_matrix(n: int, p: int) -> ExactMatrix:
 
 
 def _laurent_kernel(n: int, p: int, base) -> SuperDim:
-    src = laurent_basis(n, p)
-    if not src:
-        return ZERO_DIM
-    if p == 0:
-        return _parity_dims(src)
-    dst = laurent_basis(n, p - 1)
-    return _parity_dims(src) - _parity_ranks(laurent_matrix(n, p), src, dst, base)
+    src, dst = laurent_basis(n, p), laurent_basis(n, p - 1)
+    return _parity_dims(src) - _parity_ranks(lambda: laurent_matrix(n, p), src, dst, base)
 
 
 def _row_top_r0(m: int, n: int, p: int, base) -> SuperDim:
-    """Top row at twist 0 in the regime p >= m + 1 - n.
+    """Top row at twist 0: (1|0) at p = m and zero elsewhere while
+    p < m + 1 - n.
 
-    Rank is additive in the short exact sequence pairing the weight-0
-    contraction homology with the boundaries of the local model, so the
-    reported value is the sum of the two outer ranks; at p = m the
-    contraction side contributes exactly one even dimension.
+    From p = m + 1 - n on, rank is additive in the short exact sequence
+    pairing the weight-0 contraction homology with the boundaries of the
+    local model, so the reported value is the sum of the two outer
+    ranks: the image of the local contraction arriving at wedge degree p,
+    plus, at p = m, exactly one even dimension from the contraction side.
     """
-    top = _local_image(m, n, p, 0, base)
-    if p == m:
-        top = top + SuperDim(1, 0)
-    return top
+    top = SuperDim(1, 0) if p == m else ZERO_DIM
+    if p < m + 1 - n:
+        return top
+    src, dst = local_basis(m, n, p + 1, 0), local_basis(m, n, p, 0)
+    return _parity_ranks(lambda: local_matrix(m, n, 0, p + 1), src, dst, base) + top
 
 
 def forms_cohomology_formula(m: int, n: int, p: int, r: int) -> CohomologyTable:
@@ -348,10 +314,7 @@ def forms_cohomology_formula(m: int, n: int, p: int, r: int) -> CohomologyTable:
     else:
         for i in range(m):
             rows[i] = SuperDim(1, 0) if i == p else ZERO_DIM
-        if p < m + 1 - n:
-            rows[m] = SuperDim(1, 0) if p == m else ZERO_DIM
-        else:
-            rows[m] = _row_top_r0(m, n, p, "Q")
+        rows[m] = _row_top_r0(m, n, p, "Q")
     return CohomologyTable(m, n, p, r, "formula", tuple(rows))
 
 
@@ -377,12 +340,7 @@ def forms_cohomology_direct(m: int, n: int, p: int, r: int, base="Q") -> Cohomol
     rows[0] = _koszul_cycles(m, n, p, r, base)
     for i in range(1, m):
         rows[i] = _koszul_homology(m, n, i - p, r, base)
-    if r != 0:
-        rows[m] = _local_kernel(m, n, p, r, base)
-    elif p < m + 1 - n:
-        rows[m] = SuperDim(1, 0) if p == m else ZERO_DIM
-    else:
-        rows[m] = _row_top_r0(m, n, p, base)
+    rows[m] = _local_kernel(m, n, p, r, base) if r != 0 else _row_top_r0(m, n, p, base)
     return CohomologyTable(m, n, p, r, "direct", tuple(rows))
 
 

@@ -407,7 +407,10 @@ def parse_poly(gens: GeneratorSet, text: str) -> SuperPolynomial:
         for factor in chunk.split("*"):
             factor = factor.strip()
             if _NUM_RE.match(factor):
-                q = Fraction(factor)
+                try:
+                    q = Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r}") from None
                 coeff = coeff * (int(q) if q.denominator == 1 else q)
                 continue
             m = _FACTOR_RE.match(factor)

@@ -115,3 +115,21 @@ def test_bott_caches_are_bounded(monkeypatch):
     for name in workloads.BOTT_CACHES:
         maxsize = getattr(skos.bott, name).cache_parameters()["maxsize"]
         assert maxsize is not None, f"skos.bott.{name} has no bound"
+
+
+def test_bott_caches_all_miss(monkeypatch):
+    """The cheap bott_cross requests reach every cache the benchmark reads,
+    so a refactor that drops one from the path cannot silently zero the
+    ``bott.cache.*`` counters."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    import skos.bott
+
+    reqs = [r for r in workloads.build_requests("bott_cross", 0) if _CHEAP["bott_cross"](r)]
+    for name in workloads.BOTT_CACHES:
+        getattr(skos.bott, name).cache_clear()
+    res, _, _ = workloads.run_requests(reqs, workloads.load_golden())
+    assert reqs and res.failed == 0, res.failures
+    unused = [name for name in workloads.BOTT_CACHES if not getattr(skos.bott, name).cache_info().misses]
+    assert not unused, f"bott_cross never missed in {unused}"

@@ -150,7 +150,7 @@ class TestLocalModel:
         survivors = {
             col
             for col, mono in enumerate(src)
-            if all(mono.x_neg[i] > 0 for i in mono.dxs)
+            if all(mono.x_pow[i] > 0 for i in mono.dxs)
         }
         assert {c for _, c, _ in mat.triplets()} == survivors
         assert len(survivors) == 2

@@ -1,0 +1,35 @@
+"""Golden digest of Bott cohomology tables along each path separately.
+
+``method="both"`` compares the twist-0 top row, and every m = 0 twist-0
+cell, with itself, so a change there is caught only by a digest of the
+tables each path produces on its own.  The digest pins the ``csv_rows``
+of ``bott_table(m, n, 4, -4, 4, method, base)`` for m + n <= 4 along the
+formula and the direct path over Q, and for m + n <= 3 along the direct
+path over F_3.  It was recorded before the local and Laurent models
+moved from a private monomial type to ``SuperMonomial``.
+"""
+
+import hashlib
+
+from skos.bott import bott_table
+
+GOLDEN = "9fc232c6d7bd5070003116d022b256b9263aa170bcf90b8d5a12452da34b5c66"
+
+_GRID = [
+    (m, n, method, base)
+    for method, base, size in (("formula", "Q", 4), ("direct", "Q", 4), ("direct", "Fp:3", 3))
+    for m in range(size + 1)
+    for n in range(size + 1 - m)
+]
+
+
+def _lines():
+    for m, n, method, base in _GRID:
+        for table in bott_table(m, n, 4, -4, 4, method, base):
+            yield from table.csv_rows()
+
+
+def test_bott_table_digest():
+    lines = list(_lines())
+    assert len(lines) == 4050
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN

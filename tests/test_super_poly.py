@@ -216,6 +216,10 @@ class TestTextFormat:
             parse_poly(G21, "x0**2")
         with pytest.raises(ValueError):
             parse_poly(G21, "y3")
+        with pytest.raises(ValueError):
+            parse_poly(G21, "2/0*x0")
+        with pytest.raises(ValueError):
+            parse_poly(G21, "x0*2/0")
 
 
 word_strategy = st.lists(
