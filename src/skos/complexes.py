@@ -9,15 +9,20 @@ differential always maps position ``pos`` to ``pos + 1``.
 
 Each kind places one piece Lambda^p (x) S^q at each position (``_PIECE``)
 and assembles each differential from one stencil and one generator rule.
+A stencil depends only on the generators, the degree and the operator,
+so each is built once per process and kept in a bounded cache.
 All structure constants are integers regardless of the eventual base
 ring; base change happens in :mod:`skos.exact_linalg`.  Built complexes
-are immutable and safe to share between threads.
+are never changed after construction and are safe to share between
+threads; each keeps a memo of the parity split of its differentials,
+filled on first use with values that depend on the complex alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, Iterator
 
 import skos.multilinear as multilinear
 from skos.exact_linalg import ExactMatrix
@@ -71,7 +76,8 @@ class GradedComplex:
     ``pos + 1`` (rows = target basis, columns = source basis).  The
     support bounds record where the full complex provably vanishes
     (``None`` means unbounded on that side), so edge positions can still
-    report homology.
+    report homology.  ``_memo`` keeps the parity split of each
+    differential (see ``parity_split``).
     """
 
     kind: str
@@ -84,6 +90,7 @@ class GradedComplex:
     support_min: int | None
     support_max: int | None
     omega: tuple[int, ...] | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dim(self, pos: int) -> int:
         return len(self.basis_at.get(pos, ()))
@@ -107,6 +114,21 @@ class GradedComplex:
         if self.support_min is not None and pos - 1 < self.support_min:
             return ExactMatrix.zeros(self.dim(pos), 0)
         raise WindowError(f"position {pos - 1} is outside the materialized window")
+
+    def parity_split(self, pos: int) -> tuple[ExactMatrix, ExactMatrix]:
+        """The even and the odd block of the differential from ``pos`` to ``pos + 1``.
+
+        Split on first use and kept, together with what each block reduces
+        to, so the homology at ``pos`` and at ``pos + 1`` eliminate each
+        block once.  Raises WindowError as ``outgoing`` and ``incoming`` do.
+        """
+        split = self._memo.get(pos)
+        if split is None:
+            d = self.outgoing(pos) if pos in self.basis_at else self.incoming(pos + 1)
+            rows, cols = ([m.parity for m in self.basis_at[q].entries] if q in self.basis_at else []
+                          for q in (pos + 1, pos))
+            split = self._memo[pos] = d.parity_blocks(rows, cols)
+        return split
 
     def to_record(self) -> dict:
         return {
@@ -197,47 +219,81 @@ def _complex(kind: str, gens: GeneratorSet, n: int | None, positions: range, sup
     return GradedComplex(kind, gens, n, _direction(kind), tuple(positions), basis_at, diff_at, *support, omega)
 
 
+# Bound of each stencil cache.  Building every Koszul, De Rham and
+# Berezinian slice with a + b <= 5 and weight <= 5, and then the bott_table
+# sweep that ``skos.bott`` sizes its caches by, fills 100 entries of either.
+_STENCILS = 256
+
+
+def _part(pool: dict, first: tuple, second: tuple) -> tuple:
+    """The pair ``(first, second)``, the pair and each half taken from
+    ``pool`` when an equal one is there: one object per part, however many
+    stencil terms name it."""
+    pair = (pool.setdefault(first, first), pool.setdefault(second, second))
+    return pool.setdefault(pair, pair)
+
+
+@lru_cache(maxsize=_STENCILS)
 def contraction_stencil(gens: GeneratorSet, degree: int,
-                        op: Callable[[SuperPolynomial], SuperPolynomial]) -> dict[tuple, list]:
+                        op: Callable[[SuperPolynomial], SuperPolynomial]) -> dict[tuple, tuple]:
     """Apply ``op`` once to every pure wedge monomial dx_E dt^beta of ``degree``.
 
     Maps each wedge part ``(dxs, dt_pow)`` to the terms of its image,
-    written as ``(coefficient, generator, wedge part)`` with the weight-1
-    generator ``(X, i)`` or ``(THETA, j)`` in front of the wedge part.
-    ``op`` must be linear over the coefficient part and trade one wedge
-    generator per term for its weight-1 partner, as the Euler contraction
-    does.
+    each written as ``coefficient, generator, wedge part`` with the
+    weight-1 generator ``(X, i)`` or ``(THETA, j)`` in front of the wedge
+    part, laid end to end in one flat tuple (see :func:`_terms`).  ``op``
+    must be linear over the coefficient part and trade one wedge generator
+    per term for its weight-1 partner, as the Euler contraction does.
+    Built once per (gens, degree, op) and shared by every caller, so it
+    must not be changed.
     """
     a, b = gens
+    pool: dict[tuple, tuple] = {}
     stencil = {}
     for wedge in iter_wedge_monomials(a, b, degree):
         image = op(SuperPolynomial.single(gens, SuperMonomial((0,) * a, (), *wedge), 1))
-        stencil[wedge] = [
-            (int(c), (THETA, tm.thetas[0]) if tm.thetas else (X, tm.x_pow.index(1)), (tm.dxs, tm.dt_pow))
-            for tm, c in image.terms.items()
-        ]
+        terms: list = []
+        for tm, c in image.terms.items():
+            gen = (THETA, tm.thetas[0]) if tm.thetas else (X, tm.x_pow.index(1))
+            terms += int(c), pool.setdefault(gen, gen), _part(pool, tm.dxs, tm.dt_pow)
+        stencil[_part(pool, *wedge)] = tuple(terms)
     return stencil
 
 
-def _derivative_stencil(gens: GeneratorSet, degree: int) -> dict[tuple, list]:
-    """Apply ``exterior_d`` once to every coefficient monomial x^alpha t_S of ``degree``.
+@lru_cache(maxsize=_STENCILS)
+def _derivative_stencil(gens: GeneratorSet, degree: int,
+                        op: Callable[[SuperPolynomial], SuperPolynomial]) -> dict[tuple, tuple]:
+    """Apply ``op`` (``exterior_d``) once to every coefficient monomial x^alpha t_S of ``degree``.
 
     The mirror of :func:`contraction_stencil`, as d(s*w) = ds*w for a wedge
-    part w: maps ``(x_pow, thetas)`` to the terms ``(coefficient, (DX, i) or
-    (DTHETA, j), coefficient part)`` of its image.
+    part w: maps ``(x_pow, thetas)`` to the terms ``coefficient, (DX, i) or
+    (DTHETA, j), coefficient part`` of its image, flat.  Cached and shared
+    the same way.
     """
     a, b = gens
+    pool: dict[tuple, tuple] = {}
     stencil = {}
     for coef in iter_sym_monomials(a, b, degree):
-        image = exterior_d(SuperPolynomial.single(gens, SuperMonomial(*coef, (), (0,) * b), 1))
-        stencil[coef] = [
-            (int(c), (DX, tm.dxs[0]) if tm.dxs else (DTHETA, tm.dt_pow.index(1) + 1), (tm.x_pow, tm.thetas))
-            for tm, c in image.terms.items()
-        ]
+        image = op(SuperPolynomial.single(gens, SuperMonomial(*coef, (), (0,) * b), 1))
+        terms: list = []
+        for tm, c in image.terms.items():
+            gen = (DX, tm.dxs[0]) if tm.dxs else (DTHETA, tm.dt_pow.index(1) + 1)
+            terms += int(c), pool.setdefault(gen, gen), _part(pool, tm.x_pow, tm.thetas)
+        stencil[_part(pool, *coef)] = tuple(terms)
     return stencil
 
 
-def assemble(src, dst, stencil: dict[tuple, list], times) -> ExactMatrix:
+def _terms(flat) -> Iterator[tuple]:
+    """The ``(coefficient, generator, part)`` triples of a stencil entry.
+
+    Entries are flat, three slots per term: a triple of its own would cost
+    more memory than the three slots, in a cache that outlives every build.
+    """
+    slots = iter(flat)
+    return zip(slots, slots, slots)
+
+
+def assemble(src, dst, stencil: dict[tuple, tuple], times) -> ExactMatrix:
     """Matrix of the map sending the column ``s * v`` to the sum of
     ``c * (s*gen) * w`` over the stencil terms ``(c, gen, w)`` of v.
 
@@ -251,7 +307,7 @@ def assemble(src, dst, stencil: dict[tuple, list], times) -> ExactMatrix:
     triplets = []
     for col, mono in enumerate(src):
         coef = mono[:2]
-        for c, gen, wedge in stencil.get(mono[2:], ()):
+        for c, gen, wedge in _terms(stencil.get(mono[2:], ())):
             res = times(coef, gen)
             if res is not None:
                 scalar, target = res
@@ -295,7 +351,7 @@ def _wedge_times(wedge, gen):
     return (-1 if k & 1 else 1), (dxs[:k] + (i,) + dxs[k:], dt_pow)
 
 
-def _dual_stencil(stencil: dict[tuple, list]) -> dict[tuple, list]:
+def _dual_stencil(stencil: dict[tuple, tuple]) -> dict[tuple, list]:
     """Precomposition with the map of ``stencil``, on the dual wedge basis.
 
     The dual element phi_v maps to the sum over the wedge monomials u
@@ -304,9 +360,9 @@ def _dual_stencil(stencil: dict[tuple, list]) -> dict[tuple, list]:
     """
     dual: dict[tuple, list] = {}
     for u, terms in stencil.items():
-        for c, gen, v in terms:
+        for c, gen, v in _terms(terms):
             sign = -1 if gen[0] == THETA and sum(v[1]) & 1 else 1
-            dual.setdefault(v, []).append((c * sign, gen, u))
+            dual.setdefault(v, []).extend((c * sign, gen, u))
     return dual
 
 
@@ -345,7 +401,7 @@ def build_derham(a: int, b: int, n: int, cap: int | None = None) -> GradedComple
     gens = GeneratorSet(a, b)
     return _complex("derham", gens, n, range(0, top + 1), (0, support_max), lambda pos, src, dst: assemble(
         [m.sort_key() for m in src], [m.sort_key() for m in dst],
-        _derivative_stencil(gens, n - pos), _wedge_times))
+        _derivative_stencil(gens, n - pos, exterior_d), _wedge_times))
 
 
 def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:

@@ -15,6 +15,13 @@ Homology of a graded complex is reported per parity block: free ranks
 always, and over Z the torsion, which is read off the invariant factors
 of the incoming differential alone.  Every homology call first checks
 that the two differentials at the position compose to zero.
+
+Each differential block is eliminated once per complex: a complex keeps
+the parity split of each differential, and each block keeps its unit
+core, its rank over Q, its invariant factors and its rank mod each
+prime, each computed on first use.  Over Z the rank over Q of the
+outgoing block at one position and the Smith form of the same block,
+incoming at the next, read one shared unit core.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
 from skos.multilinear import SuperDim
@@ -33,7 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover
 # ---------------------------------------------------------------------------
 # base rings
 
+@lru_cache(maxsize=32)
 def is_prime(p: int) -> bool:
+    """Trial division, once per modulus: ``parse_base`` asks again for every block."""
     if p < 2:
         return False
     if p % 2 == 0:
@@ -83,9 +93,15 @@ def _positions(parities: list[int]) -> tuple[list[int], list[int]]:
 
 
 class ExactMatrix:
-    """Sparse integer matrix in coordinate form; no explicit zeros stored."""
+    """Sparse integer matrix in coordinate form; no explicit zeros stored.
 
-    __slots__ = ("rows", "cols", "_d")
+    ``_memo`` is None, except on the blocks ``parity_blocks`` returns: there
+    it holds what the block reduces to (its unit core, its rank over Q, its
+    invariant factors, its rank mod each prime), each filled on first use.
+    Those blocks are read-only once split.
+    """
+
+    __slots__ = ("rows", "cols", "_d", "_memo")
 
     def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
@@ -93,6 +109,7 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self._d: dict[tuple[int, int], int] = {}
+        self._memo: dict | None = None
 
     def _set(self, r: int, c: int, v: int) -> None:
         if not 0 <= r < self.rows or not 0 <= c < self.cols:
@@ -104,12 +121,19 @@ class ExactMatrix:
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, triplets: Iterable[tuple[int, int, int]]) -> "ExactMatrix":
+        """Sum the values given for each entry; entries that sum to zero are dropped."""
         m = cls(rows, cols)
         acc: dict[tuple[int, int], int] = defaultdict(int)
         for r, c, v in triplets:
             acc[(r, c)] += v
+        d = m._d
         for (r, c), v in acc.items():
-            m._set(r, c, v)
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
+            if not isinstance(v, int):
+                raise TypeError(f"integer entries required, got {type(v).__name__}")
+            if v:
+                d[(r, c)] = v
         return m
 
     @classmethod
@@ -156,7 +180,9 @@ class ExactMatrix:
 
         ``row_parity[r]`` and ``col_parity[c]`` are 0 or 1.  Each block keeps
         its rows and columns in their original order; entries that join a
-        row and a column of different parity belong to neither block.
+        row and a column of different parity belong to neither block.  Each
+        block keeps a memo of its reductions, so whoever holds on to a block
+        eliminates it once per base field.
         """
         (rpos, rows), (cpos, cols) = (_positions(p) for p in (row_parity, col_parity))
         blocks = (ExactMatrix(rows[0], cols[0]), ExactMatrix(rows[1], cols[1]))
@@ -164,6 +190,8 @@ class ExactMatrix:
             parity = row_parity[r]
             if parity == col_parity[c]:
                 blocks[parity]._d[(rpos[r], cpos[c])] = v
+        for block in blocks:
+            block._memo = {}
         return blocks
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -367,6 +395,32 @@ def _unit_core(M: ExactMatrix) -> tuple[int, list[dict[int, int]]]:
     return _eliminate(_rows(M, int), lambda v: v == 1 or v == -1, int)
 
 
+def _memoized(M: ExactMatrix, key, compute, *args):
+    """``compute(*args)``, kept in the memo of ``M`` under ``key`` if it has one.
+
+    Every value is a function of the block alone, so two threads that fill
+    the same key at once store equal values.
+    """
+    memo = M._memo
+    if memo is None:
+        return compute(*args)
+    if key not in memo:
+        memo[key] = compute(*args)
+    return memo[key]
+
+
+def _core(M: ExactMatrix) -> tuple[int, list[dict[int, int]]]:
+    """``_unit_core(M)``, shared by the Smith form and the rank over Q of a
+    block; both only read the core rows."""
+    return _memoized(M, "core", _unit_core, M)
+
+
+def _smith_factors(M: ExactMatrix) -> tuple[int, ...]:
+    units, core = _core(M)
+    cols = sorted({c for row in core for c in row})
+    return (1,) * units + _snf_dense([[row.get(c, 0) for c in cols] for row in core], len(cols))
+
+
 def smith_normal_form(M: ExactMatrix | list[list[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors d1 | d2 | ... | dr and the rank over Q.
 
@@ -375,9 +429,7 @@ def smith_normal_form(M: ExactMatrix | list[list[int]]) -> tuple[tuple[int, ...]
     """
     if not isinstance(M, ExactMatrix):
         M = ExactMatrix.from_dense([list(r) for r in M])
-    units, core = _unit_core(M)
-    cols = sorted({c for row in core for c in row})
-    factors = (1,) * units + _snf_dense([[row.get(c, 0) for c in cols] for row in core], len(cols))
+    factors = _memoized(M, "Z", _smith_factors, M)
     return factors, len(factors)
 
 
@@ -391,7 +443,11 @@ def _rank_fractions(M: ExactMatrix) -> int:
     Only the core's entries become ``Fraction``s, and the core never goes
     to ``_snf_dense``, whose coefficients grow without bound.
     """
-    units, core = _unit_core(M)
+    return _memoized(M, "Q", _core_rank_fractions, M)
+
+
+def _core_rank_fractions(M: ExactMatrix) -> int:
+    units, core = _core(M)
     fractions = [{c: Fraction(v) for c, v in row.items()} for row in core]
     return units + _eliminate(fractions, bool, lambda v: 1 / v)[0]
 
@@ -408,7 +464,7 @@ def rank(M: ExactMatrix, base="Q") -> int:
     """
     kind, p = parse_base(base)
     if kind == "Fp":
-        return _rank_mod_p(M, p)
+        return _memoized(M, p, _rank_mod_p, M, p)
     return _rank_fractions(M)
 
 
@@ -469,7 +525,9 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
     otherwise, and ArithmeticError if the differentials leaving and
     entering the position do not compose to zero.  Over fields the
     torsion lists are empty; over Z the invariant factors > 1 of the
-    incoming differential are reported.
+    incoming differential are reported.  The parity blocks come from
+    ``C.parity_split`` and keep their reductions, so a sweep over every
+    position eliminates each block once per base field.
     """
     kind, p = parse_base(base)
     out_m = C.outgoing(position)
@@ -479,13 +537,8 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
         raise ArithmeticError(
             f"not a complex at position {position}: d∘d has {dd.nnz} nonzero entries"
         )
-    basis = C.basis_at[position]
-    up = C.basis_at.get(position + 1)
-    down = C.basis_at.get(position - 1)
-
-    par = [m.parity for m in basis.entries]
-    out_blocks = out_m.parity_blocks([m.parity for m in up.entries] if up is not None else [], par)
-    in_blocks = in_m.parity_blocks(par, [m.parity for m in down.entries] if down is not None else [])
+    out_blocks = C.parity_split(position)
+    in_blocks = C.parity_split(position - 1)
 
     free = {}
     torsion = {}

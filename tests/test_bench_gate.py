@@ -104,6 +104,46 @@ def test_expected_sites_fire(monkeypatch):
         assert not silent, f"{workload}: {silent} never fired"
 
 
+def test_stencil_sites_fire_on_a_warm_cache(monkeypatch):
+    """The stencil caches key on the operator as well as on (generators,
+    degree).  Under the tracer the operator is a wrapper, so a cache that
+    untraced builds filled still misses and the antiderivation sites fire;
+    a key without the operator would silence them."""
+    _bench(monkeypatch)
+    import tracer
+    import workloads
+
+    from skos.complexes import _derivative_stencil, build_derham, build_koszul, contraction_stencil
+
+    def misses():
+        return [f.cache_info().misses for f in (contraction_stencil, _derivative_stencil)]
+
+    build_koszul(2, 2, 4), build_derham(2, 2, 4)
+    warm = misses()
+    build_koszul(2, 2, 4), build_derham(2, 2, 4)
+    assert misses() == warm, "a second build of the same slices missed the stencil cache"
+
+    # requests whose every stencil the two builds above have cached
+    reqs = [r for w in ("homology_sweep", "complex_export") for r in workloads.build_requests(w, 0)
+            if "--rank 2,2 --weight 4 " in r.key]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        res, _, _ = workloads.run_requests(reqs, workloads.load_golden())
+    finally:
+        t.uninstall()
+    assert len(reqs) == 8 and res.failed == 0, res.failures
+    silent = [s for s in ("skos.complexes.contract_euler", "skos.complexes.exterior_d") if not t.site_calls.get(s)]
+    assert not silent, f"{silent} never fired on a warm stencil cache"
+
+
+def test_stencil_caches_are_bounded():
+    from skos.complexes import _derivative_stencil, contraction_stencil
+
+    for f in (contraction_stencil, _derivative_stencil):
+        assert f.cache_parameters()["maxsize"] is not None, f"{f.__name__} has no bound"
+
+
 def test_bott_caches_are_bounded(monkeypatch):
     """Every cache the benchmark reads has a finite bound, so a long-lived
     process cannot grow it without limit."""

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 import random
 import subprocess
 import sys
@@ -264,6 +265,13 @@ class TestRanks:
             parse_base("R")
         assert is_prime(2) and is_prime(97) and not is_prime(1) and not is_prime(91)
 
+    def test_primality_is_cached_and_composites_stay_rejected(self):
+        assert is_prime.cache_parameters()["maxsize"] is not None
+        for _ in range(3):
+            assert parse_base("Fp:32003") == ("Fp", 32003)
+            with pytest.raises(ValueError, match="composite modulus rejected: 91"):
+                parse_base("Fp:91")
+
 
 class TestMatrixOps:
     def test_matmul_against_dense(self):
@@ -289,6 +297,14 @@ class TestMatrixOps:
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
             ExactMatrix.from_dense([[0.5]])
+
+    @pytest.mark.parametrize("triplet, error", [
+        ((2, 0, 1), ValueError), ((0, -1, 1), ValueError), ((0, 0, 0.5), TypeError),
+        ((0, 0, Fraction(1, 2)), TypeError), ((0, 0, "1"), TypeError),
+    ])
+    def test_from_triplets_rejects_bad_entries(self, triplet, error):
+        with pytest.raises(error):
+            ExactMatrix.from_triplets(2, 2, [(0, 1, 3), triplet])
 
 
 class TestHomology:
@@ -347,3 +363,47 @@ class TestHomology:
             "torsion_even": [],
             "torsion_odd": [3],
         }
+
+
+def _content(M):
+    return M.rows, M.cols, frozenset(M._d.items())
+
+
+@pytest.mark.parametrize("build", [build_koszul, build_derham])
+def test_each_block_is_reduced_once_per_complex(build, monkeypatch):
+    """A sweep over every position and base reduces each nonempty parity
+    block of each differential at most once per complex: one unit core,
+    shared by Z and Q, and one rank mod each prime."""
+    C = build(2, 2, 5)
+
+    def parities(pos):
+        return [m.parity for m in C.basis_at[pos].entries] if pos in C.basis_at else []
+
+    # how many (differential, parity) pairs hold a block of each content
+    owners = Counter(
+        _content(block)
+        for pos in C.positions[:-1]
+        for block in C.diff_at[pos].parity_blocks(parities(pos + 1), parities(pos))
+        if block.nnz
+    )
+    reductions = Counter()
+    unit_core, rank_mod_p = skos.exact_linalg._unit_core, skos.exact_linalg._rank_mod_p
+
+    def counted_unit_core(M):
+        if M.nnz:
+            reductions[_content(M), "core"] += 1
+        return unit_core(M)
+
+    def counted_rank_mod_p(M, p):
+        if M.nnz:
+            reductions[_content(M), p] += 1
+        return rank_mod_p(M, p)
+
+    monkeypatch.setattr(skos.exact_linalg, "_unit_core", counted_unit_core)
+    monkeypatch.setattr(skos.exact_linalg, "_rank_mod_p", counted_rank_mod_p)
+    for base in ("Z", "Q", "Fp:2", "Fp:3", "Fp:32003"):
+        for pos in C.positions:
+            homology(C, base, pos)
+    assert {tag for _, tag in reductions} == {"core", 2, 3, 32003}
+    over = {(key[:2], tag): n for (key, tag), n in reductions.items() if n > owners[key]}
+    assert not over, f"blocks reduced more than once: {over}"

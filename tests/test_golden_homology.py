@@ -41,3 +41,39 @@ def test_berezinian_and_specialized_homology_digest():
     lines = list(_summaries())
     assert len(lines) == 1100
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN
+
+
+def _try_homology(C, base, pos):
+    try:
+        return homology(C, base, pos)
+    except WindowError:
+        return None
+
+
+def test_universal_coefficients_on_one_complex_per_slice():
+    """dim_{F_p} H^pos = free^pos + t_p(H^pos) + t_p(H^(pos+1)) per parity,
+    where t_p counts the invariant factors divisible by p, and the free
+    ranks over Q are those over Z.  Each complex object serves every base,
+    so a memo that forgot the base or the prime would break an identity."""
+    checked = 0
+    for C in _complexes():
+        over_z = {pos: _try_homology(C, "Z", pos) for pos in C.positions}
+        for pos, h in over_z.items():
+            if h is None:
+                continue
+            assert _try_homology(C, "Q", pos).free == h.free
+            above = over_z.get(pos + 1)
+            if above is None:
+                continue
+            for p in (2, 3, 5):
+                got = homology(C, f"Fp:{p}", pos).free
+                want = [
+                    free + sum(f % p == 0 for f in here) + sum(f % p == 0 for f in there)
+                    for free, here, there in (
+                        (h.free.even, h.torsion_even, above.torsion_even),
+                        (h.free.odd, h.torsion_odd, above.torsion_odd),
+                    )
+                ]
+                assert [got.even, got.odd] == want, (C.kind, C.gens, C.weight, C.omega, pos, p)
+                checked += 1
+    assert checked == 570
