@@ -11,8 +11,9 @@ even and n odd homogeneous directions:
   row, and on the negative-exponent local-cohomology model for the top
   row.  Model monomials are ``SuperMonomial``s whose x part holds the
   offsets alpha of the exponents -alpha-1 (empty for the Laurent model
-  of the (0|n) space), so the models share the basis order, parity and
-  matrix assembler of the complexes.
+  of the (0|n) space), and each model basis is a ``FreeBasis``, so the
+  models share the basis order, parities and matrix assembler of the
+  complexes.
 
 The two paths agreeing cell by cell is the headline cross-validation of
 this package.
@@ -28,6 +29,7 @@ from itertools import combinations
 from skos.complexes import GradedComplex, assemble, build_koszul, contraction_stencil, times_theta
 from skos.exact_linalg import ExactMatrix, homology, parse_base, rank
 from skos.multilinear import (
+    FreeBasis,
     SuperDim,
     ZERO_DIM,
     _compositions,
@@ -141,17 +143,12 @@ def line_bundle_cohomology(m: int, n: int, r: int) -> CohomologyTable:
 # ---------------------------------------------------------------------------
 # direct path: contraction-matrix kernels
 
-def _parity_dims(entries) -> SuperDim:
-    odd = sum(e.parity for e in entries)
-    return SuperDim(len(entries) - odd, odd)
-
-
-def _parity_ranks(matrix, src, dst, base) -> SuperDim:
-    """Ranks of the even and odd blocks of the map from the ``src`` entries
-    to the ``dst`` entries; ``matrix()`` builds it only when both are nonempty."""
+def _parity_ranks(matrix, src: FreeBasis, dst: FreeBasis, base) -> SuperDim:
+    """Ranks of the even and odd blocks of the map from ``src`` to ``dst``;
+    ``matrix()`` builds it only when both bases are nonempty."""
     if not src or not dst:
         return ZERO_DIM
-    blocks = matrix().parity_blocks([e.parity for e in dst], [e.parity for e in src])
+    blocks = matrix().parity_blocks(dst.parities, src.parities)
     return SuperDim(*(rank(block, base) for block in blocks))
 
 
@@ -166,8 +163,8 @@ def _koszul_cycles(m: int, n: int, p: int, r: int, base) -> SuperDim:
     if r < 0 or p > r:
         return ZERO_DIM
     C = _koszul(m, n, r)
-    src, dst = (C.basis_at[pos].entries if pos in C.basis_at else () for pos in (-p, 1 - p))
-    return _parity_dims(src) - _parity_ranks(lambda: C.outgoing(-p), src, dst, base)
+    src, dst = (C.basis_at.get(pos, FreeBasis(C.gens, ())) for pos in (-p, 1 - p))
+    return src.dims() - _parity_ranks(lambda: C.outgoing(-p), src, dst, base)
 
 
 def _koszul_homology(m: int, n: int, pos: int, r: int, base) -> SuperDim:
@@ -182,16 +179,17 @@ def _koszul_homology(m: int, n: int, pos: int, r: int, base) -> SuperDim:
 # the negative-exponent local model: monomials  x^(-alpha-1) * t_T * dx_E * dt^beta
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def local_basis(m: int, n: int, p: int, r: int) -> tuple[SuperMonomial, ...]:
-    """All local monomials of wedge degree p and internal degree r.
+def local_basis(m: int, n: int, p: int, r: int) -> FreeBasis:
+    """All local monomials of wedge degree p and internal degree r, over (m+1|n).
 
     ``SuperMonomial(alpha, T, E, beta)`` stands for
     x^(-alpha-1) * t_T * dx_E * dt^beta: every x slot is present with
     exponent <= -1, and multiplication by x_i decrements the exponent,
     annihilating the monomial when ``alpha[i]`` is already 0.
     """
+    gens = GeneratorSet(m + 1, n)
     if p < 0:
-        return ()
+        return FreeBasis(gens, ())
     entries = []
     for dxs, dt_pow in iter_wedge_monomials(m + 1, n, p):
         for k in range(n + 1):
@@ -202,7 +200,7 @@ def local_basis(m: int, n: int, p: int, r: int) -> tuple[SuperMonomial, ...]:
                 for alpha in _compositions(total, m + 1):
                     entries.append(SuperMonomial(alpha, thetas, dxs, dt_pow))
     entries.sort(key=SuperMonomial.sort_key)
-    return tuple(entries)
+    return FreeBasis(gens, tuple(entries))
 
 
 def _cone_times(coef, gen):
@@ -225,8 +223,8 @@ def local_matrix(m: int, n: int, r: int, p: int) -> ExactMatrix:
     t_j with the anticommutation sign or annihilates on repetition.
     """
     return assemble(
-        local_basis(m, n, p, r),
-        local_basis(m, n, p - 1, r),
+        local_basis(m, n, p, r).entries,
+        local_basis(m, n, p - 1, r).entries,
         contraction_stencil(GeneratorSet(m + 1, n), p, contract_euler),
         _cone_times,
     )
@@ -234,18 +232,19 @@ def local_matrix(m: int, n: int, r: int, p: int) -> ExactMatrix:
 
 def _local_kernel(m: int, n: int, p: int, r: int, base) -> SuperDim:
     src, dst = local_basis(m, n, p, r), local_basis(m, n, p - 1, r)
-    return _parity_dims(src) - _parity_ranks(lambda: local_matrix(m, n, r, p), src, dst, base)
+    return src.dims() - _parity_ranks(lambda: local_matrix(m, n, r, p), src, dst, base)
 
 
 # the m = 0 model: Laurent in the single x, so its matrices never truncate
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def laurent_basis(n: int, p: int) -> tuple[SuperMonomial, ...]:
+def laurent_basis(n: int, p: int) -> FreeBasis:
     """Model monomials x^(r-p-|T|) * t_T * dx_E * dt^beta on the (0|n)
-    space, stored with an empty x part: the one x exponent is fixed by
-    the ambient degree, so the basis is independent of r."""
+    space, over (1|n) and stored with an empty x part: the one x exponent
+    is fixed by the ambient degree, so the basis is independent of r."""
+    gens = GeneratorSet(1, n)
     if p < 0:
-        return ()
+        return FreeBasis(gens, ())
     entries = [
         SuperMonomial((), thetas, dxs, dt_pow)
         for dxs, dt_pow in iter_wedge_monomials(1, n, p)
@@ -253,7 +252,7 @@ def laurent_basis(n: int, p: int) -> tuple[SuperMonomial, ...]:
         for thetas in combinations(range(1, n + 1), k)
     ]
     entries.sort(key=SuperMonomial.sort_key)
-    return tuple(entries)
+    return FreeBasis(gens, tuple(entries))
 
 
 def _laurent_times(coef, gen):
@@ -264,8 +263,8 @@ def _laurent_times(coef, gen):
 @lru_cache(maxsize=_CACHE_SIZE)
 def laurent_matrix(n: int, p: int) -> ExactMatrix:
     return assemble(
-        laurent_basis(n, p),
-        laurent_basis(n, p - 1),
+        laurent_basis(n, p).entries,
+        laurent_basis(n, p - 1).entries,
         contraction_stencil(GeneratorSet(1, n), p, contract_euler),
         _laurent_times,
     )
@@ -273,7 +272,7 @@ def laurent_matrix(n: int, p: int) -> ExactMatrix:
 
 def _laurent_kernel(n: int, p: int, base) -> SuperDim:
     src, dst = laurent_basis(n, p), laurent_basis(n, p - 1)
-    return _parity_dims(src) - _parity_ranks(lambda: laurent_matrix(n, p), src, dst, base)
+    return src.dims() - _parity_ranks(lambda: laurent_matrix(n, p), src, dst, base)
 
 
 def _row_top_r0(m: int, n: int, p: int, base) -> SuperDim:

@@ -10,7 +10,9 @@ differential always maps position ``pos`` to ``pos + 1``.
 Each kind places one piece Lambda^p (x) S^q at each position (``_PIECE``)
 and assembles each differential from one stencil and one generator rule.
 A stencil depends only on the generators, the degree and the operator,
-so each is built once per process and kept in a bounded cache.
+so each is built once per process and kept in a bounded cache; so is
+each basis (``skos.multilinear.basis_wedge_sym``), which complexes of
+every kind share.
 All structure constants are integers regardless of the eventual base
 ring; base change happens in :mod:`skos.exact_linalg`.  Built complexes
 are never changed after construction and are safe to share between
@@ -125,8 +127,7 @@ class GradedComplex:
         split = self._memo.get(pos)
         if split is None:
             d = self.outgoing(pos) if pos in self.basis_at else self.incoming(pos + 1)
-            rows, cols = ([m.parity for m in self.basis_at[q].entries] if q in self.basis_at else []
-                          for q in (pos + 1, pos))
+            rows, cols = (self.basis_at[q].parities if q in self.basis_at else () for q in (pos + 1, pos))
             split = self._memo[pos] = d.parity_blocks(rows, cols)
         return split
 
@@ -140,7 +141,7 @@ class GradedComplex:
             "omega": list(self.omega) if self.omega is not None else None,
             "support": [self.support_min, self.support_max],
             "positions": list(self.positions),
-            "bases": [[str(m) for m in self.basis_at[p].entries] for p in self.positions],
+            "bases": [list(self.basis_at[p].labels) for p in self.positions],
             "differentials": [
                 {"from": p, "rows": M.rows, "cols": M.cols, "entries": [list(t) for t in M.triplets()]}
                 for p, M in sorted(self.diff_at.items())
@@ -189,7 +190,7 @@ class GradedComplex:
             if type(strings) is not list or len(strings) != size:
                 raise ValueError(f"complex record basis at position {pos} must have {size} entries")
             basis_at[pos] = _basis(kind, gens, weight, pos)
-            if [str(m) for m in basis_at[pos].entries] != strings:
+            if basis_at[pos].labels != tuple(strings):
                 raise ValueError(f"complex record basis at position {pos} is not the {kind} basis")
         diff_at = {}
         for pos, d in zip(positions, diffs):
@@ -200,12 +201,15 @@ class GradedComplex:
                     not _is_int(d.get(k)) or d[k] != v for k, v in shape.items()):
                 raise ValueError(f"{where} must have {shape} and a list of entries")
             M = diff_at[pos] = ExactMatrix.zeros(rows, cols)
-            entries = d["entries"]
-            for t in entries:
-                if not (_ints(t, 3) and 0 <= t[0] < rows and 0 <= t[1] < cols):
+            stored, last, in_order = M._d, (-1, -1), True
+            for t in d["entries"]:  # checked once here, so stored without ``_set``
+                r, c, v = t if type(t) is list and len(t) == 3 else (None, None, None)
+                if not (type(r) is int and type(c) is int and type(v) is int and 0 <= r < rows and 0 <= c < cols):
                     raise ValueError(f"{where} has entry {t!r}")
-                M._set(*t)
-            if M.triplets() != [tuple(t) for t in entries]:
+                in_order = in_order and v != 0 and (r, c) > last
+                last = (r, c)
+                stored[last] = v
+            if not in_order:
                 raise ValueError(f"{where} must list its nonzero entries once, sorted")
         return cls(kind, gens, weight, direction, positions, basis_at, diff_at, *support,
                    tuple(omega) if special else None)

@@ -30,7 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from skos.multilinear import SuperDim
 
@@ -82,7 +82,7 @@ def parse_base(base) -> tuple[str, int | None]:
 # ---------------------------------------------------------------------------
 # sparse integer matrices
 
-def _positions(parities: list[int]) -> tuple[list[int], list[int]]:
+def _positions(parities: Sequence[int]) -> tuple[list[int], list[int]]:
     """Each index's position among the indices of its parity, and the two counts."""
     counts = [0, 0]
     pos = []
@@ -175,7 +175,8 @@ class ExactMatrix:
     def triplets(self) -> list[tuple[int, int, int]]:
         return sorted((r, c, v) for (r, c), v in self._d.items())
 
-    def parity_blocks(self, row_parity: list[int], col_parity: list[int]) -> tuple["ExactMatrix", "ExactMatrix"]:
+    def parity_blocks(self, row_parity: Sequence[int],
+                      col_parity: Sequence[int]) -> tuple["ExactMatrix", "ExactMatrix"]:
         """The even and the odd diagonal block, split in one pass over the entries.
 
         ``row_parity[r]`` and ``col_parity[c]`` are 0 or 1.  Each block keeps

@@ -4,12 +4,19 @@ For a free supermodule of rank (a|b) the wedge-degree-p, symmetric-
 degree-q piece has a monomial basis: dx/dt words of wedge degree p
 tensored with x/t words of degree q.  The parity-split counts are what
 every cohomology table in this package ultimately reports.
+
+Each piece's basis is enumerated once per process and kept in a bounded
+cache (``basis_wedge_sym``), and each basis computes the labels and the
+parities of its entries once, on first use.  Cached bases are shared by
+every complex and record that names the piece, so they must not be
+changed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from operator import sub
 from typing import Iterator, NamedTuple
@@ -50,7 +57,9 @@ class FreeBasis:
 
     Entries are pairwise distinct canonical monomials, sorted
     lexicographically on (dxs, dt_pow, x_pow, thetas) so that all
-    differential matrices are reproducible bit for bit.
+    differential matrices are reproducible bit for bit.  ``labels`` and
+    ``parities`` are computed on first use and kept; a basis may be
+    shared through a cache, so neither it nor its memos may be changed.
     """
 
     gens: GeneratorSet
@@ -59,8 +68,21 @@ class FreeBasis:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def __iter__(self) -> Iterator[SuperMonomial]:
+        return iter(self.entries)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The ``str`` of each entry: what a complex record lists."""
+        return tuple(map(str, self.entries))
+
+    @cached_property
+    def parities(self) -> tuple[int, ...]:
+        """The parity (0 or 1) of each entry."""
+        return tuple(m.parity for m in self.entries)
+
     def dims(self) -> SuperDim:
-        odd = sum(m.parity for m in self.entries)
+        odd = sum(self.parities)
         return SuperDim(len(self.entries) - odd, odd)
 
 
@@ -99,20 +121,32 @@ def iter_wedge_monomials(a: int, b: int, p: int) -> Iterator[tuple[tuple[int, ..
                 yield dxs, dt_pow
 
 
+# Bound of the basis cache.  A cached basis retains about 140 bytes per
+# entry, and 75 more once its labels are read (CPython 3.11, 64-bit).
+# Every piece with a + b <= 5 and p + q <= 5 fits: 441 bases of 14633
+# entries in all, about 3 MB with their labels.
+_BASES = 512
+
+
+@lru_cache(maxsize=_BASES)
 def basis_wedge_sym(a: int, b: int, p: int, q: int) -> FreeBasis:
     """Monomial basis of the wedge-degree-p, symmetric-degree-q piece.
 
     dx_i squares to zero and dt_j has free powers, mirroring t_j / x_i
     on the symmetric side; the enumeration order is the deterministic
-    lexicographic one documented on :class:`FreeBasis`.
+    lexicographic one documented on :class:`FreeBasis`.  Enumerated once
+    per (a, b, p, q) and shared by every caller, so it must not be changed.
     """
     if min(a, b, p, q) < 0:
         raise ValueError("a, b, p, q must be nonnegative")
     gens = GeneratorSet(a, b)
+    if not wedge_rank(p, a, b).total or not sym_rank(q, a, b).total:  # counted, so neither side is walked in vain
+        return FreeBasis(gens, ())
+    sym = list(iter_sym_monomials(a, b, q))  # one tuple per coefficient part, shared by every wedge part
     entries = [
         SuperMonomial(x_pow, thetas, dxs, dt_pow)
         for dxs, dt_pow in iter_wedge_monomials(a, b, p)
-        for x_pow, thetas in iter_sym_monomials(a, b, q)
+        for x_pow, thetas in sym
     ]
     entries.sort(key=SuperMonomial.sort_key)
     return FreeBasis(gens, tuple(entries))

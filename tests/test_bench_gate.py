@@ -137,6 +137,49 @@ def test_stencil_sites_fire_on_a_warm_cache(monkeypatch):
     assert not silent, f"{silent} never fired on a warm stencil cache"
 
 
+def test_basis_site_fires_on_a_warm_cache(monkeypatch):
+    """The basis cache sits on ``skos.multilinear.basis_wedge_sym`` itself,
+    so the tracer wraps the cache and its hits still count as calls of
+    the site; a cache in a caller would silence it once warm."""
+    _bench(monkeypatch)
+    import tracer
+    import workloads
+
+    from skos.complexes import build_derham, build_koszul
+    from skos.multilinear import basis_wedge_sym
+
+    build_koszul(2, 2, 4).to_record(), build_derham(2, 2, 4).to_record()
+    warm = basis_wedge_sym.cache_info().misses
+
+    # requests whose every basis the two builds above have cached
+    reqs = [r for w in ("homology_sweep", "complex_export") for r in workloads.build_requests(w, 0)
+            if "--rank 2,2 --weight 4 " in r.key]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        res, _, _ = workloads.run_requests(reqs, workloads.load_golden())
+    finally:
+        t.uninstall()
+    assert len(reqs) == 8 and res.failed == 0, res.failures
+    assert basis_wedge_sym.cache_info().misses == warm, "a warm request missed the basis cache"
+    assert t.site_calls.get("skos.multilinear.basis_wedge_sym"), "the basis site never fired on a warm cache"
+
+
+def test_record_round_trip_adds_no_basis_miss():
+    """Reading back the record of a slice already built enumerates nothing."""
+    import json
+
+    from skos.complexes import GradedComplex, build_berezinian, build_derham, build_koszul, specialize_koszul
+    from skos.multilinear import basis_wedge_sym
+
+    for C in (build_koszul(2, 1, 3), build_derham(1, 2, 3), build_berezinian(1, 1, 2, 3),
+              specialize_koszul(2, 1, (2, 3, 0))):
+        text = json.dumps(C.to_record())
+        misses = basis_wedge_sym.cache_info().misses
+        assert GradedComplex.from_record(json.loads(text)).to_record() == json.loads(text)
+        assert basis_wedge_sym.cache_info().misses == misses, f"read-back of a {C.kind} record missed"
+
+
 def test_stencil_caches_are_bounded():
     from skos.complexes import _derivative_stencil, contraction_stencil
 

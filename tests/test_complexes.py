@@ -11,7 +11,7 @@ from skos.complexes import (
     specialize_koszul,
 )
 from skos.exact_linalg import ExactMatrix, homology
-from skos.multilinear import SuperDim
+from skos.multilinear import SuperDim, basis_wedge_sym
 
 
 def envelope(total=4, weights=(0, 1, 2, 3, 4, 5)):
@@ -343,6 +343,34 @@ class TestSerialization:
         pos = rec["positions"][0]
         with pytest.raises(ValueError, match=rf"basis at position {pos} must have \d{{10,}} entries"):
             GradedComplex.from_record(rec)
+
+    def test_altered_last_label_rejected_on_a_warm_cache(self):
+        """The read-back compares each record string with the cached labels:
+        a basis already built and written is no reason to trust the record."""
+        rec = self._record()
+        warm = basis_wedge_sym.cache_info().misses
+        GradedComplex.from_record(json.loads(json.dumps(rec)))
+        assert basis_wedge_sym.cache_info().misses == warm
+        last = rec["bases"][-1]
+        assert last[-1] != "x0^9"
+        last[-1] = "x0^9"
+        with pytest.raises(ValueError, match="basis at position 0 is not the koszul basis"):
+            GradedComplex.from_record(rec)
+        assert basis_wedge_sym.cache_info().misses == warm
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"rank": [40, 0], "weight": 10**9, "positions": [-41]},  # no wedge part, a huge coefficient degree
+            {"kind": "derham", "direction": 1, "rank": [0, 5], "weight": 10**9 + 6, "positions": [10**9],
+             "support": [0, None]},  # no coefficient part, a huge wedge degree
+        ],
+    )
+    def test_empty_piece_far_out_read_back_at_once(self, change):
+        rec = self._record()
+        rec.update(change, bases=[[]], differentials=[])
+        C = GradedComplex.from_record(rec)
+        assert C.dim(rec["positions"][0]) == 0 and C.to_record() == rec
 
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object, got list"):

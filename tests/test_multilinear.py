@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from skos.multilinear import (
+    _BASES,
     SuperDim,
     basis_wedge_sym,
     binom,
@@ -35,6 +36,19 @@ class TestBasisEnumeration:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             basis_wedge_sym(1, 1, -1, 0)
+
+    def test_memos_match_entries_and_are_shared(self):
+        """Labels and parities are the ``str`` and the parity of each entry,
+        and a second call returns the very same basis from a bounded cache."""
+        assert basis_wedge_sym.cache_info().maxsize == _BASES
+        for a, b, p, q in itertools.product(range(5), range(5), range(6), range(6)):
+            if a + b > 4 or p + q > 5:
+                continue
+            basis = basis_wedge_sym(a, b, p, q)
+            assert basis.labels == tuple(map(str, basis.entries))
+            assert basis.parities == tuple(m.parity for m in basis.entries)
+            assert basis_wedge_sym(a, b, p, q) is basis
+            assert basis.labels is basis.labels and basis.parities is basis.parities
 
 
 class TestRankFormulas:
