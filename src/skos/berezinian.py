@@ -54,7 +54,13 @@ def _prefix_parity(mask: int) -> int:
 
 
 def _thetas(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    """The theta indices of ``mask``, increasing: one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
 
 
 class GrassmannElement:
@@ -98,8 +104,15 @@ class GrassmannElement:
 
     @property
     def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+        return tuple(self._sorted_terms(False))
+
+    def _sorted_terms(self, by_size: bool) -> list[tuple[tuple[int, ...], Fraction]]:
+        """(theta tuple, Fraction) per term, sorted by theta tuple, or by
+        (size, theta tuple) when ``by_size``: one sort of keys taken from
+        the masks, then one Fraction per term."""
         den = self._den
-        return tuple(sorted((_thetas(m), Fraction(c, den)) for m, c in self._num.items()))
+        keyed = sorted([(m.bit_count() if by_size else 0, _thetas(m), c) for m, c in self._num.items()])
+        return [(thetas, Fraction(c, den)) for _, thetas, c in keyed]
 
     @property
     def body(self) -> Fraction:
@@ -160,7 +173,7 @@ class GrassmannElement:
         if not self._num:
             return "0"
         parts = []
-        for thetas, coeff in sorted(self.terms, key=lambda tc: (len(tc[0]), tc[0])):
+        for thetas, coeff in self._sorted_terms(True):
             mono = "*".join(f"t{i}" for i in thetas)
             if not mono:
                 parts.append(str(coeff))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+from itertools import chain
 import json
 import random
 import sys
@@ -125,8 +126,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_STR = json.encoder.encode_basestring_ascii  # the C escaper that json.dumps uses
+
+
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value nested ``pad`` deep.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, so
+    the shapes records are made of are written here: dicts with str keys,
+    ints, strs and lists (or tuples) of them.  Any other leaf (``bool``,
+    ``None``, a float, a dict with non-str keys, a subclass) is handed to
+    ``json.dumps`` on its own and re-indented, which is exact because
+    JSON text has no raw newline outside its layout.
+    """
+    kind = type(value)
+    if kind is str:
+        return _STR(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_STR(k)}: {_json(value[k], inner)}" for k in sorted(value)])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, value))
+        elif kinds == {str}:
+            body = sep.join(map(_STR, value))
+        elif (kinds <= {list, tuple} and len(widths := set(map(len, value))) == 1 and 0 not in widths
+              and set(map(type, chain.from_iterable(value))) == {int}):
+            # rows of ints of one width, such as the (row, col, value) entries
+            # of a matrix: one template, as "%d" writes an int as int.__repr__
+            row = f"[\n{inner}  " + (sep + "  ").join(["%d"] * widths.pop()) + f"\n{inner}]"
+            body = sep.join([row % tuple(r) for r in value])
+        else:
+            body = sep.join([_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 def _emit_json(record, stdout) -> None:
-    stdout.write(json.dumps(record, sort_keys=True, indent=2))
+    """Write ``json.dumps(record, sort_keys=True, indent=2)`` and a newline, byte for byte."""
+    stdout.write(_json(record, ""))
     stdout.write("\n")
 
 

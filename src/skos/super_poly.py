@@ -18,10 +18,24 @@ canonical written form of a monomial is
 with the index sets S, E strictly increasing.  Every operation here is
 pure and every value immutable, so everything is safe to share across
 threads.
+
+Products, ``normalize`` and ``parse_poly`` sort a word of generators
+into this form.  The two antiderivations need no sort: each replaces
+one generator of a canonical monomial, and the sign has a closed form
+(k counts from 0):
+
+    contract_euler, k-th i in E:   (-1)^k
+    contract_euler, dt_j, j not in S:   (-1)^(|E| + #{s in S: s > j}) beta_j
+    exterior_d, x_i, i not in E:   (-1)^#{e in E: e < i} alpha_i
+    exterior_d, k-th j in S:   (-1)^(|S| - 1 - k + |E|)
+
+Each is the Leibniz sign (-1)^(wedge degree of the generators before
+the replaced one) times the sign of moving the new generator into place.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 import re
@@ -323,36 +337,35 @@ def mul(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
     return SuperPolynomial(f.gens, out)
 
 
-def _antiderivation(f: SuperPolynomial, source_kinds: tuple[int, int], shift: int) -> SuperPolynomial:
-    """Apply the degree +-1 antiderivation replacing one generator per term.
-
-    The Leibniz sign for skipping a prefix is (-1)**(wedge degree of the
-    prefix); ``shift`` maps a generator kind to its replacement kind.
-    """
-    out: dict[SuperMonomial, Coeff] = {}
-    for mono, coeff in f.terms.items():
-        singles = list(mono.singles())
-        prefix_wedge = 0
-        for j, (kind, idx) in enumerate(singles):
-            if kind in source_kinds:
-                word = singles[:j] + [(kind + shift, idx)] + singles[j + 1 :]
-                res = _normalize_singles(f.gens, word)
-                if res is not None:
-                    sign, new_mono = res
-                    if prefix_wedge & 1:
-                        sign = -sign
-                    out[new_mono] = out.get(new_mono, 0) + sign * coeff
-            prefix_wedge += _lam(kind)
-    return SuperPolynomial(f.gens, out)
+def _bump(powers: tuple[int, ...], i: int, step: int) -> tuple[int, ...]:
+    """``powers`` with entry ``i`` moved by ``step``."""
+    return powers[:i] + (powers[i] + step,) + powers[i + 1:]
 
 
 def contract_euler(f: SuperPolynomial) -> SuperPolynomial:
     """Interior product with the Euler field: dx_i -> x_i, dt_j -> t_j.
 
     B-linear antiderivation of wedge degree -1; preserves weight and
-    parity, squares to zero.
+    parity, squares to zero.  On x^alpha t_S dx_E dt^beta it is, with
+    no word to sort (the Leibniz sign times the sign of moving the new
+    generator into place):
+
+    - for the k-th (0-based) i in E: (-1)^k x^(alpha+e_i) t_S dx_(E-i) dt^beta;
+    - for beta_j > 0 and j not in S:
+      (-1)^(|E| + #{s in S: s > j}) beta_j x^alpha t_(S+j) dx_E dt^(beta-e_j).
     """
-    return _antiderivation(f, (DX, DTHETA), -2)
+    out: dict[SuperMonomial, Coeff] = {}
+    for (x_pow, thetas, dxs, dt_pow), coeff in f.terms.items():
+        for k, i in enumerate(dxs):
+            m = SuperMonomial(_bump(x_pow, i, 1), thetas, dxs[:k] + dxs[k + 1:], dt_pow)
+            out[m] = out.get(m, 0) + (-coeff if k & 1 else coeff)
+        for j, e in enumerate(dt_pow, 1):
+            if e and j not in thetas:
+                at = bisect(thetas, j)
+                m = SuperMonomial(x_pow, thetas[:at] + (j,) + thetas[at:], dxs, _bump(dt_pow, j - 1, -1))
+                c = e * coeff
+                out[m] = out.get(m, 0) + (-c if (len(dxs) + len(thetas) - at) & 1 else c)
+    return SuperPolynomial(f.gens, out)
 
 
 def exterior_d(f: SuperPolynomial) -> SuperPolynomial:
@@ -361,9 +374,26 @@ def exterior_d(f: SuperPolynomial) -> SuperPolynomial:
     A-linear antiderivation of wedge degree +1; preserves weight and
     parity, squares to zero.  Together with :func:`contract_euler` it
     satisfies the Cartan identity: on weight-n elements the
-    anticommutator is multiplication by n.
+    anticommutator is multiplication by n.  On x^alpha t_S dx_E dt^beta
+    it is, with no word to sort:
+
+    - for alpha_i > 0 and i not in E:
+      (-1)^#{e in E: e < i} alpha_i x^(alpha-e_i) t_S dx_(E+i) dt^beta;
+    - for the k-th (0-based) j in S:
+      (-1)^(|S| - 1 - k + |E|) x^alpha t_(S-j) dx_E dt^(beta+e_j).
     """
-    return _antiderivation(f, (X, THETA), 2)
+    out: dict[SuperMonomial, Coeff] = {}
+    for (x_pow, thetas, dxs, dt_pow), coeff in f.terms.items():
+        for i, e in enumerate(x_pow):
+            if e and i not in dxs:
+                at = bisect(dxs, i)
+                m = SuperMonomial(_bump(x_pow, i, -1), thetas, dxs[:at] + (i,) + dxs[at:], dt_pow)
+                c = e * coeff
+                out[m] = out.get(m, 0) + (-c if at & 1 else c)
+        for k, j in enumerate(thetas):
+            m = SuperMonomial(x_pow, thetas[:k] + thetas[k + 1:], dxs, _bump(dt_pow, j - 1, 1))
+            out[m] = out.get(m, 0) + (-coeff if (len(thetas) - 1 - k + len(dxs)) & 1 else coeff)
+    return SuperPolynomial(f.gens, out)
 
 
 def weight_component(f: SuperPolynomial, weight: int, wedge_degree: int) -> SuperPolynomial:
