@@ -81,6 +81,8 @@ class GrassmannElement:
 
     @classmethod
     def make(cls, gens: int, terms: dict[tuple[int, ...], Fraction | int]) -> "GrassmannElement":
+        if gens < 0:
+            raise ValueError(f"negative Grassmann generator count: {gens}")
         clean: dict[int, Fraction] = {}
         for thetas, coeff in terms.items():
             thetas = tuple(thetas)
@@ -495,7 +497,10 @@ class SuperMatrix:
         header, k = [], -1
         try:
             for field in ("p", "q", "grassmann_gens"):
-                header.append(_integer(record[field]))
+                size = _integer(record[field])
+                if size < 0:
+                    raise TypeError(f"expected a nonnegative integer, got {size}")
+                header.append(size)
             p, q, gens = header
             field = "entries"
             flat = record[field]

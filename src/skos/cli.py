@@ -260,11 +260,12 @@ def _cmd_ber(args, stdout) -> int:
         return _ber_random_check(args, stdout)
     if not args.input:
         raise ValueError("ber needs --input FILE or --random-check COUNT")
-    if args.input == "-":
-        record = json.load(sys.stdin)
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
+    stdin = args.input == "-"
+    with contextlib.nullcontext(sys.stdin) if stdin else open(args.input, "r", encoding="utf-8") as fh:
+        try:
             record = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{'stdin' if stdin else args.input}: JSON nested too deeply") from None
     M = berezinian.SuperMatrix.from_record(record)
     value = berezinian.ber(M)
     if args.output == "json":

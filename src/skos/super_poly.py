@@ -19,9 +19,19 @@ with the index sets S, E strictly increasing.  Every operation here is
 pure and every value immutable, so everything is safe to share across
 threads.
 
-Products, ``normalize`` and ``parse_poly`` sort a word of generators
-into this form.  The two antiderivations need no sort: each replaces
-one generator of a canonical monomial, and the sign has a closed form
+No operation sorts a word of generators: every sign has a closed form
+on canonical monomials.  The product of two of them is
+
+    x^alpha t_S dx_E dt^beta * x^alpha' t_S' dx_E' dt^beta'
+      = (-1)^(inv(S, S') + inv(E, E') + |beta| (|S'| + |E'|))
+        x^(alpha+alpha') t_(S+S') dx_(E+E') dt^(beta+beta'),
+
+with inv(A, B) = #{(a, b) in A x B: a > b}, and zero when S and S' or
+E and E' meet: x is central, t_S' and dx_E' each move left across
+dt^beta, the t's and the dx's each merge, and the dt's commute.
+``mul`` applies it to each pair of terms; ``normalize`` (and through it
+``parse_poly``) multiplies a word's generators from left to right.  The
+two antiderivations each replace one generator of a canonical monomial
 (k counts from 0):
 
     contract_euler, k-th i in E:   (-1)^k
@@ -37,26 +47,18 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from operator import add
+from typing import Iterable, NamedTuple
 import re
 
-# Generator kinds, ordered as written in a canonical monomial.
+# Generator kinds, ordered as written in a canonical monomial; each is
+# also the index of its family's field in SuperMonomial.
 X, THETA, DX, DTHETA = 0, 1, 2, 3
 
 _KIND_BY_NAME = {"x": X, "t": THETA, "dx": DX, "dt": DTHETA}
 _NAME_BY_KIND = {v: k for k, v in _KIND_BY_NAME.items()}
 
 Coeff = int | Fraction
-
-
-def _lam(kind: int) -> int:
-    """Wedge degree contributed by a single generator."""
-    return kind >> 1
-
-
-def _par(kind: int) -> int:
-    """Parity contributed by a single generator."""
-    return kind & 1
 
 
 class GeneratorSet(NamedTuple):
@@ -95,94 +97,54 @@ class SuperMonomial(NamedTuple):
     def parity(self) -> int:
         return (len(self.thetas) + sum(self.dt_pow)) & 1
 
-    def singles(self) -> Iterator[tuple[int, int]]:
-        """Expand into single generators, in canonical order."""
-        for i, e in enumerate(self.x_pow):
-            for _ in range(e):
-                yield (X, i)
-        for j in self.thetas:
-            yield (THETA, j)
-        for i in self.dxs:
-            yield (DX, i)
-        for j, e in enumerate(self.dt_pow):
-            for _ in range(e):
-                yield (DTHETA, j + 1)
-
     def sort_key(self):
         """Deterministic basis order: lexicographic on (E, beta, alpha, S)."""
         return (self.dxs, self.dt_pow, self.x_pow, self.thetas)
 
     def __str__(self) -> str:
+        x_pow, thetas, dxs, dt_pow = self
         parts = []
-        for kind, idx, exp in self._grouped():
-            name = f"{_NAME_BY_KIND[kind]}{idx}"
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-        return "*".join(parts) if parts else "1"
-
-    def _grouped(self) -> Iterator[tuple[int, int, int]]:
-        for i, e in enumerate(self.x_pow):
+        for i, e in enumerate(x_pow):
             if e:
-                yield (X, i, e)
-        for j in self.thetas:
-            yield (THETA, j, 1)
-        for i in self.dxs:
-            yield (DX, i, 1)
-        for j, e in enumerate(self.dt_pow):
+                parts.append(f"x{i}" if e == 1 else f"x{i}^{e}")
+        for j in thetas:
+            parts.append(f"t{j}")
+        for i in dxs:
+            parts.append(f"dx{i}")
+        for j, e in enumerate(dt_pow, 1):
             if e:
-                yield (DTHETA, j + 1, e)
+                parts.append(f"dt{j}" if e == 1 else f"dt{j}^{e}")
+        return "*".join(parts) or "1"
 
 
-def _swap_sign(u: tuple[int, int], v: tuple[int, int]) -> int:
-    ku, kv = u[0], v[0]
-    return -1 if ((_lam(ku) & _lam(kv)) ^ (_par(ku) & _par(kv))) else 1
+def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """``(inv(a, b), sorted a + b)`` for increasing index tuples, or
+    ``None`` when they share an index (a square-zero generator repeats)."""
+    if not a or not b:
+        return 0, a + b
+    inv = 0
+    for y in b:
+        at = bisect(a, y)
+        if at and a[at - 1] == y:
+            return None
+        inv += len(a) - at
+    return inv, tuple(sorted(a + b))
 
 
-def _normalize_singles(
-    gens: GeneratorSet, singles: list[tuple[int, int]]
-) -> tuple[int, SuperMonomial] | None:
-    """Sort a word of single generators into canonical form.
-
-    Returns ``(sign, monomial)`` or ``None`` when the word vanishes
-    because a square-zero generator repeats.
-    """
-    a, b = gens
-    for kind, idx in singles:
-        if kind in (X, DX):
-            if not 0 <= idx < a:
-                raise ValueError(f"generator index out of range: {_NAME_BY_KIND[kind]}{idx}")
-        else:
-            if not 1 <= idx <= b:
-                raise ValueError(f"generator index out of range: {_NAME_BY_KIND[kind]}{idx}")
-
-    arr = list(singles)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j] < arr[j - 1]:
-            sign *= _swap_sign(arr[j - 1], arr[j])
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            j -= 1
-
-    x_pow = [0] * a
-    dt_pow = [0] * b
-    thetas: list[int] = []
-    dxs: list[int] = []
-    prev = None
-    for single in arr:
-        kind, idx = single
-        if single == prev and (_lam(kind) ^ _par(kind)):
-            return None  # t_j or dx_i squared
-        prev = single
-        if kind == X:
-            x_pow[idx] += 1
-        elif kind == THETA:
-            thetas.append(idx)
-        elif kind == DX:
-            dxs.append(idx)
-        else:
-            dt_pow[idx - 1] += 1
-    mono = SuperMonomial(tuple(x_pow), tuple(thetas), tuple(dxs), tuple(dt_pow))
-    return sign, mono
+def _product(m: SuperMonomial, n: SuperMonomial) -> tuple[int, SuperMonomial] | None:
+    """Closed-form product of canonical monomials (see the module
+    docstring): ``(sign, monomial)``, or ``None`` when it vanishes."""
+    x_pow, thetas, dxs, dt_pow = m
+    x_pow2, thetas2, dxs2, dt_pow2 = n
+    merged_t = _merge(thetas, thetas2)
+    merged_dx = _merge(dxs, dxs2)
+    if merged_t is None or merged_dx is None:
+        return None
+    swaps = merged_t[0] + merged_dx[0] + sum(dt_pow) * (len(thetas2) + len(dxs2))
+    mono = SuperMonomial(
+        tuple(map(add, x_pow, x_pow2)), merged_t[1], merged_dx[1], tuple(map(add, dt_pow, dt_pow2))
+    )
+    return (-1 if swaps & 1 else 1), mono
 
 
 class SuperPolynomial:
@@ -315,10 +277,27 @@ def normalize(gens: GeneratorSet, word: Word, coeff: Coeff = 1) -> SuperPolynomi
     canonical monomial, or zero when a square-zero generator repeats.
     """
     gens = GeneratorSet(*gens)
-    res = _normalize_singles(gens, _expand_word(word))
-    if res is None or coeff == 0:
-        return SuperPolynomial.zero(gens)
-    sign, mono = res
+    a, b = gens
+    unit = unit_monomial(gens)
+    factors = []
+    for kind, idx in _expand_word(word):
+        if not (0 <= idx < a if kind in (X, DX) else 1 <= idx <= b):
+            raise ValueError(f"generator index out of range: {_NAME_BY_KIND[kind]}{idx}")
+        factor = list(unit)
+        if kind == X:
+            factor[X] = _bump(unit.x_pow, idx, 1)
+        elif kind == DTHETA:
+            factor[DTHETA] = _bump(unit.dt_pow, idx - 1, 1)
+        else:
+            factor[kind] = (idx,)
+        factors.append(SuperMonomial(*factor))
+    sign, mono = 1, unit
+    for factor in factors:
+        res = _product(mono, factor)
+        if res is None:
+            return SuperPolynomial.zero(gens)
+        step, mono = res
+        sign *= step
     return SuperPolynomial.single(gens, mono, sign * coeff)
 
 
@@ -327,13 +306,11 @@ def mul(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
     f._check_compatible(g)
     out: dict[SuperMonomial, Coeff] = {}
     for m1, c1 in f.terms.items():
-        s1 = list(m1.singles())
         for m2, c2 in g.terms.items():
-            res = _normalize_singles(f.gens, s1 + list(m2.singles()))
-            if res is None:
-                continue
-            sign, mono = res
-            out[mono] = out.get(mono, 0) + sign * c1 * c2
+            res = _product(m1, m2)
+            if res is not None:
+                sign, mono = res
+                out[mono] = out.get(mono, 0) + sign * c1 * c2
     return SuperPolynomial(f.gens, out)
 
 

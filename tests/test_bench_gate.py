@@ -8,6 +8,7 @@ test, so the gate runs here too.
 
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,9 @@ def test_perfbench_gate_passes():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # unittest on Python 3.11 also exits 0 when discovery finds no test
+    ran = re.search(r"^Ran (\d+) tests? ", proc.stderr, re.M)
+    assert ran and int(ran.group(1)) > 0, proc.stderr[-2000:]
 
 
 def _site_object(site: str):

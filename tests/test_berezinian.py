@@ -64,6 +64,10 @@ class TestGrassmannElement:
         with pytest.raises(ValueError):
             G({(2, 1): 1})
 
+    def test_rejects_negative_generator_count(self):
+        with pytest.raises(ValueError, match="negative Grassmann generator count"):
+            GrassmannElement.make(-1, {})
+
 
 class TestInvertUnit:
     def test_nilpotent_perturbation(self):

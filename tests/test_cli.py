@@ -176,6 +176,10 @@ class TestBerCommand:
              "field 'entries[0]'"),
             ({"p": 1, "q": 0, "grassmann_gens": 1, "entries": [[{"coeff": "2", "thetas": [True]}]]},
              "field 'entries[0]'"),
+            ({"p": 1, "q": 0, "grassmann_gens": -3, "entries": [[{"coeff": "2", "thetas": []}]]},
+             "field 'grassmann_gens'"),
+            ({"p": -1, "q": 1, "grassmann_gens": 0, "entries": []}, "field 'p'"),
+            ({"p": 1, "q": -1, "grassmann_gens": 0, "entries": []}, "field 'q'"),
         ],
     )
     def test_malformed_record_is_exit_1(self, tmp_path, record, named):
@@ -185,6 +189,18 @@ class TestBerCommand:
         assert (code, out) == (1, "")
         assert err.startswith("skos: error: supermatrix record") and err.count("\n") == 1
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["[" * 100000, '{"p": ' + "[" * 100000 + "}"],
+                             ids=["array", "field"])
+    def test_deeply_nested_json_is_exit_1(self, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "skos", "ber", "--input", str(path)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"skos: error: {path}: JSON nested too deeply\n"
 
 
 class TestBottCommands:

@@ -11,7 +11,6 @@ from skos.super_poly import (
     GeneratorSet,
     SuperMonomial,
     SuperPolynomial,
-    _normalize_singles,
     contract_euler,
     exterior_d,
     mul,
@@ -45,9 +44,11 @@ class TestNormalize:
         assert normalize(G21, [("dt", 1), ("dt", 1)]) == poly("dt1^2")
 
     def test_idempotent_on_canonical_words(self):
-        p = normalize(G21, [("x", 0, 2), ("t", 1), ("dx", 0), ("dt", 2, 3)], -3)
+        canonical = [("x", 0, 2), ("t", 1), ("dx", 0), ("dt", 2, 3)]
+        p = normalize(G21, canonical, -3)
         ((mono, coeff),) = p.terms.items()
-        again = normalize(G21, list(mono._grouped()), coeff)
+        assert mono == ((2, 0), (1,), (0,), (0, 3))  # the word is mono's own
+        again = normalize(G21, canonical, coeff)
         assert again == p
 
     def test_index_out_of_range(self):
@@ -273,13 +274,55 @@ def test_operators_nilpotent_random(word):
     assert exterior_d(exterior_d(f)).is_zero()
 
 
+# Reference oracle for the closed-form product and the antiderivations:
+# a word sorter that insertion-sorts single generators (kind, index) and
+# takes the sign of each swap from the rule (-1)^(pq + su), so it shares
+# no sign formula with the code under test.
+def _singles(mono):
+    """The single generators of a canonical monomial, in canonical order."""
+    word = [(X, i) for i, e in enumerate(mono.x_pow) for _ in range(e)]
+    word += [(THETA, j) for j in mono.thetas] + [(DX, i) for i in mono.dxs]
+    return word + [(DTHETA, j) for j, e in enumerate(mono.dt_pow, 1) for _ in range(e)]
+
+
+def _swap_sign(u, v):
+    wedge, parity = (u[0] >> 1) & (v[0] >> 1), (u[0] & 1) & (v[0] & 1)
+    return -1 if wedge ^ parity else 1
+
+
+def _normalize_singles(gens, singles):
+    """``(sign, monomial)`` of a word, or ``None`` when it vanishes."""
+    a, b = gens
+    arr = list(singles)
+    sign = 1
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and arr[j] < arr[j - 1]:
+            sign *= _swap_sign(arr[j - 1], arr[j])
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            j -= 1
+    x_pow, dt_pow, thetas, dxs = [0] * a, [0] * b, [], []
+    for n, (kind, idx) in enumerate(arr):
+        if n and arr[n - 1] == (kind, idx) and kind in (THETA, DX):
+            return None  # t_j or dx_i squared
+        if kind == X:
+            x_pow[idx] += 1
+        elif kind == THETA:
+            thetas.append(idx)
+        elif kind == DX:
+            dxs.append(idx)
+        else:
+            dt_pow[idx - 1] += 1
+    return sign, SuperMonomial(tuple(x_pow), tuple(thetas), tuple(dxs), tuple(dt_pow))
+
+
 # The word-normalizing antiderivation that contract_euler and exterior_d
 # replaced: it writes out each term as a word of single generators,
 # replaces one generator and sorts the word back into canonical form.
 def _antiderivation(f, source_kinds, shift):
     out = {}
     for mono, coeff in f.terms.items():
-        singles = list(mono.singles())
+        singles = _singles(mono)
         prefix_wedge = 0
         for j, (kind, idx) in enumerate(singles):
             if kind in source_kinds:
@@ -299,10 +342,14 @@ ORACLES = [(contract_euler, lambda f: _antiderivation(f, (DX, DTHETA), -2)),
 
 
 @st.composite
-def polynomials(draw):
-    """Random polynomials over (a|b), a + b <= 5, integer and rational coefficients."""
-    a = draw(st.integers(0, 5))
-    b = draw(st.integers(0, 5 - a))
+def polynomials(draw, gens=None):
+    """Random polynomials over (a|b), a + b <= 5, or over ``gens``, with
+    integer and rational coefficients."""
+    if gens is None:
+        a = draw(st.integers(0, 5))
+        b = draw(st.integers(0, 5 - a))
+    else:
+        a, b = gens
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         mono = SuperMonomial(
@@ -329,15 +376,54 @@ def test_antiderivations_match_word_normalizing_oracle(f):
     assert cartan == SuperPolynomial(f.gens, {m: m.weight * c for m, c in f.terms.items()})
 
 
+@st.composite
+def oracle_words(draw):
+    """Random words of single generators over (3|2), in any order, with
+    repeated t and dx factors and exponents."""
+    factors = st.one_of(
+        st.tuples(st.sampled_from([X, DX]), st.integers(0, 2)),
+        st.tuples(st.sampled_from([THETA, DTHETA]), st.integers(1, 2)),
+    )
+    return draw(st.lists(st.tuples(factors, st.integers(1, 3)), max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_words(), st.integers(-3, 3))
+def test_normalize_matches_word_sorting_oracle(word, coeff):
+    gens = GeneratorSet(3, 2)
+    got = normalize(gens, [(kind, idx, exp) for (kind, idx), exp in word], coeff)
+    res = _normalize_singles(gens, [factor for factor, exp in word for _ in range(exp)])
+    want = SuperPolynomial.zero(gens) if res is None else SuperPolynomial.single(gens, res[1], res[0] * coeff)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mul_matches_word_sorting_oracle(data):
+    f = data.draw(polynomials())
+    g = data.draw(polynomials(f.gens))
+    want = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            res = _normalize_singles(f.gens, _singles(m1) + _singles(m2))
+            if res is not None:
+                want[res[1]] = want.get(res[1], 0) + res[0] * c1 * c2
+    want = SuperPolynomial(f.gens, want)
+    got = mul(f, g)
+    assert got == want
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_stencils_are_built_without_sorting_words(monkeypatch):
     """Every stencil of a Koszul, De Rham and Berezinian slice comes from the
-    closed-form signs: a word sort while building one raises here."""
+    closed-form antiderivation signs, with no word and no product of
+    monomials: a monomial product while building one raises here."""
     from skos import complexes, super_poly
 
     def refuse(*args):
-        raise AssertionError("a word was sorted while building a stencil")
+        raise AssertionError("monomials were multiplied while building a stencil")
 
-    monkeypatch.setattr(super_poly, "_normalize_singles", refuse)
+    monkeypatch.setattr(super_poly, "_product", refuse)
     for cache in (complexes.contraction_stencil, complexes._derivative_stencil):
         cache.cache_clear()
     complexes.build_koszul(2, 2, 4)
