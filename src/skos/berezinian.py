@@ -357,9 +357,13 @@ def _det(A: list[list[GrassmannElement]]) -> GrassmannElement:
     if k == n:
         return det
     # No entry of column k from row k on has a body: expand the trailing
-    # block along that column, which needs no division.
+    # block along that column, which needs no division.  Each term of a
+    # body-free even entry has at least two generators, so a block with
+    # no body anywhere has determinant 0 once 2 * (n - k) > gens.
     gens = det.gens
     block = [row[k:] for row in A[k:]]
+    if 2 * (n - k) > gens and not any(e._num.get(0) for row in block for e in row):
+        return _element(gens, {}, 1)
     terms = []
     for i, row in enumerate(block):
         if row[0]._num:
@@ -492,8 +496,8 @@ class SuperMatrix:
     @classmethod
     def from_record(cls, record: dict) -> "SuperMatrix":
         """Inverse of ``to_record``.  A missing key or a field of the wrong
-        type (sizes and theta indices must be JSON integers) raises
-        ``ValueError`` naming it."""
+        type (sizes and theta indices must be JSON integers, coefficients
+        rational strings) raises ``ValueError`` naming it."""
         header, k = [], -1
         try:
             for field in ("p", "q", "grassmann_gens"):
@@ -512,7 +516,7 @@ class SuperMatrix:
                 terms: dict[tuple[int, ...], Fraction] = {}
                 for t in entry:
                     key = tuple(map(_integer, t["thetas"]))
-                    c = _parse_coeff(str(t["coeff"]))
+                    c = _coeff(t["coeff"])
                     terms[key] = terms[key] + c if key in terms else c
                 elems.append(GrassmannElement.make(gens, terms))
         except KeyError as e:
@@ -537,6 +541,16 @@ def _integer(value) -> int:
 
 # Records repeat a few small coefficients; a bounded cache parses each once.
 _parse_coeff = lru_cache(maxsize=1024)(Fraction)
+
+
+def _coeff(value) -> Fraction:
+    if type(value) is not str:
+        raise TypeError(f"expected a rational string, got {type(value).__name__}")
+    try:
+        return _parse_coeff(value)
+    except (ValueError, ZeroDivisionError):
+        shown = value if len(value) <= 24 else value[:24] + "..."
+        raise TypeError(f"expected a rational string, got {shown!r}") from None
 
 
 def is_invertible(M: SuperMatrix) -> bool:

@@ -5,7 +5,7 @@ of H^i of the twisted p-form sheaves on a projective superspace with m
 even and n odd homogeneous directions:
 
 * a closed-form path built from alternating sums of binomial products
-  (valid over a field of characteristic zero for nonzero twist), and
+  (valid over a field of characteristic zero at every twist), and
 * a direct path that assembles actual contraction matrices and takes
   exact kernels: on the weight-r contraction complex for the bottom
   row, and on the negative-exponent local-cohomology model for the top
@@ -74,11 +74,13 @@ def line_bundle_rank(r: int, which: str, m: int, n: int) -> SuperDim:
 
 
 def twisted_form_rank(p: int, r: int, which: str, m: int, n: int) -> SuperDim:
-    """Alternating-sum super-dimension of H^0 / H^m of the twisted p-forms.
+    """Alternating-sum super-dimension of H^0 / H^m of the twisted p-forms,
+    over a field of characteristic zero; a negative sum is rejected.
 
-    Intended for nonzero twist r over a field of characteristic zero;
-    outside that envelope the alternating sums can go negative, which is
-    rejected rather than clamped.
+    The Laurent model of m = 0 is contractible, since x_0 is a unit.  At
+    r = 0 the local model has one class, x_0^-1...x_m^-1 dx_0...dx_m of
+    parity (1|0) at wedge degree m + 1, so the top row gains (-1)^(p-m)
+    for p >= m.
     """
     even = odd = 0
     for j in range(p + 1):
@@ -87,10 +89,12 @@ def twisted_form_rank(p: int, r: int, which: str, m: int, n: int) -> SuperDim:
         sign = -1 if j & 1 else 1
         even += sign * (lam.even * ell.even + lam.odd * ell.odd)
         odd += sign * (lam.even * ell.odd + lam.odd * ell.even)
+    if which == "top" and m >= 1 and r == 0 and p >= m:
+        even += -1 if (p - m) & 1 else 1
     if even < 0 or odd < 0:
         raise ValueError(
             f"alternating sum is negative at (p={p}, r={r}, {which}, m={m}, n={n}); "
-            "the closed form applies to nonzero r in characteristic zero"
+            "the closed form applies in characteristic zero"
         )
     return SuperDim(even, odd)
 
@@ -130,14 +134,8 @@ CSV_HEADER = "m,n,p,r,i,even,odd,method"
 
 
 def line_bundle_cohomology(m: int, n: int, r: int) -> CohomologyTable:
-    """Closed-form cohomology table of the twist-r line bundle (p = 0)."""
-    if m < 0 or n < 0:
-        raise ValueError("m, n must be nonnegative")
-    rows = [ZERO_DIM] * (m + 1)
-    rows[0] = line_bundle_rank(r, "zero", m, n)
-    if m > 0:
-        rows[m] = line_bundle_rank(r, "top", m, n)
-    return CohomologyTable(m, n, 0, r, "formula", tuple(rows))
+    """Closed-form cohomology table of the twist-r line bundle: the p = 0 table."""
+    return forms_cohomology_formula(m, n, 0, r)
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +274,16 @@ def _laurent_kernel(n: int, p: int, base) -> SuperDim:
 
 
 def _row_top_r0(m: int, n: int, p: int, base) -> SuperDim:
-    """Top row at twist 0: (1|0) at p = m and zero elsewhere while
-    p < m + 1 - n.
+    """Top row at twist 0 along the direct path.
 
-    From p = m + 1 - n on, rank is additive in the short exact sequence
-    pairing the weight-0 contraction homology with the boundaries of the
-    local model, so the reported value is the sum of the two outer
-    ranks: the image of the local contraction arriving at wedge degree p,
-    plus, at p = m, exactly one even dimension from the contraction side.
+    Rank is additive in the short exact sequence pairing the weight-0
+    contraction homology with the boundaries of the local model, so the
+    reported value is the sum of the two outer ranks: the image of the
+    local contraction arriving at wedge degree p (empty while
+    p < m + 1 - n), plus, at p = m, exactly one even dimension from the
+    contraction side.
     """
     top = SuperDim(1, 0) if p == m else ZERO_DIM
-    if p < m + 1 - n:
-        return top
     src, dst = local_basis(m, n, p + 1, 0), local_basis(m, n, p, 0)
     return _parity_ranks(lambda: local_matrix(m, n, 0, p + 1), src, dst, base) + top
 
@@ -295,25 +291,23 @@ def _row_top_r0(m: int, n: int, p: int, base) -> SuperDim:
 def forms_cohomology_formula(m: int, n: int, p: int, r: int) -> CohomologyTable:
     """Closed-form table for the twisted p-forms; needs characteristic zero.
 
-    For r = 0 the middle rows are the Kronecker pattern and the top row
-    follows the exact-sequence rank analysis (shared with the direct
-    path, since only dimensions are well defined there).
+    The bottom and top rows are ``twisted_form_rank`` sums and the middle
+    rows vanish, except that at r = 0 and m >= 1 the rows below the top
+    follow the Kronecker pattern.  The top
+    row at r = 0 counts the local model's one class x_0^-1...x_m^-1
+    dx_0...dx_m, of parity (1|0) at wedge degree m + 1.  The Laurent
+    model of m = 0 is contractible (x_0 is a unit), so its sum holds at
+    every twist.
     """
     if m < 0 or n < 0 or p < 0:
         raise ValueError("m, n, p must be nonnegative")
     rows = [ZERO_DIM] * (m + 1)
-    if m == 0:
-        rows[0] = (
-            twisted_form_rank(p, r, "zero", 0, n) if r != 0 else _laurent_kernel(n, p, "Q")
-        )
-        return CohomologyTable(m, n, p, r, "formula", tuple(rows))
-    if r != 0:
+    if r != 0 or m == 0:
         rows[0] = twisted_form_rank(p, r, "zero", m, n)
+    elif p < m:
+        rows[p] = SuperDim(1, 0)
+    if m > 0:
         rows[m] = twisted_form_rank(p, r, "top", m, n)
-    else:
-        for i in range(m):
-            rows[i] = SuperDim(1, 0) if i == p else ZERO_DIM
-        rows[m] = _row_top_r0(m, n, p, "Q")
     return CohomologyTable(m, n, p, r, "formula", tuple(rows))
 
 

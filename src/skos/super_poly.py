@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from operator import add
+from operator import add, index
 from typing import Iterable, NamedTuple
 import re
 
@@ -248,8 +248,9 @@ def unit_monomial(gens: GeneratorSet) -> SuperMonomial:
 Word = Iterable[tuple]
 
 
-def _expand_word(word: Word) -> list[tuple[int, int]]:
-    singles: list[tuple[int, int]] = []
+def _expand_word(word: Word) -> list[tuple[int, int, int]]:
+    """The ``(kind, index, exp)`` factors of ``word`` with ``exp >= 1``."""
+    factors: list[tuple[int, int, int]] = []
     for factor in word:
         if len(factor) == 2:
             kind, idx = factor
@@ -264,8 +265,10 @@ def _expand_word(word: Word) -> list[tuple[int, int]]:
             raise ValueError(f"unknown generator kind {kind!r}")
         if exp < 0:
             raise ValueError("negative exponent in word")
-        singles.extend([(kind, idx)] * exp)
-    return singles
+        exp = index(exp)
+        if exp:
+            factors.append((kind, idx, exp))
+    return factors
 
 
 def normalize(gens: GeneratorSet, word: Word, coeff: Coeff = 1) -> SuperPolynomial:
@@ -275,25 +278,29 @@ def normalize(gens: GeneratorSet, word: Word, coeff: Coeff = 1) -> SuperPolynomi
     factors, with ``kind`` one of ``"x"``, ``"t"``, ``"dx"``, ``"dt"``
     (or the numeric constants).  The result is ``+-coeff`` times the
     canonical monomial, or zero when a square-zero generator repeats.
+    Each factor is one monomial and one product, whatever its exponent.
     """
     gens = GeneratorSet(*gens)
     a, b = gens
     unit = unit_monomial(gens)
     factors = []
-    for kind, idx in _expand_word(word):
+    for kind, idx, exp in _expand_word(word):
         if not (0 <= idx < a if kind in (X, DX) else 1 <= idx <= b):
             raise ValueError(f"generator index out of range: {_NAME_BY_KIND[kind]}{idx}")
         factor = list(unit)
         if kind == X:
-            factor[X] = _bump(unit.x_pow, idx, 1)
+            factor[X] = _bump(unit.x_pow, idx, exp)
         elif kind == DTHETA:
-            factor[DTHETA] = _bump(unit.dt_pow, idx - 1, 1)
-        else:
+            factor[DTHETA] = _bump(unit.dt_pow, idx - 1, exp)
+        elif exp == 1:
             factor[kind] = (idx,)
+        else:
+            factors.append(None)  # t_j^2 = dx_i^2 = 0
+            continue
         factors.append(SuperMonomial(*factor))
     sign, mono = 1, unit
     for factor in factors:
-        res = _product(mono, factor)
+        res = None if factor is None else _product(mono, factor)
         if res is None:
             return SuperPolynomial.zero(gens)
         step, mono = res

@@ -99,6 +99,13 @@ class TestTwistedFormRank:
         with pytest.raises(ValueError, match="negative"):
             twisted_form_rank(1, 0, "zero", 1, 0)
 
+    def test_twist_zero_top_row_counts_the_local_class(self):
+        # the raw alternating sum is -1 at (m, n, p) = (1, 0, 3); the class
+        # x0^-1 x1^-1 dx0 dx1 adds (-1)^(p-m) to the even count
+        assert twisted_form_rank(1, 0, "top", 1, 0) == SuperDim(1, 0)
+        assert twisted_form_rank(2, 0, "top", 1, 0) == SuperDim(0, 0)
+        assert twisted_form_rank(3, 0, "top", 1, 0) == SuperDim(0, 0)
+
 
 class TestLineBundleCohomology:
     def test_super_line(self):
@@ -229,6 +236,25 @@ class TestDirectVsFormula:
                         chi_f = sum((-1) ** i * (x.even - x.odd) for i, x in enumerate(f.rows))
                         chi_d = sum((-1) ** i * (x.even - x.odd) for i, x in enumerate(d.rows))
                         assert chi_f == chi_d, (m, n, p, r)
+
+    def test_formula_path_builds_no_matrix(self, monkeypatch):
+        import skos.bott as bott_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the formula path reached the direct path")
+
+        for name in ("local_matrix", "laurent_matrix", "local_basis", "laurent_basis",
+                     "_koszul", "rank", "homology"):
+            monkeypatch.setattr(bott_mod, name, forbidden)
+        count = 0
+        for m in range(5):
+            for n in range(5):
+                for p in range(7):
+                    for r in range(-5, 6):
+                        t = bott_mod.forms_cohomology_formula(m, n, p, r)
+                        assert (t.method, len(t.rows)) == ("formula", m + 1)
+                        count += 1
+        assert count == 1925
 
     def test_direct_needs_a_field(self):
         with pytest.raises(ValueError, match="field"):

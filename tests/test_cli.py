@@ -180,6 +180,15 @@ class TestBerCommand:
              "field 'grassmann_gens'"),
             ({"p": -1, "q": 1, "grassmann_gens": 0, "entries": []}, "field 'p'"),
             ({"p": 1, "q": -1, "grassmann_gens": 0, "entries": []}, "field 'q'"),
+            ({"p": 1, "q": 0, "grassmann_gens": 0,
+              "entries": [[{"coeff": json.loads("[" * 900 + "1" + "]" * 900), "thetas": []}]]},
+             "field 'entries[0]'"),
+            ({"p": 1, "q": 0, "grassmann_gens": 0, "entries": [[{"coeff": "1/0", "thetas": []}]]},
+             "field 'entries[0]'"),
+            ({"p": 1, "q": 0, "grassmann_gens": 0, "entries": [[{"coeff": True, "thetas": []}]]},
+             "field 'entries[0]'"),
+            ({"p": 1, "q": 0, "grassmann_gens": 0, "entries": [[{"coeff": 2.5, "thetas": []}]]},
+             "field 'entries[0]'"),
         ],
     )
     def test_malformed_record_is_exit_1(self, tmp_path, record, named):
@@ -188,6 +197,7 @@ class TestBerCommand:
         code, out, err = call(["ber", "--input", str(path)])
         assert (code, out) == (1, "")
         assert err.startswith("skos: error: supermatrix record") and err.count("\n") == 1
+        assert len(err) < 200
         assert named in err and "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["[" * 100000, '{"p": ' + "[" * 100000 + "}"],

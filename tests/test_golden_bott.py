@@ -1,8 +1,8 @@
 """Golden digest of Bott cohomology tables along each path separately.
 
-``method="both"`` compares the twist-0 top row, and every m = 0 twist-0
-cell, with itself, so a change there is caught only by a digest of the
-tables each path produces on its own.  The digest pins the ``csv_rows``
+``method="both"`` checks that the two paths agree; the digest also pins
+the values each path produces on its own, so a change that moved both
+paths alike would be caught here.  The digest pins the ``csv_rows``
 of ``bott_table(m, n, 4, -4, 4, method, base)`` for m + n <= 4 along the
 formula and the direct path over Q, and for m + n <= 3 along the direct
 path over F_3.  It was recorded before the local and Laurent models

@@ -59,6 +59,13 @@ class TestNormalize:
         with pytest.raises(ValueError, match="out of range"):
             normalize(G21, [("dt", 3)])
 
+    def test_exponent_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            normalize(G21, [("x", 0, 2.5)])
+        # an index check still runs on every factor, after a square-zero one too
+        with pytest.raises(ValueError, match="out of range"):
+            normalize(G21, [("t", 1, 2), ("x", 2)])
+
 
 def all_singles(gens):
     a, b = gens
