@@ -4,7 +4,10 @@ The coefficient ring is Q[t1..tg] with anticommuting generators t_i and
 exact rational scalars (integers embed).  An element keeps its terms as a
 dict from bitmask (bit i - 1 stands for t_i) to integer numerator, over
 one positive denominator that is coprime to the numerators taken
-together, so equal elements have equal fields.
+together, so equal elements have equal fields.  A product signs each
+pair of terms with the prefix parity P(b) of the right mask, memoized
+per mask in a bounded cache: no table grows with the number of
+generators.
 
 The even elements form a commutative local ring whose units are the
 elements with a nonzero body, so determinants of even matrices come
@@ -37,6 +40,7 @@ from math import gcd, lcm
 from skos.multilinear import SuperDim
 
 
+@lru_cache(maxsize=4096)
 def _prefix_parity(mask: int) -> int:
     """Bit i is set when an odd number of the bits of ``mask`` lie below i.
 
@@ -44,6 +48,8 @@ def _prefix_parity(mask: int) -> int:
     sorting the product moves each generator of b left across the
     generators of a above it.  The result has infinitely many high bits
     (a negative int) when popcount(mask) is odd; only ``a & P(b)`` is used.
+    Each mask is computed once per process while it stays among the 4096
+    most recently used; no table over all 2^gens masks is built.
     """
     prefix = 0
     while mask:
@@ -51,6 +57,28 @@ def _prefix_parity(mask: int) -> int:
         prefix ^= -(low << 1)  # every bit above ``low``
         mask ^= low
     return prefix
+
+
+def _theta_mask(thetas: tuple, gens: int) -> int:
+    """The mask of the theta indices ``thetas``, checked in the same pass.
+
+    A non-integer raises ``TypeError`` at once.  An index outside
+    1..gens raises ``ValueError`` ahead of a repeat or a decrease.
+    """
+    mask = prev = 0
+    out_of_range = unordered = False
+    for t in map(_integer, thetas):
+        if not 1 <= t <= gens:
+            out_of_range = True
+        elif not out_of_range:
+            unordered |= t <= prev
+            mask |= 1 << (t - 1)
+        prev = t
+    if out_of_range:
+        raise ValueError(f"theta index out of range in {thetas}")
+    if unordered:
+        raise ValueError(f"theta indices must be strictly increasing: {thetas}")
+    return mask
 
 
 def _thetas(mask: int) -> tuple[int, ...]:
@@ -85,14 +113,9 @@ class GrassmannElement:
             raise ValueError(f"negative Grassmann generator count: {gens}")
         clean: dict[int, Fraction] = {}
         for thetas, coeff in terms.items():
-            thetas = tuple(thetas)
-            if any(not 1 <= t <= gens for t in thetas):
-                raise ValueError(f"theta index out of range in {thetas}")
-            if tuple(sorted(set(thetas))) != thetas:
-                raise ValueError(f"theta indices must be strictly increasing: {thetas}")
+            mask = _theta_mask(tuple(thetas), gens)
             c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
-                mask = sum(1 << (t - 1) for t in thetas)
                 clean[mask] = clean[mask] + c if mask in clean else c
         return _from_fractions(gens, clean)
 
@@ -208,7 +231,7 @@ def _element(gens: int, num: dict[int, int], den: int) -> GrassmannElement:
 def _reduced(gens: int, raw: dict[int, int], den: int) -> GrassmannElement:
     """Normal form of ``raw / den`` for a positive ``den``."""
     num = {m: c for m, c in raw.items() if c}
-    if not num:
+    if not num or den == 1:  # gcd(1, ...) = 1: integer elements are already reduced
         return _element(gens, num, 1)
     g = gcd(den, *num.values())
     if g != 1:
@@ -263,11 +286,11 @@ def _dot(gens: int, pairs, start: GrassmannElement | None = None) -> GrassmannEl
             for b, pb, cb in right:
                 if a & b:
                     continue
-                c = ca * cb
-                if (a & pb).bit_count() & 1:
-                    c = -c
                 m = a | b
-                out[m] = get(m, 0) + c
+                if (a & pb).bit_count() & 1:
+                    out[m] = get(m, 0) - ca * cb
+                else:
+                    out[m] = get(m, 0) + ca * cb
     return _reduced(gens, out, den)
 
 
@@ -513,12 +536,19 @@ class SuperMatrix:
                 raise ValueError(f"expected {n * n} entries, got {len(flat)}")
             elems = []
             for k, entry in enumerate(flat):
-                terms: dict[tuple[int, ...], Fraction] = {}
+                fracs: dict[int, Fraction] = {}
+                bad = None  # a bad index is reported after the entry's coefficients
                 for t in entry:
-                    key = tuple(map(_integer, t["thetas"]))
+                    try:
+                        mask = _theta_mask(tuple(t["thetas"]), gens)
+                    except ValueError as e:
+                        bad = bad or e
                     c = _coeff(t["coeff"])
-                    terms[key] = terms[key] + c if key in terms else c
-                elems.append(GrassmannElement.make(gens, terms))
+                    if c and bad is None:
+                        fracs[mask] = fracs[mask] + c if mask in fracs else c
+                if bad is not None:
+                    raise bad
+                elems.append(_from_fractions(gens, fracs))
         except KeyError as e:
             where = f" in a term of entries[{k}]" if k >= 0 else ""
             raise ValueError(f"supermatrix record has no {e.args[0]!r} key{where}") from e

@@ -78,10 +78,14 @@ def twisted_form_rank(p: int, r: int, which: str, m: int, n: int) -> SuperDim:
     over a field of characteristic zero; a negative sum is rejected.
 
     The Laurent model of m = 0 is contractible, since x_0 is a unit.  At
+    r = 0 and m >= 1 the bottom row is the constants, (1|0) at p = 0 and
+    zero above, the only cycles of the weight-0 contraction complex.  At
     r = 0 the local model has one class, x_0^-1...x_m^-1 dx_0...dx_m of
     parity (1|0) at wedge degree m + 1, so the top row gains (-1)^(p-m)
     for p >= m.
     """
+    if which == "zero" and m >= 1 and r == 0:
+        return SuperDim(1, 0) if p == 0 else ZERO_DIM
     even = odd = 0
     for j in range(p + 1):
         lam = wedge_rank(p - j, m + 1, n)
@@ -291,9 +295,10 @@ def _row_top_r0(m: int, n: int, p: int, base) -> SuperDim:
 def forms_cohomology_formula(m: int, n: int, p: int, r: int) -> CohomologyTable:
     """Closed-form table for the twisted p-forms; needs characteristic zero.
 
-    The bottom and top rows are ``twisted_form_rank`` sums and the middle
-    rows vanish, except that at r = 0 and m >= 1 the rows below the top
-    follow the Kronecker pattern.  The top
+    The bottom and top rows are ``twisted_form_rank`` values and the
+    middle rows vanish, except that at r = 0 the rows below the top
+    follow the Kronecker pattern: row p is (1|0) for p < m, which for
+    p = 0 is the bottom row's constant.  The top
     row at r = 0 counts the local model's one class x_0^-1...x_m^-1
     dx_0...dx_m, of parity (1|0) at wedge degree m + 1.  The Laurent
     model of m = 0 is contractible (x_0 is a unit), so its sum holds at
@@ -302,9 +307,8 @@ def forms_cohomology_formula(m: int, n: int, p: int, r: int) -> CohomologyTable:
     if m < 0 or n < 0 or p < 0:
         raise ValueError("m, n, p must be nonnegative")
     rows = [ZERO_DIM] * (m + 1)
-    if r != 0 or m == 0:
-        rows[0] = twisted_form_rank(p, r, "zero", m, n)
-    elif p < m:
+    rows[0] = twisted_form_rank(p, r, "zero", m, n)
+    if r == 0 and 0 < p < m:
         rows[p] = SuperDim(1, 0)
     if m > 0:
         rows[m] = twisted_form_rank(p, r, "top", m, n)

@@ -1,7 +1,8 @@
 """Command line front end: the ``skos`` tool.
 
 Exit codes: 0 on success, 1 on a computation-level error (non-invertible
-supermatrix, method disagreement, window violation), 2 on usage errors.
+supermatrix, method disagreement, window violation, bad input, memory
+exhausted), 2 on usage errors.
 Output is byte-deterministic for fixed arguments and seed; JSON is the
 canonical machine format, CSV is available for cohomology tables.
 Dispatch goes through the subparser table: each subcommand binds its handler.
@@ -356,6 +357,9 @@ def run(argv, stdout=None, stderr=None) -> int:
         return args.handler(args, stdout)
     except (ValueError, ArithmeticError, OSError) as e:
         stderr.write(f"skos: error: {e}\n")
+        return 1
+    except MemoryError:
+        stderr.write("skos: error: out of memory\n")
         return 1
 
 

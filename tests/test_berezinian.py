@@ -337,3 +337,40 @@ class TestRecordFormat:
         rec["entries"] = rec["entries"][:-1]
         with pytest.raises(ValueError, match="entries"):
             SuperMatrix.from_record(rec)
+
+    @pytest.mark.parametrize(
+        "thetas, message",
+        [
+            ([0], "theta index out of range in (0,)"),
+            ([-2], "theta index out of range in (-2,)"),
+            ([3], "theta index out of range in (3,)"),
+            ([1, 1], "theta indices must be strictly increasing: (1, 1)"),
+            ([2, 1], "theta indices must be strictly increasing: (2, 1)"),
+            ([2, 1, 3], "theta index out of range in (2, 1, 3)"),
+            ([True], "supermatrix record field 'entries[1]' is malformed: "
+                     "expected an integer, got True"),
+            ([1.5], "supermatrix record field 'entries[1]' is malformed: "
+                    "expected an integer, got 1.5"),
+            ([1.0], "supermatrix record field 'entries[1]' is malformed: "
+                    "expected an integer, got 1.0"),
+            ([0, True], "supermatrix record field 'entries[1]' is malformed: "
+                        "expected an integer, got True"),
+        ],
+        ids=["zero", "negative", "above-gens", "repeated", "decreasing",
+             "range-before-order", "true", "float", "integral-float", "type-before-range"],
+    )
+    def test_bad_theta_message(self, thetas, message):
+        # entries[0] reads [1] first; [True] and [1.0] equal it under == and
+        # must still be rejected
+        rec = SuperMatrix.identity(1, 1, 2).to_record()
+        rec["entries"][0] = [{"coeff": "1", "thetas": []}, {"coeff": "0", "thetas": [1]}]
+        rec["entries"][1] = [{"coeff": "1", "thetas": thetas}]
+        with pytest.raises(ValueError) as info:
+            SuperMatrix.from_record(rec)
+        assert str(info.value) == message
+
+    def test_bad_coefficient_outranks_bad_theta_in_one_entry(self):
+        rec = SuperMatrix.identity(1, 0, 2).to_record()
+        rec["entries"][0] = [{"coeff": "1", "thetas": [0]}, {"coeff": "x", "thetas": []}]
+        with pytest.raises(ValueError, match=r"'entries\[0\]' is malformed: expected a rational"):
+            SuperMatrix.from_record(rec)

@@ -6,6 +6,7 @@ from skos.bott import (
     CSV_HEADER,
     CohomologyTable,
     MethodDisagreementError,
+    _koszul_cycles,
     bott_table,
     forms_cohomology_direct,
     forms_cohomology_formula,
@@ -95,9 +96,17 @@ class TestTwistedFormRank:
     def test_classical_plane_value(self):
         assert twisted_form_rank(1, 2, "zero", 2, 0) == SuperDim(3, 0)
 
-    def test_negative_sum_rejected_outside_envelope(self):
-        with pytest.raises(ValueError, match="negative"):
-            twisted_form_rank(1, 0, "zero", 1, 0)
+    def test_twist_zero_bottom_row_where_the_raw_sum_is_negative(self):
+        # the raw alternating sum is negative at (p, m, n) = (1, 1, 0); the
+        # weight-0 complex has the constants only, at p = 0
+        assert twisted_form_rank(1, 0, "zero", 1, 0) == SuperDim(0, 0)
+
+    def test_twist_zero_bottom_row_matches_direct(self):
+        # the direct path's bottom row for m >= 1, without its top-row models
+        cells = [(m, n, p) for m in range(1, 4) for n in range(4) for p in range(m + n + 3)]
+        assert len(cells) == 78
+        for m, n, p in cells:
+            assert twisted_form_rank(p, 0, "zero", m, n) == _koszul_cycles(m, n, p, 0, "Q")
 
     def test_twist_zero_top_row_counts_the_local_class(self):
         # the raw alternating sum is -1 at (m, n, p) = (1, 0, 3); the class

@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skos.berezinian import SuperMatrix
 from skos.cli import build_parser, run
@@ -200,6 +203,25 @@ class TestBerCommand:
         assert len(err) < 200
         assert named in err and "Traceback" not in err
 
+    def test_memory_exhaustion_is_exit_1(self, tmp_path):
+        # t_(2^40) is an integer of 2^40 bits; the address-space limit is
+        # set in the child only
+        resource = pytest.importorskip("resource")
+        gens = 2**40
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"p": 1, "q": 0, "grassmann_gens": gens,
+                                    "entries": [[{"coeff": "1", "thetas": [1, gens]}]]}))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024, 1_500_000 * 1024))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "skos", "ber", "--input", str(path)],
+            capture_output=True, text=True, preexec_fn=limit, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "skos: error: out of memory\n"
+
     @pytest.mark.parametrize("text", ["[" * 100000, '{"p": ' + "[" * 100000 + "}"],
                              ids=["array", "field"])
     def test_deeply_nested_json_is_exit_1(self, tmp_path, text):
@@ -351,3 +373,48 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "torsion_odd=[3]" in proc.stdout
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+# valid pieces are listed more than once, to be drawn more often
+_INDICES = st.sets(st.integers(1, 6), max_size=2).map(sorted)
+_THETAS = st.one_of(_INDICES, _INDICES, _INDICES, st.lists(st.integers(-1, 7), max_size=4), _JSON)
+_GOOD_COEFF = st.sampled_from(["1", "-2", "1/2", "0"])
+_COEFF = st.one_of(_GOOD_COEFF, _GOOD_COEFF, _GOOD_COEFF, st.sampled_from(["3/0", "x"]), _JSON)
+_GOOD_TERM = st.fixed_dictionaries({"coeff": _COEFF, "thetas": _THETAS})
+_TERM = st.one_of(_GOOD_TERM, _GOOD_TERM, _GOOD_TERM, _JSON)
+
+
+@st.composite
+def _records(draw):
+    """Near-valid supermatrix records: a valid shape most of the time, so
+    the fuzz reaches the term parser and ``ber`` as well as the header."""
+    p, q, gens = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 6))
+    n = p + q
+    count = draw(st.sampled_from([n * n, n * n, n * n + 1]))
+    entry = st.lists(_TERM, max_size=2)
+    entries = draw(st.lists(st.one_of(entry, entry, entry, _JSON), min_size=count, max_size=count))
+    rec = {"p": p, "q": q, "grassmann_gens": gens, "entries": entries}
+    for key in draw(st.lists(st.sampled_from(sorted(rec)), max_size=1)):
+        rec[key] = draw(_JSON)
+    return rec
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(*[_records().map(json.dumps)] * 3, _JSON.map(json.dumps), st.text(max_size=30)))
+def test_ber_input_fuzz_exits_0_or_1(text):
+    """``skos ber --input -`` on arbitrary JSON (and non-JSON) text ends in
+    exit 0 with a value or exit 1 with one error line; an exception that
+    escapes ``run`` fails the test."""
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        code, out, err = call(["ber", "--input", "-"])
+    if code == 0:
+        assert out.endswith("\n") and err == ""
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("skos: error: ") and err.count("\n") == 1

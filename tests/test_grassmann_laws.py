@@ -2,9 +2,10 @@
 
 Products are compared with an oracle on sorted theta tuples with
 ``Fraction`` coefficients, the representation the bitmask kernel
-replaced.  The same file checks that large generator counts cost nothing
-up front: signs come from the terms themselves, not from a table sized
-by ``gens``.
+replaced, and supermatrix records must parse to what ``make`` builds.
+The same file checks that large generator counts cost nothing up front:
+signs come from the terms themselves, memoized per mask, not from a
+table sized by ``gens``.
 """
 
 import os
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skos.berezinian import GrassmannElement, det_even, invert_unit
+from skos import berezinian
+from skos.berezinian import GrassmannElement, SuperMatrix, ber, det_even, invert_unit
 
 GENS = 5
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,3 +172,50 @@ def test_import_builds_no_per_gens_table():
                           text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 64
+
+
+def _term_lists(parity):
+    """Term lists of one parity as a record writes them, with repeated
+    theta lists and zero coefficients among them."""
+    monos = MONOMIALS.filter(lambda t: len(t) % 2 == parity)
+    coeffs = st.one_of(COEFFS, st.just(Fraction(0)))
+    return st.lists(st.tuples(monos, coeffs), max_size=8).flatmap(
+        lambda terms: st.lists(st.sampled_from(terms), max_size=4).map(terms.__add__)
+        if terms else st.just(terms)
+    )
+
+
+def _make(terms):
+    summed = {}
+    for thetas, c in terms:
+        summed[thetas] = summed.get(thetas, 0) + c
+    return GrassmannElement.make(GENS, summed)
+
+
+@LAWS
+@given(_term_lists(0), _term_lists(1))
+def test_record_parse_matches_make(even, odd):
+    def entry(terms):
+        return [{"coeff": str(c), "thetas": list(t)} for t, c in terms]
+
+    rec = {"p": 1, "q": 1, "grassmann_gens": GENS,
+           "entries": [entry(even), entry(odd), entry(odd), entry(even)]}
+    M = SuperMatrix.from_record(rec)
+    assert M.X[0][0] == M.T[0][0] == _make(even)
+    assert M.Y[0][0] == M.Z[0][0] == _make(odd)
+
+
+def test_prefix_parity_once_per_mask_on_the_ber_benchmark(monkeypatch):
+    """One pass over the seed-1 ber_check records evaluates P(b) once per
+    distinct mask: every miss of the bounded cache is still cached."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    records = [r.payload for r in workloads.build_requests("ber_check", 1)]
+    gens = max(rec["grassmann_gens"] for rec in records)
+    berezinian._prefix_parity.cache_clear()
+    for rec in records:
+        ber(SuperMatrix.from_record(rec))
+    info = berezinian._prefix_parity.cache_info()
+    assert info.misses == info.currsize <= 2**gens
+    assert info.hits > 80_000
