@@ -36,7 +36,6 @@ from skos.berezinian import (
     GrassmannElement,
     SuperMatrix,
     ber,
-    berezinian_module_rank,
     det_even,
     invert_unit,
     is_invertible,
@@ -84,7 +83,6 @@ __all__ = [
     "invert_unit",
     "det_even",
     "ber",
-    "berezinian_module_rank",
     "CohomologyTable",
     "MethodDisagreementError",
     "line_bundle_rank",

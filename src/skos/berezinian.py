@@ -37,8 +37,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from skos.multilinear import SuperDim
-
 
 @lru_cache(maxsize=4096)
 def _prefix_parity(mask: int) -> int:
@@ -652,14 +650,3 @@ def random_invertible_supermatrix(rng, p: int, q: int, gens: int, bound: int = 3
         if is_invertible(M):
             return M
 
-
-def berezinian_module_rank(p: int, q: int) -> tuple[SuperDim, int]:
-    """Rank and homological degree of the Berezinian module of A^{p|q}.
-
-    The dual of the contraction complex of a rank (p|q) free module has
-    one-dimensional cohomology at position p: even when q is even, odd
-    when q is odd.
-    """
-    if p < 0 or q < 0:
-        raise ValueError("p, q must be nonnegative")
-    return (SuperDim(1, 0) if q % 2 == 0 else SuperDim(0, 1), p)

@@ -7,13 +7,15 @@ even and n odd homogeneous directions:
 * a closed-form path built from alternating sums of binomial products
   (valid over a field of characteristic zero at every twist), and
 * a direct path that assembles actual contraction matrices and takes
-  exact kernels: on the weight-r contraction complex for the bottom
-  row, and on the negative-exponent local-cohomology model for the top
-  row.  Model monomials are ``SuperMonomial``s whose x part holds the
-  offsets alpha of the exponents -alpha-1 (empty for the Laurent model
-  of the (0|n) space), and each model basis is a ``FreeBasis``, so the
-  models share the basis order, parities and matrix assembler of the
-  complexes.
+  exact kernels by parity: on the weight-r contraction complex for the
+  bottom row, and on the negative-exponent local-cohomology model for
+  the top row, at every twist.  At twist 0 the top row is shifted by the
+  local model's one homology class, even and at wedge degree m + 1; the
+  tests compute that class.  Model monomials are ``SuperMonomial``s
+  whose x part holds the offsets alpha of the exponents -alpha-1 (empty
+  for the Laurent model of the (0|n) space), and each model basis is a
+  ``FreeBasis``, so the models share the basis order, parities and
+  matrix assembler of the complexes.
 
 The two paths agreeing cell by cell is the headline cross-validation of
 this package.
@@ -145,13 +147,12 @@ def line_bundle_cohomology(m: int, n: int, r: int) -> CohomologyTable:
 # ---------------------------------------------------------------------------
 # direct path: contraction-matrix kernels
 
-def _parity_ranks(matrix, src: FreeBasis, dst: FreeBasis, base) -> SuperDim:
-    """Ranks of the even and odd blocks of the map from ``src`` to ``dst``;
-    ``matrix()`` builds it only when both bases are nonempty."""
+def _kernel(src: FreeBasis, dst: FreeBasis, blocks, base) -> SuperDim:
+    """Kernel by parity of the map from ``src`` to ``dst`` whose even and odd
+    blocks ``blocks()`` gives; called only when both bases are nonempty."""
     if not src or not dst:
-        return ZERO_DIM
-    blocks = matrix().parity_blocks(dst.parities, src.parities)
-    return SuperDim(*(rank(block, base) for block in blocks))
+        return src.dims()
+    return src.dims() - SuperDim(*(rank(block, base) for block in blocks()))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -160,13 +161,14 @@ def _koszul(m: int, n: int, r: int) -> GradedComplex:
 
 
 def _koszul_cycles(m: int, n: int, p: int, r: int, base) -> SuperDim:
-    """Kernel of the contraction leaving position -p of the weight-r slice;
-    a position the slice does not materialize (p > m + 1 when n = 0) is empty."""
+    """Kernel of the contraction leaving position -p of the weight-r slice,
+    from the slice's memoized ``parity_split``, which ``homology`` shares; a
+    position the slice does not materialize (p > m + 1 when n = 0) is empty."""
     if r < 0 or p > r:
         return ZERO_DIM
     C = _koszul(m, n, r)
     src, dst = (C.basis_at.get(pos, FreeBasis(C.gens, ())) for pos in (-p, 1 - p))
-    return src.dims() - _parity_ranks(lambda: C.outgoing(-p), src, dst, base)
+    return _kernel(src, dst, lambda: C.parity_split(-p), base)
 
 
 def _koszul_homology(m: int, n: int, pos: int, r: int, base) -> SuperDim:
@@ -232,11 +234,6 @@ def local_matrix(m: int, n: int, r: int, p: int) -> ExactMatrix:
     )
 
 
-def _local_kernel(m: int, n: int, p: int, r: int, base) -> SuperDim:
-    src, dst = local_basis(m, n, p, r), local_basis(m, n, p - 1, r)
-    return src.dims() - _parity_ranks(lambda: local_matrix(m, n, r, p), src, dst, base)
-
-
 # the m = 0 model: Laurent in the single x, so its matrices never truncate
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -272,26 +269,6 @@ def laurent_matrix(n: int, p: int) -> ExactMatrix:
     )
 
 
-def _laurent_kernel(n: int, p: int, base) -> SuperDim:
-    src, dst = laurent_basis(n, p), laurent_basis(n, p - 1)
-    return src.dims() - _parity_ranks(lambda: laurent_matrix(n, p), src, dst, base)
-
-
-def _row_top_r0(m: int, n: int, p: int, base) -> SuperDim:
-    """Top row at twist 0 along the direct path.
-
-    Rank is additive in the short exact sequence pairing the weight-0
-    contraction homology with the boundaries of the local model, so the
-    reported value is the sum of the two outer ranks: the image of the
-    local contraction arriving at wedge degree p (empty while
-    p < m + 1 - n), plus, at p = m, exactly one even dimension from the
-    contraction side.
-    """
-    top = SuperDim(1, 0) if p == m else ZERO_DIM
-    src, dst = local_basis(m, n, p + 1, 0), local_basis(m, n, p, 0)
-    return _parity_ranks(lambda: local_matrix(m, n, 0, p + 1), src, dst, base) + top
-
-
 def forms_cohomology_formula(m: int, n: int, p: int, r: int) -> CohomologyTable:
     """Closed-form table for the twisted p-forms; needs characteristic zero.
 
@@ -316,14 +293,17 @@ def forms_cohomology_formula(m: int, n: int, p: int, r: int) -> CohomologyTable:
 
 
 def forms_cohomology_direct(m: int, n: int, p: int, r: int, base="Q") -> CohomologyTable:
-    """Direct table from exact kernels of contraction matrices.
+    """Direct table from exact kernels, by parity, of contraction matrices.
 
     Bottom row: cycles of the weight-r contraction complex at wedge
-    degree p (for m = 0, the Laurent-model kernel).  Middle rows:
-    homology of the weight-r contraction complex.  Top row: cycles of
-    the local-cohomology model at internal degree r; at r = 0 the
-    exact-sequence rank analysis applies instead.  Base must be a field
-    (Q, or a prime field for exploratory characteristic-p output).
+    degree p.  Middle rows: homology of the weight-r contraction complex.
+    Top row (the only row for m = 0, where the model is the Laurent one):
+    cycles of the local-cohomology model at wedge degree p and internal
+    degree r, at every twist.  At r = 0 the local model has one class,
+    x_0^-1...x_m^-1 dx_0...dx_m, even and at wedge degree m + 1, so the
+    top row is shifted by it: (1|0) more at p = m, (1|0) less at p = m + 1.
+    Base must be a field (Q, or a prime field for exploratory
+    characteristic-p output).
     """
     if m < 0 or n < 0 or p < 0:
         raise ValueError("m, n, p must be nonnegative")
@@ -332,12 +312,15 @@ def forms_cohomology_direct(m: int, n: int, p: int, r: int, base="Q") -> Cohomol
         raise ValueError("direct tables are computed over a field (Q or Fp:<prime>)")
     rows = [ZERO_DIM] * (m + 1)
     if m == 0:
-        rows[0] = _laurent_kernel(n, p, base)
-        return CohomologyTable(m, n, p, r, "direct", tuple(rows))
-    rows[0] = _koszul_cycles(m, n, p, r, base)
-    for i in range(1, m):
-        rows[i] = _koszul_homology(m, n, i - p, r, base)
-    rows[m] = _local_kernel(m, n, p, r, base) if r != 0 else _row_top_r0(m, n, p, base)
+        src, dst, model = laurent_basis(n, p), laurent_basis(n, p - 1), lambda: laurent_matrix(n, p)
+    else:
+        rows[0] = _koszul_cycles(m, n, p, r, base)
+        for i in range(1, m):
+            rows[i] = _koszul_homology(m, n, i - p, r, base)
+        src, dst, model = local_basis(m, n, p, r), local_basis(m, n, p - 1, r), lambda: local_matrix(m, n, r, p)
+    rows[m] = _kernel(src, dst, lambda: model().parity_blocks(dst.parities, src.parities), base)
+    if m > 0 and r == 0 and p in (m, m + 1):
+        rows[m] += SuperDim(1 if p == m else -1, 0)
     return CohomologyTable(m, n, p, r, "direct", tuple(rows))
 
 

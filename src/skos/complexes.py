@@ -175,7 +175,7 @@ class GradedComplex:
         omega = get("omega", lambda v: _ints(v, a + b) if special else v is None,
                     f"{a + b} integers" if special else "null")
         support = get("support", lambda v: _ints(v, 2, none=True), "two integers or nulls")
-        positions = tuple(get("positions", lambda v: _ints(v) and v[:1] and v == list(range(v[0], v[-1] + 1)),
+        positions = tuple(get("positions", lambda v: _ints(v) and v[:1] and v == list(range(v[0], v[0] + len(v))),
                               "consecutive integers"))
         bases = get("bases", lambda v: type(v) is list and len(v) == len(positions), f"{len(positions)} bases")
         diffs = get("differentials", lambda v: type(v) is list and len(v) == len(positions) - 1,

@@ -8,13 +8,14 @@ from skos.berezinian import (
     GrassmannElement,
     SuperMatrix,
     ber,
-    berezinian_module_rank,
     det_even,
     invert_unit,
     is_invertible,
     random_grassmann,
     random_invertible_supermatrix,
 )
+from skos.complexes import build_berezinian
+from skos.exact_linalg import homology
 from skos.multilinear import SuperDim
 
 
@@ -317,12 +318,13 @@ class TestBerBlockElimination:
 
 class TestModuleRank:
     def test_module_ranks(self):
-        assert berezinian_module_rank(2, 0) == (SuperDim(1, 0), 2)
-        assert berezinian_module_rank(1, 1) == (SuperDim(0, 1), 1)
-        assert berezinian_module_rank(0, 0) == (SuperDim(1, 0), 0)
-        assert berezinian_module_rank(3, 2) == (SuperDim(1, 0), 3)
-        with pytest.raises(ValueError):
-            berezinian_module_rank(-1, 0)
+        """One class at position p of the weight q - p slice, odd when q is odd;
+        acceptance c06 covers p, q <= 2, this is (p|q) = (3|2)."""
+        B = build_berezinian(3, 2, -1, 4)
+        free = [homology(B, "Q", pos).free for pos in range(4)]
+        assert free == [SuperDim(0, 0)] * 3 + [SuperDim(1, 0)]
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_berezinian(-1, 0, 0, 2)
 
 
 class TestRecordFormat:

@@ -18,6 +18,7 @@ from skos.bott import (
     local_matrix,
     twisted_form_rank,
 )
+from skos.exact_linalg import rank
 from skos.multilinear import SuperDim, sym_rank
 
 
@@ -173,6 +174,44 @@ class TestLocalModel:
 
     def test_laurent_basis_independent_of_twist(self):
         assert len(laurent_basis(2, 1)) == 4 * 3  # wedge choices times theta subsets
+
+
+def local_image(m, n, p, base):
+    """Image by parity of the r = 0 local contraction from wedge degree p to p - 1."""
+    src, dst = local_basis(m, n, p, 0), local_basis(m, n, p - 1, 0)
+    if not src or not dst:
+        return SuperDim(0, 0)
+    blocks = local_matrix(m, n, 0, p).parity_blocks(dst.parities, src.parities)
+    return SuperDim(*(rank(block, base) for block in blocks))
+
+
+class TestTwistZeroShift:
+    """The direct top row at r = 0 is the local kernel shifted by one class."""
+
+    @pytest.mark.parametrize("base", ["Q", "Fp:2", "Fp:3"])
+    def test_local_model_has_one_even_class_at_wedge_degree_m_plus_one(self, base):
+        cells = [(m, n, p) for m in range(1, 4) for n in range(5 - m) for p in range(m + n + 3)]
+        assert len(cells) == 53
+        for m, n, p in cells:
+            kernel = local_basis(m, n, p, 0).dims() - local_image(m, n, p, base)
+            expected = SuperDim(1, 0) if p == m + 1 else SuperDim(0, 0)
+            assert kernel - local_image(m, n, p + 1, base) == expected, (m, n, p, base)
+
+    def test_top_row_needs_no_wedge_degree_above_p(self, monkeypatch):
+        import skos.bott as bott_mod
+
+        asked = []
+
+        def recording(m, n, r, p):
+            asked.append((m, n, r, p))
+            return original(m, n, r, p)
+
+        original = bott_mod.local_matrix
+        monkeypatch.setattr(bott_mod, "local_matrix", recording)
+        for m, n, p in ((1, 1, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)):
+            asked.clear()
+            bott_mod.forms_cohomology_direct(m, n, p, 0)
+            assert asked and max(q for *_, q in asked) <= p, (m, n, p, asked)
 
 
 class TestDirectVsFormula:

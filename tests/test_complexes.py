@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skos.complexes import (
     GradedComplex,
@@ -303,6 +306,7 @@ class TestSerialization:
             ("support", [-2], "field 'support'"),
             ("omega", [1, 2, 0], "field 'omega'"),
             ("bases", [], "field 'bases'"),
+            ("positions", [0, 10**12], "field 'positions'"),  # rejected without counting to 10**12
         ],
     )
     def test_malformed_field_rejected(self, key, value, named):
@@ -375,3 +379,45 @@ class TestSerialization:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object, got list"):
             GradedComplex.from_record([])
+
+
+# One valid record of each kind; the fuzz below mutates one of them at one place.
+VALID_RECORDS = [
+    json.loads(json.dumps(C.to_record()))
+    for C in (build_koszul(2, 1, 2), build_derham(1, 2, 2, 2), build_berezinian(1, 1, 1, 3),
+              specialize_koszul(2, 1, (2, 3, 0), 3))
+]
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([10**12, -(10**12), 2**64]),
+    st.floats(), st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_record_raises_only_value_error(data):
+    """Replace, delete or append at one place of a valid record, at any depth."""
+    rec = copy.deepcopy(data.draw(st.sampled_from(VALID_RECORDS)))
+    node = rec
+    while True:
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        action = data.draw(st.sampled_from(["replace", "delete", "append"]))
+        if action == "replace":
+            node[key] = data.draw(JUNK)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[data.draw(st.text(max_size=3))] = data.draw(JUNK)
+        else:
+            node.append(data.draw(JUNK))
+        break
+    try:
+        GradedComplex.from_record(rec)
+    except ValueError:
+        pass
