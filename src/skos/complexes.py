@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 import skos.multilinear as multilinear
 from skos.exact_linalg import ExactMatrix
-from skos.multilinear import FreeBasis, iter_sym_monomials, iter_wedge_monomials, sym_rank, wedge_rank
+from skos.multilinear import FreeBasis, iter_sym_monomials, iter_wedge_monomials
 from skos.super_poly import (
     DTHETA, DX, THETA, X, GeneratorSet, SuperMonomial, SuperPolynomial, contract_euler, exterior_d,
 )
@@ -68,6 +68,44 @@ def _ints(value, length=None, least=None, none=False) -> bool:
     """A list of ``length`` integers >= ``least`` (or nulls, if ``none``)."""
     return type(value) is list and length in (None, len(value)) and all(
         none and x is None or _is_int(x, least) for x in value)
+
+
+# A record's basis is counted exactly up to this bound, far past any list
+# it can hold, so an error names the size the basis should have.  Past it
+# the count stops: no record makes it form a huge binomial, and no count
+# takes more than a few milliseconds.
+_COUNT_BOUND = 2**256
+
+
+def _piece_size(p: int, q: int, a: int, b: int) -> int:
+    """``len(basis_wedge_sym(a, b, p, q))``, or ``_COUNT_BOUND + 1`` past the bound.
+
+    The sums of ``wedge_rank`` and ``sym_rank``: Lambda^d over (m|s) has
+    the sum over i of C(m, d - i) C(s + i - 1, i) entries, and S^q over
+    (a|b) is Lambda^q over (b|a).  Each binomial is built one factor at
+    a time and each sum one term at a time, and both stop past the bound.
+    """
+    over = _COUNT_BOUND + 1
+
+    def comb(n, k):  # C(n, 0) = 1 for every n, as ``multilinear.binom``
+        if k < 0 or n < k:
+            return int(k == 0)
+        c = 1
+        for i in range(min(k, n - k)):
+            c = c * (n - i) // (i + 1)
+            if c >= over:
+                return over
+        return c
+
+    def wedge(d, m, s):  # each term from the first nonzero to the last is at least 1
+        total = 0
+        for i in range(max(d - m, 0), (d if s else 0) + 1):
+            total += comb(m, d - i) * comb(s + i - 1, i)
+            if total >= over:
+                return over
+        return total
+
+    return min(wedge(p, a, b) * wedge(q, b, a), over)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,11 +222,11 @@ class GradedComplex:
         gens = GeneratorSet(a, b)
         basis_at = {}
         for pos, strings in zip(positions, bases):
-            p, q = _PIECE[kind](pos, weight)
             # counted before it is enumerated, so a short record cannot ask for a huge basis
-            size = wedge_rank(p, a, b).total * sym_rank(q, a, b).total if min(p, q) >= 0 else 0
+            size = _piece_size(*_PIECE[kind](pos, weight), a, b)
             if type(strings) is not list or len(strings) != size:
-                raise ValueError(f"complex record basis at position {pos} must have {size} entries")
+                count = size if size <= _COUNT_BOUND else "more than 2**256"
+                raise ValueError(f"complex record basis at position {pos} must have {count} entries")
             basis_at[pos] = _basis(kind, gens, weight, pos)
             if basis_at[pos].labels != tuple(strings):
                 raise ValueError(f"complex record basis at position {pos} is not the {kind} basis")
@@ -202,7 +240,7 @@ class GradedComplex:
                 raise ValueError(f"{where} must have {shape} and a list of entries")
             M = diff_at[pos] = ExactMatrix.zeros(rows, cols)
             stored, last, in_order = M._d, (-1, -1), True
-            for t in d["entries"]:  # checked once here, so stored without ``_set``
+            for t in d["entries"]:  # checked here, so stored straight into the matrix
                 r, c, v = t if type(t) is list and len(t) == 3 else (None, None, None)
                 if not (type(r) is int and type(c) is int and type(v) is int and 0 <= r < rows and 0 <= c < cols):
                     raise ValueError(f"{where} has entry {t!r}")

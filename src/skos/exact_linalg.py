@@ -8,8 +8,11 @@ integer rows with +-1 as the only units.  Those pivots form a block of
 determinant +-1, so the rows left, the residual core, are its Schur
 complement: an integer matrix with entries bounded by minors of the
 input, whose rank is the rank of the input minus the pivot count.  Over
-Z the core goes to a dense Smith form; over Q it is ranked by the same
-kernel over ``Fraction``, so no other entry ever becomes a fraction.
+Q the core is ranked by the same kernel over ``Fraction``, so no other
+entry ever becomes a fraction.  The product D of that elimination's
+pivots is a nonzero minor of the core, so every invariant factor of the
+core divides D: over Z the core's Smith form is worked modulo D, and no
+entry ever grows past D/2.
 
 Homology of a graded complex is reported per parity block: free ranks
 always, and over Z the torsion, which is read off the invariant factors
@@ -21,11 +24,13 @@ the parity split of each differential, and each block keeps its unit
 core, its rank over Q, its invariant factors and its rank mod each
 prime, each computed on first use.  Over Z the rank over Q of the
 outgoing block at one position and the Smith form of the same block,
-incoming at the next, read one shared unit core.
+incoming at the next, read one shared unit core, and the Smith form
+reads D from the memo of the rank over Q.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,18 +46,36 @@ if TYPE_CHECKING:  # pragma: no cover
 # ---------------------------------------------------------------------------
 # base rings
 
+# Miller-Rabin on the first 13 primes as bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster,
+# Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 @lru_cache(maxsize=32)
 def is_prime(p: int) -> bool:
-    """Trial division, once per modulus: ``parse_base`` asks again for every block."""
+    """Deterministic Miller-Rabin, once per modulus: ``parse_base`` asks again
+    for every block.  Raises ValueError at or past ``_PRIME_BOUND``."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"modulus {p} too large: primality is decided below {_PRIME_BOUND} only")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 
@@ -96,8 +119,9 @@ class ExactMatrix:
     """Sparse integer matrix in coordinate form; no explicit zeros stored.
 
     ``_memo`` is None, except on the blocks ``parity_blocks`` returns: there
-    it holds what the block reduces to (its unit core, its rank over Q, its
-    invariant factors, its rank mod each prime), each filled on first use.
+    it holds what the block reduces to (its unit core, its rank over Q with
+    the core minor D, its invariant factors, its rank mod each prime), each
+    filled on first use.
     Those blocks are read-only once split.
     """
 
@@ -111,17 +135,13 @@ class ExactMatrix:
         self._d: dict[tuple[int, int], int] = {}
         self._memo: dict | None = None
 
-    def _set(self, r: int, c: int, v: int) -> None:
-        if not 0 <= r < self.rows or not 0 <= c < self.cols:
-            raise ValueError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
-        if not isinstance(v, int):
-            raise TypeError(f"integer entries required, got {type(v).__name__}")
-        if v:
-            self._d[(r, c)] = v
-
     @classmethod
     def from_triplets(cls, rows: int, cols: int, triplets: Iterable[tuple[int, int, int]]) -> "ExactMatrix":
-        """Sum the values given for each entry; entries that sum to zero are dropped."""
+        """Sum the values given for each entry; entries that sum to zero are dropped.
+
+        The one constructor that checks its entries: each must lie inside
+        the shape and sum to an ``int``.
+        """
         m = cls(rows, cols)
         acc: dict[tuple[int, int], int] = defaultdict(int)
         for r, c, v in triplets:
@@ -140,13 +160,9 @@ class ExactMatrix:
     def from_dense(cls, dense: list[list[int]]) -> "ExactMatrix":
         rows = len(dense)
         cols = len(dense[0]) if rows else 0
-        m = cls(rows, cols)
-        for r, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged dense matrix")
-            for c, v in enumerate(row):
-                m._set(r, c, v)
-        return m
+        if any(len(row) != cols for row in dense):
+            raise ValueError("ragged dense matrix")
+        return cls.from_triplets(rows, cols, ((r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
@@ -154,10 +170,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int, scale: int = 1) -> "ExactMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m._set(i, i, scale)
-        return m
+        return cls.from_triplets(n, n, ((i, i, scale) for i in range(n)))
 
     @property
     def nnz(self) -> int:
@@ -297,91 +310,52 @@ def _eliminate(rows: list[dict], is_unit, inverse, p: int | None = None) -> tupl
         todo = waiting
 
 
-def _snf_dense(dense: list[list[int]], n: int) -> tuple[int, ...]:
-    """Invariant factors by unimodular row/column operations.
+def _smith_mod(core: list[dict[int, int]], D: int, r: int) -> tuple[int, ...]:
+    """Invariant factors of a core of rank ``r`` over Q, worked modulo ``D``.
 
-    ``n`` is the column count (explicit so zero-row matrices keep their
-    shape).  Pivots are chosen by minimal absolute value to keep
-    coefficient growth down.
+    ``D`` is a nonzero r x r minor of the core, so d1 ... dr divides it.
+    Over Z/DZ the core is equivalent to diag(d1, ..., dr, 0, ...), and
+    every diagonal matrix equivalent to it gives the same divisibility
+    chain of gcds with D, a zero counting as D.  Entries are kept as
+    residues of least absolute value, so none ever passes D/2.
+    Euclidean row and column steps make a least nonzero entry alone in
+    its row and column; its gcd with D is recorded and its row deleted.
+    The first r terms of the chain, padded with D, are d1, ..., dr.
     """
-    D = [row[:] for row in dense]
-    m = len(D)
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-
-    def row_addmul(src, dst, q):
-        Dsrc, Ddst = D[src], D[dst]
-        for k in range(n):
-            Ddst[k] += q * Dsrc[k]
-
-    def col_swap(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-
-    def col_addmul(src, dst, q):
-        for row in D:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # locate a minimal-absolute-value pivot in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            Di = D[i]
-            for j in range(t, n):
-                v = Di[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            row_swap(t, pivot[0])
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
-
+    h = D // 2
+    rows = [row for row in ({c: (v + h) % D - h for c, v in row.items() if v % D} for row in core) if row]
+    found = []
+    while rows:
+        c = min((abs(v), c) for row in rows for c, v in row.items())[1]
         while True:
-            # Euclidean sweeps on column t and row t
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in range(t + 1, m):
-                    if D[i][t]:
-                        q = D[i][t] // D[t][t]
-                        row_addmul(t, i, -q)
-                        if D[i][t]:
-                            row_swap(t, i)
-                            dirty = True
-                for j in range(t + 1, n):
-                    if D[t][j]:
-                        q = D[t][j] // D[t][t]
-                        col_addmul(t, j, -q)
-                        if D[t][j]:
-                            col_swap(t, j)
-                            dirty = True
-            # enforce divisibility of the trailing block by the pivot
-            pivot_val = D[t][t]
-            bad = None
-            for i in range(t + 1, m):
-                Di = D[i]
-                for j in range(t + 1, n):
-                    if Di[j] % pivot_val:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
+            holders = [row for row in rows if c in row]
+            pivot = min(holders, key=lambda row: abs(row[c]))
+            p = pivot[c]
+            if len(holders) > 1:  # row steps: each other entry of column c drops below |p|
+                for row in holders:
+                    if row is not pivot:
+                        q = row[c] // p
+                        for k, v in pivot.items():
+                            v = (row.get(k, 0) - q * v + h) % D - h
+                            if v:
+                                row[k] = v
+                            else:
+                                row.pop(k, None)
+                continue
+            # column steps: p is alone in column c, so they change the pivot row only
+            for k in [k for k in pivot if k != c]:
+                pivot[k] %= p
+                if not pivot[k]:
+                    del pivot[k]
+            if len(pivot) == 1:
                 break
-            row_addmul(bad, t, 1)
-        t += 1
-
-    return tuple(abs(D[i][i]) for i in range(t))
+            c = min(pivot, key=lambda k: abs(pivot[k]))
+        found.append(math.gcd(p, D))
+        rows = [row for row in rows if row and row is not pivot]
+    for i in range(len(found)):  # gcd/lcm swaps sort each prime's exponents: a divisibility chain
+        for j in range(i + 1, len(found)):
+            found[i], found[j] = math.gcd(found[i], found[j]), math.lcm(found[i], found[j])
+    return (tuple(found) + (D,) * r)[:r]
 
 
 def _unit_core(M: ExactMatrix) -> tuple[int, list[dict[int, int]]]:
@@ -418,15 +392,15 @@ def _core(M: ExactMatrix) -> tuple[int, list[dict[int, int]]]:
 
 def _smith_factors(M: ExactMatrix) -> tuple[int, ...]:
     units, core = _core(M)
-    cols = sorted({c for row in core for c in row})
-    return (1,) * units + _snf_dense([[row.get(c, 0) for c in cols] for row in core], len(cols))
+    rank_q, D = _memoized(M, "Q", _core_rank_fractions, units, core)
+    return (1,) * units + _smith_mod(core, D, rank_q - units)
 
 
 def smith_normal_form(M: ExactMatrix | list[list[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors d1 | d2 | ... | dr and the rank over Q.
 
     Unit pivots are eliminated sparsely; only the residual core, where
-    no entry is +-1, goes to the dense Smith form.
+    no entry is +-1, goes to the Smith form modulo one of its minors.
     """
     if not isinstance(M, ExactMatrix):
         M = ExactMatrix.from_dense([list(r) for r in M])
@@ -441,16 +415,26 @@ def _rank_fractions(M: ExactMatrix) -> int:
     """Rank over Q: the +-1 pivots on ``int`` entries, then the core over Q.
 
     The Schur-complement argument of ``_unit_core`` makes the sum exact.
-    Only the core's entries become ``Fraction``s, and the core never goes
-    to ``_snf_dense``, whose coefficients grow without bound.
+    Only the core's entries become ``Fraction``s.
     """
-    return _memoized(M, "Q", _core_rank_fractions, M)
+    return _memoized(M, "Q", _core_rank_fractions, *_core(M))[0]
 
 
-def _core_rank_fractions(M: ExactMatrix) -> int:
-    units, core = _core(M)
+def _core_rank_fractions(units: int, core: list[dict[int, int]]) -> tuple[int, int]:
+    """The rank over Q, and D: the absolute product of the core's pivots.
+
+    The kernel eliminates the core by Gaussian steps, so the product of
+    its pivots is the determinant of the submatrix on their rows and
+    columns: a nonzero minor of the core, which ``_smith_mod`` works modulo.
+    """
+    pivots = []
+
+    def inverse(v):
+        pivots.append(v)
+        return 1 / v
+
     fractions = [{c: Fraction(v) for c, v in row.items()} for row in core]
-    return units + _eliminate(fractions, bool, lambda v: 1 / v)[0]
+    return units + _eliminate(fractions, bool, inverse)[0], abs(int(math.prod(pivots)))
 
 
 def _rank_mod_p(M: ExactMatrix, p: int) -> int:

@@ -65,6 +65,18 @@ class TestHomologyCommand:
         assert code == 1
         assert "window" in err
 
+    def test_large_prime_modulus(self):
+        # 10**18 + 3 has no factor below 10**9, out of reach of trial division
+        argv = ["homology", "--kind", "koszul", "--rank", "1,0", "--weight", "1", "--base"]
+        code, out, err = call(argv + ["Fp:1000000000000000003"])
+        assert (code, err) == (0, "")
+        assert "base Fp:1000000000000000003" in out
+        # from the least strong pseudoprime to every Miller-Rabin base used on,
+        # the parser refuses the modulus, as it refuses a composite one
+        code, out, err = call(argv + ["Fp:3317044064679887385961981"])
+        assert code == 2
+        assert "primality is decided below 3317044064679887385961981 only" in err
+
     def test_berezinian_kind(self):
         code, out, _ = call(
             ["homology", "--kind", "berezinian", "--rank", "1,1", "--weight", "0",

@@ -1,5 +1,7 @@
 import copy
 import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -347,6 +349,20 @@ class TestSerialization:
         pos = rec["positions"][0]
         with pytest.raises(ValueError, match=rf"basis at position {pos} must have \d{{10,}} entries"):
             GradedComplex.from_record(rec)
+
+    def test_basis_count_forms_no_huge_binomial(self):
+        """Rank (10**6|0) at weight 10**6 has C(2*10**6 - 1, 10**6) monomials
+        at position 0, a number of two million bits.  The count stops past
+        2**256 and never forms it."""
+        rec = self._record()
+        rec.update({"rank": [10**6, 0], "weight": 10**6, "positions": [0], "bases": [[]], "differentials": []})
+        script = ("import json, sys\nfrom skos.complexes import GradedComplex\n"
+                  "try:\n    GradedComplex.from_record(json.load(sys.stdin))\n"
+                  "except ValueError as e:\n    print(e)\n")
+        proc = subprocess.run([sys.executable, "-c", script], input=json.dumps(rec),
+                              capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "complex record basis at position 0 must have more than 2**256 entries\n"
 
     def test_altered_last_label_rejected_on_a_warm_cache(self):
         """The read-back compares each record string with the cached labels:

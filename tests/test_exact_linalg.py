@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import skos.exact_linalg
 from skos.complexes import build_derham, build_koszul
@@ -119,6 +119,23 @@ class TestSmithNormalForm:
         assert r == 2
         assert factors == snf_by_minor_gcds(dense)
 
+    def test_entries_stay_below_a_core_minor(self):
+        # no entry is +-1, so the whole matrix is the core; worked on plain
+        # integers, Euclidean steps grow its entries to millions of bits
+        dense = [[0, -872274, 0], [389310, 709277, -117879], [-725770, -681577, 0], [0, 0, 0], [0, 0, -7014]]
+        assert smith_normal_form(dense) == ((1, 1, 60), 3)
+
+
+@settings(max_examples=150, deadline=None)
+# worked on plain integers, Euclidean steps grow this one's entries without bound
+@example([[-219979, -275368, 0, 0], [200577, 0, -297292, 0], [-680967, 809153, 0, 737862]])
+@given(st.integers(1, 4).flatmap(lambda m: st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-10**6, 10**6) | st.sampled_from((0, 0, 1, -1, 2)), min_size=n, max_size=n),
+    min_size=m, max_size=m))))
+def test_snf_against_minor_oracle(dense):
+    want = snf_by_minor_gcds(dense)
+    assert smith_normal_form(dense) == (want, len(want))
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -214,18 +231,31 @@ def test_rank_q_without_core_builds_no_fraction(monkeypatch):
     assert built
 
 
-def test_rank_q_core_never_reaches_dense_smith_form():
-    # over Z this request spends unbounded time in the dense Smith form;
-    # over Q its residual cores are ranked by elimination alone
-    proc = subprocess.run(
+def _specialized_homology(base):
+    return subprocess.run(
         [sys.executable, "-m", "skos", "homology", "--kind", "specialize", "--rank", "6,0",
-         "--omega", "6,10,15,21,35,14", "--base", "Q", "--position", "-3"],
+         "--omega", "6,10,15,21,35,14", "--base", base, "--position", "-3"],
         capture_output=True,
         text=True,
         timeout=30,
     )
+
+
+def test_rank_q_core_never_reaches_dense_smith_form():
+    # no entry of this request's differentials is +-1, so each whole block
+    # is a residual core; over Q it is ranked by elimination alone
+    proc = _specialized_homology("Q")
     assert proc.returncode == 0, proc.stderr
     assert "free=(0|0)" in proc.stdout
+
+
+def test_z_core_smith_form_stays_bounded():
+    # the same cores over Z: Euclidean steps on plain integers let their
+    # entries reach millions of bits; modulo a minor of each core they
+    # stay small, and gcd(omega) = 1 leaves every group 0
+    proc = _specialized_homology("Z")
+    assert proc.returncode == 0, proc.stderr
+    assert "free=(0|0) torsion_even=[] torsion_odd=[]" in proc.stdout
 
 
 class TestRanks:
@@ -264,6 +294,16 @@ class TestRanks:
         with pytest.raises(ValueError):
             parse_base("R")
         assert is_prime(2) and is_prime(97) and not is_prime(1) and not is_prime(91)
+
+    def test_primality_of_large_moduli(self):
+        # neither has a factor below 10**9, out of reach of trial division
+        assert is_prime(10**18 + 3)
+        assert not is_prime((10**9 + 7) * (10**9 + 9))
+        assert parse_base("Fp:1000000000000000003") == ("Fp", 10**18 + 3)
+        # the least strong pseudoprime to every base used: no exact answer from there on
+        for p in (3317044064679887385961981, 2**89 - 1):
+            with pytest.raises(ValueError, match="below 3317044064679887385961981 only"):
+                parse_base(f"Fp:{p}")
 
     def test_primality_is_cached_and_composites_stay_rejected(self):
         assert is_prime.cache_parameters()["maxsize"] is not None
