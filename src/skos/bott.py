@@ -14,8 +14,11 @@ even and n odd homogeneous directions:
   tests compute that class.  Model monomials are ``SuperMonomial``s
   whose x part holds the offsets alpha of the exponents -alpha-1 (empty
   for the Laurent model of the (0|n) space), and each model basis is a
-  ``FreeBasis``, so the models share the basis order, parities and
-  matrix assembler of the complexes.
+  ``FreeBasis``, the product of its wedge and coefficient factors, so
+  the models share the basis order, parities and factor-by-factor
+  matrix assembler of the complexes.  The Laurent matrices do not depend
+  on the twist, so each keeps its parity blocks and their reductions
+  while it is cached: every twist of an m = 0 table eliminates them once.
 
 The two paths agreeing cell by cell is the headline cross-validation of
 this package.
@@ -29,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from skos.complexes import GradedComplex, assemble, build_koszul, contraction_stencil, times_theta
-from skos.exact_linalg import ExactMatrix, homology, parse_base, rank
+from skos.exact_linalg import ExactMatrix, _memoized, homology, parse_base, rank
 from skos.multilinear import (
     FreeBasis,
     SuperDim,
@@ -39,11 +42,11 @@ from skos.multilinear import (
     iter_wedge_monomials,
     wedge_rank,
 )
-from skos.super_poly import THETA, GeneratorSet, SuperMonomial, contract_euler
+from skos.super_poly import THETA, GeneratorSet, contract_euler
 
 # Bound of each per-process cache below.  A whole
 # bott_table(m, n, 4, -4, 4, "both") sweep over the (m|n) in (2|2), (0|4),
-# (3|1), (1|2) fills at most 158 entries of any one of them.
+# (3|1), (1|2) fills at most 162 entries of any one of them (local_basis).
 _CACHE_SIZE = 256
 
 
@@ -149,7 +152,8 @@ def line_bundle_cohomology(m: int, n: int, r: int) -> CohomologyTable:
 
 def _kernel(src: FreeBasis, dst: FreeBasis, blocks, base) -> SuperDim:
     """Kernel by parity of the map from ``src`` to ``dst`` whose even and odd
-    blocks ``blocks()`` gives; called only when both bases are nonempty."""
+    blocks ``blocks()`` gives.  When either basis is empty the map is zero
+    and its kernel is all of ``src``, so ``blocks`` is not called."""
     if not src or not dst:
         return src.dims()
     return src.dims() - SuperDim(*(rank(block, base) for block in blocks()))
@@ -167,7 +171,7 @@ def _koszul_cycles(m: int, n: int, p: int, r: int, base) -> SuperDim:
     if r < 0 or p > r:
         return ZERO_DIM
     C = _koszul(m, n, r)
-    src, dst = (C.basis_at.get(pos, FreeBasis(C.gens, ())) for pos in (-p, 1 - p))
+    src, dst = (C.basis_at.get(pos, FreeBasis(C.gens)) for pos in (-p, 1 - p))
     return _kernel(src, dst, lambda: C.parity_split(-p), base)
 
 
@@ -189,22 +193,21 @@ def local_basis(m: int, n: int, p: int, r: int) -> FreeBasis:
     ``SuperMonomial(alpha, T, E, beta)`` stands for
     x^(-alpha-1) * t_T * dx_E * dt^beta: every x slot is present with
     exponent <= -1, and multiplication by x_i decrements the exponent,
-    annihilating the monomial when ``alpha[i]`` is already 0.
+    annihilating the monomial when ``alpha[i]`` is already 0.  The
+    coefficient parts (alpha, T) have |alpha| = |T| + p - r - (m + 1)
+    whatever the wedge part, so the basis is a product of its two
+    factors, and only the factors are sorted.
     """
     gens = GeneratorSet(m + 1, n)
     if p < 0:
-        return FreeBasis(gens, ())
-    entries = []
-    for dxs, dt_pow in iter_wedge_monomials(m + 1, n, p):
-        for k in range(n + 1):
-            total = k + p - r - (m + 1)
-            if total < 0:
-                continue
-            for thetas in combinations(range(1, n + 1), k):
-                for alpha in _compositions(total, m + 1):
-                    entries.append(SuperMonomial(alpha, thetas, dxs, dt_pow))
-    entries.sort(key=SuperMonomial.sort_key)
-    return FreeBasis(gens, tuple(entries))
+        return FreeBasis(gens)
+    coefs = [
+        (alpha, thetas)
+        for k in range(max(r + m + 1 - p, 0), n + 1)
+        for thetas in combinations(range(1, n + 1), k)
+        for alpha in _compositions(k + p - r - (m + 1), m + 1)
+    ]
+    return FreeBasis(gens, tuple(sorted(iter_wedge_monomials(m + 1, n, p))), tuple(sorted(coefs)))
 
 
 def _cone_times(coef, gen):
@@ -227,8 +230,8 @@ def local_matrix(m: int, n: int, r: int, p: int) -> ExactMatrix:
     t_j with the anticommutation sign or annihilates on repetition.
     """
     return assemble(
-        local_basis(m, n, p, r).entries,
-        local_basis(m, n, p - 1, r).entries,
+        local_basis(m, n, p, r),
+        local_basis(m, n, p - 1, r),
         contraction_stencil(GeneratorSet(m + 1, n), p, contract_euler),
         _cone_times,
     )
@@ -240,18 +243,13 @@ def local_matrix(m: int, n: int, r: int, p: int) -> ExactMatrix:
 def laurent_basis(n: int, p: int) -> FreeBasis:
     """Model monomials x^(r-p-|T|) * t_T * dx_E * dt^beta on the (0|n)
     space, over (1|n) and stored with an empty x part: the one x exponent
-    is fixed by the ambient degree, so the basis is independent of r."""
+    is fixed by the ambient degree, so the basis is independent of r.
+    Its coefficient factor is every t_T, in order."""
     gens = GeneratorSet(1, n)
     if p < 0:
-        return FreeBasis(gens, ())
-    entries = [
-        SuperMonomial((), thetas, dxs, dt_pow)
-        for dxs, dt_pow in iter_wedge_monomials(1, n, p)
-        for k in range(n + 1)
-        for thetas in combinations(range(1, n + 1), k)
-    ]
-    entries.sort(key=SuperMonomial.sort_key)
-    return FreeBasis(gens, tuple(entries))
+        return FreeBasis(gens)
+    coefs = sorted(((), thetas) for k in range(n + 1) for thetas in combinations(range(1, n + 1), k))
+    return FreeBasis(gens, tuple(sorted(iter_wedge_monomials(1, n, p))), tuple(coefs))
 
 
 def _laurent_times(coef, gen):
@@ -261,12 +259,28 @@ def _laurent_times(coef, gen):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def laurent_matrix(n: int, p: int) -> ExactMatrix:
-    return assemble(
-        laurent_basis(n, p).entries,
-        laurent_basis(n, p - 1).entries,
+    """Contraction matrix from wedge degree p to p-1 on the Laurent model.
+
+    It does not depend on the twist, so it keeps a memo that every twist
+    shares: its parity blocks, each with what it reduces to (see
+    ``_model_blocks``).  The memo goes with the cached matrix, so
+    ``laurent_matrix.cache_clear()`` drops it too.
+    """
+    M = assemble(
+        laurent_basis(n, p),
+        laurent_basis(n, p - 1),
         contraction_stencil(GeneratorSet(1, n), p, contract_euler),
         _laurent_times,
     )
+    M._memo = {}
+    return M
+
+
+def _model_blocks(M: ExactMatrix, src: FreeBasis, dst: FreeBasis) -> tuple[ExactMatrix, ExactMatrix]:
+    """The even and the odd block of the model matrix ``M`` from ``src`` to
+    ``dst``, kept in the memo of ``M`` if it has one (the Laurent matrices),
+    so each block is eliminated once while ``M`` stays cached."""
+    return _memoized(M, "blocks", M.parity_blocks, dst.parities, src.parities)
 
 
 def forms_cohomology_formula(m: int, n: int, p: int, r: int) -> CohomologyTable:
@@ -318,7 +332,7 @@ def forms_cohomology_direct(m: int, n: int, p: int, r: int, base="Q") -> Cohomol
         for i in range(1, m):
             rows[i] = _koszul_homology(m, n, i - p, r, base)
         src, dst, model = local_basis(m, n, p, r), local_basis(m, n, p - 1, r), lambda: local_matrix(m, n, r, p)
-    rows[m] = _kernel(src, dst, lambda: model().parity_blocks(dst.parities, src.parities), base)
+    rows[m] = _kernel(src, dst, lambda: _model_blocks(model(), src, dst), base)
     if m > 0 and r == 0 and p in (m, m + 1):
         rows[m] += SuperDim(1 if p == m else -1, 0)
     return CohomologyTable(m, n, p, r, "direct", tuple(rows))

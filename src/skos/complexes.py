@@ -8,7 +8,10 @@ and the integer matrix of the differential leaving that position; the
 differential always maps position ``pos`` to ``pos + 1``.
 
 Each kind places one piece Lambda^p (x) S^q at each position (``_PIECE``)
-and assembles each differential from one stencil and one generator rule.
+and assembles each differential from one stencil and one generator rule,
+factor by factor: every basis is the product of its wedge parts and its
+coefficient parts, the stencil acts on one factor and the generator rule
+on the other, each tabulated once per matrix (``assemble``).
 A stencil depends only on the generators, the degree and the operator,
 so each is built once per process and kept in a bounded cache; so is
 each basis (``skos.multilinear.basis_wedge_sym``), which complexes of
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterator
 
 import skos.multilinear as multilinear
@@ -55,7 +59,7 @@ def _direction(kind: str) -> int:
 def _basis(kind: str, gens: GeneratorSet, n: int | None, pos: int) -> FreeBasis:
     p, q = _PIECE[kind](pos, n)
     if p < 0 or q < 0:
-        return FreeBasis(gens, ())
+        return FreeBasis(gens)
     # read from skos.multilinear per call: perfbench's tracer rebinds it there, not in this module
     return multilinear.basis_wedge_sym(gens.even, gens.odd, p, q)
 
@@ -254,10 +258,10 @@ class GradedComplex:
 
 
 def _complex(kind: str, gens: GeneratorSet, n: int | None, positions: range, support: tuple,
-             diff: Callable[[int, tuple, tuple], ExactMatrix], omega: tuple | None = None) -> GradedComplex:
-    """The enumerated basis of ``kind`` at each position, and ``diff(pos, source entries, target entries)``."""
+             diff: Callable[[int, FreeBasis, FreeBasis], ExactMatrix], omega: tuple | None = None) -> GradedComplex:
+    """The enumerated basis of ``kind`` at each position, and ``diff(pos, source basis, target basis)``."""
     basis_at = {pos: _basis(kind, gens, n, pos) for pos in positions}
-    diff_at = {pos: diff(pos, basis_at[pos].entries, basis_at[pos + 1].entries) for pos in positions[:-1]}
+    diff_at = {pos: diff(pos, basis_at[pos], basis_at[pos + 1]) for pos in positions[:-1]}
     return GradedComplex(kind, gens, n, _direction(kind), tuple(positions), basis_at, diff_at, *support, omega)
 
 
@@ -335,25 +339,69 @@ def _terms(flat) -> Iterator[tuple]:
     return zip(slots, slots, slots)
 
 
-def assemble(src, dst, stencil: dict[tuple, tuple], times) -> ExactMatrix:
+def assemble(src: FreeBasis, dst: FreeBasis, stencil: dict[tuple, tuple], times) -> ExactMatrix:
     """Matrix of the map sending the column ``s * v`` to the sum of
     ``c * (s*gen) * w`` over the stencil terms ``(c, gen, w)`` of v.
 
-    Basis entries are 4-tuples: the first half s is what ``times`` acts
-    on, the second half v is the stencil key.  The contraction builders
-    pass monomials (coefficient part first); De Rham passes their
-    ``sort_key()`` (wedge part first).  ``times(s, gen)`` returns
-    ``(scalar, first half of s*gen)``, or ``None`` when it vanishes.
+    Both bases are products of a wedge and a coefficient factor
+    (:class:`~skos.multilinear.FreeBasis`).  The stencil's generators say
+    which factor ``times`` acts on: x_i and t_j multiply the coefficient
+    part, and the stencil is keyed on the wedge part (the contraction
+    builders); dx_i and dt_j multiply the wedge part, and the stencil is
+    keyed on the coefficient part (De Rham).  ``times(s, gen)`` returns
+    ``(scalar, s*gen)``, or ``None`` when it vanishes.
+
+    ``times`` runs once per generator and entry of its factor, into a
+    table of (scalar, target offset), and each stencil key is looked up
+    once per entry of the other factor; a row is then outer * |inner| +
+    inner in the target's factors.  Columns run in basis order and each
+    column's terms in stencil order, so the triplets come in one fixed
+    order.  A term whose target is not in ``dst`` raises ``KeyError``.
     """
-    index = {mono: i for i, mono in enumerate(dst)}
+    if not src:
+        return ExactMatrix.zeros(len(dst), 0)
+    for terms in stencil.values():
+        if terms:
+            on_coefs = terms[1][0] in (X, THETA)  # the first generator's kind
+            break
+    else:
+        return ExactMatrix.zeros(len(dst), len(src))
+    inner = len(dst.coefs)
+    if on_coefs:
+        keys, acted, key_at, acted_at = src.wedges, src.coefs, dst.wedges, dst.coefs
+        key_stride, acted_stride = inner, 1
+    else:
+        keys, acted, key_at, acted_at = src.coefs, src.wedges, dst.coefs, dst.wedges
+        key_stride, acted_stride = 1, inner
+    key_at = {k: i * key_stride for i, k in enumerate(key_at)}
+    acted_at = {s: i * acted_stride for i, s in enumerate(acted_at)}
+    tables: dict[tuple, list] = {}  # gen -> for each s in ``acted``, (scalar, offset) of s*gen or None
+    key_terms = []  # for each key, its terms as (coefficient, table of gen, offset of the part)
+    for key in keys:
+        terms = []
+        for c, gen, part in _terms(stencil.get(key, ())):
+            table = tables.get(gen)
+            if table is None:
+                table = tables[gen] = []
+                for s in acted:
+                    hit = times(s, gen)
+                    table.append(hit and (hit[0], acted_at[hit[1]]))
+            if part in key_at:
+                terms.append((c, table, key_at[part]))
+            elif any(table):  # every entry of ``acted`` meets this key, so the term lands outside ``dst``
+                raise KeyError(part)
+        key_terms.append(terms)
+    if on_coefs:  # the key is the outer factor
+        columns = product(key_terms, range(len(acted)))
+    else:
+        columns = ((terms, a) for a, terms in product(range(len(acted)), key_terms))
     triplets = []
-    for col, mono in enumerate(src):
-        coef = mono[:2]
-        for c, gen, wedge in _terms(stencil.get(mono[2:], ())):
-            res = times(coef, gen)
-            if res is not None:
-                scalar, target = res
-                triplets.append((index[target + wedge], col, c * scalar))
+    append = triplets.append
+    for col, (terms, a) in enumerate(columns):
+        for c, table, row in terms:
+            hit = table[a]
+            if hit is not None:
+                append((row + hit[1], col, c * hit[0]))
     return ExactMatrix.from_triplets(len(dst), len(src), triplets)
 
 
@@ -442,8 +490,7 @@ def build_derham(a: int, b: int, n: int, cap: int | None = None) -> GradedComple
     support_max = min(n, a) if b == 0 else n
     gens = GeneratorSet(a, b)
     return _complex("derham", gens, n, range(0, top + 1), (0, support_max), lambda pos, src, dst: assemble(
-        [m.sort_key() for m in src], [m.sort_key() for m in dst],
-        _derivative_stencil(gens, n - pos, exterior_d), _wedge_times))
+        src, dst, _derivative_stencil(gens, n - pos, exterior_d), _wedge_times))
 
 
 def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:

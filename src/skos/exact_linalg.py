@@ -121,8 +121,9 @@ class ExactMatrix:
     ``_memo`` is None, except on the blocks ``parity_blocks`` returns: there
     it holds what the block reduces to (its unit core, its rank over Q with
     the core minor D, its invariant factors, its rank mod each prime), each
-    filled on first use.
-    Those blocks are read-only once split.
+    filled on first use.  The Laurent model matrices that ``skos.bott``
+    caches have one too, which keeps their parity blocks.
+    Matrices with a memo are read-only.
     """
 
     __slots__ = ("rows", "cols", "_d", "_memo")

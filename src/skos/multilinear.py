@@ -5,9 +5,12 @@ degree-q piece has a monomial basis: dx/dt words of wedge degree p
 tensored with x/t words of degree q.  The parity-split counts are what
 every cohomology table in this package ultimately reports.
 
-Each piece's basis is enumerated once per process and kept in a bounded
-cache (``basis_wedge_sym``), and each basis computes the labels and the
-parities of its entries once, on first use.  Cached bases are shared by
+A basis is the product of a sorted list of wedge parts and a sorted list
+of coefficient parts (``FreeBasis``), so only the two factors are ever
+enumerated and sorted.  Each piece's basis is built once per process and
+kept in a bounded cache (``basis_wedge_sym``), and each basis computes
+its entries, their labels and their parities from the factors once, on
+first use.  Cached bases are shared by
 every complex and record that names the piece, so they must not be
 changed.
 """
@@ -53,37 +56,52 @@ ZERO_DIM = SuperDim(0, 0)
 
 @dataclass(frozen=True)
 class FreeBasis:
-    """Ordered monomial basis of one graded piece.
+    """Ordered monomial basis of one graded piece: the product of two factors.
 
-    Entries are pairwise distinct canonical monomials, sorted
-    lexicographically on (dxs, dt_pow, x_pow, thetas) so that all
-    differential matrices are reproducible bit for bit.  ``labels`` and
-    ``parities`` are computed on first use and kept; a basis may be
-    shared through a cache, so neither it nor its memos may be changed.
+    ``wedges`` holds the wedge parts ``(dxs, dt_pow)`` and ``coefs`` the
+    coefficient parts ``(x_pow, thetas)``, each sorted and pairwise
+    distinct.  Entry ``i * len(coefs) + j`` is ``coefs[j] * wedges[i]``, so
+    the entries run in the lexicographic order on (dxs, dt_pow, x_pow,
+    thetas) (``SuperMonomial.sort_key``) without the product being sorted,
+    and all differential matrices are reproducible bit for bit.  The
+    entries, their ``labels`` and their ``parities`` are computed from the
+    factors on first use and kept; a basis may be shared through a cache,
+    so neither it nor its memos may be changed.
     """
 
     gens: GeneratorSet
-    entries: tuple[SuperMonomial, ...]
+    wedges: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
+    coefs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.wedges) * len(self.coefs)
 
     def __iter__(self) -> Iterator[SuperMonomial]:
         return iter(self.entries)
 
     @cached_property
+    def entries(self) -> tuple[SuperMonomial, ...]:
+        return tuple(SuperMonomial(x_pow, thetas, dxs, dt_pow)
+                     for dxs, dt_pow in self.wedges for x_pow, thetas in self.coefs)
+
+    @cached_property
     def labels(self) -> tuple[str, ...]:
-        """The ``str`` of each entry: what a complex record lists."""
-        return tuple(map(str, self.entries))
+        """The ``str`` of each entry: what a complex record lists.  It writes
+        the coefficient part's generators before the wedge part's, "1" for
+        the empty monomial."""
+        coefs = [str(SuperMonomial(*coef, (), ())) for coef in self.coefs]
+        wedges = [str(SuperMonomial((), (), *wedge)) for wedge in self.wedges]
+        return tuple(c if w == "1" else w if c == "1" else f"{c}*{w}" for w in wedges for c in coefs)
 
     @cached_property
     def parities(self) -> tuple[int, ...]:
-        """The parity (0 or 1) of each entry."""
-        return tuple(m.parity for m in self.entries)
+        """The parity (0 or 1) of each entry: that of its t_S plus that of its dt^beta, mod 2."""
+        coefs = [len(thetas) & 1 for _, thetas in self.coefs]
+        return tuple((sum(dt_pow) & 1) ^ c for _, dt_pow in self.wedges for c in coefs)
 
     def dims(self) -> SuperDim:
         odd = sum(self.parities)
-        return SuperDim(len(self.entries) - odd, odd)
+        return SuperDim(len(self) - odd, odd)
 
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -121,10 +139,11 @@ def iter_wedge_monomials(a: int, b: int, p: int) -> Iterator[tuple[tuple[int, ..
                 yield dxs, dt_pow
 
 
-# Bound of the basis cache.  A cached basis retains about 140 bytes per
-# entry, and 75 more once its labels are read (CPython 3.11, 64-bit).
+# Bound of the basis cache.  A cached basis retains its two factors, about
+# 60 bytes per entry of their product, 85 more once its labels and
+# parities are read and 90 more once its entries are (CPython 3.11, 64-bit).
 # Every piece with a + b <= 5 and p + q <= 5 fits: 441 bases of 14633
-# entries in all, about 3 MB with their labels.
+# entries in all, 0.9 MB, or 2.2 MB with their labels and parities.
 _BASES = 512
 
 
@@ -133,23 +152,17 @@ def basis_wedge_sym(a: int, b: int, p: int, q: int) -> FreeBasis:
     """Monomial basis of the wedge-degree-p, symmetric-degree-q piece.
 
     dx_i squares to zero and dt_j has free powers, mirroring t_j / x_i
-    on the symmetric side; the enumeration order is the deterministic
-    lexicographic one documented on :class:`FreeBasis`.  Enumerated once
+    on the symmetric side.  The wedge parts and the coefficient parts
+    are enumerated and sorted apart; their product is the deterministic
+    lexicographic order documented on :class:`FreeBasis`.  Built once
     per (a, b, p, q) and shared by every caller, so it must not be changed.
     """
     if min(a, b, p, q) < 0:
         raise ValueError("a, b, p, q must be nonnegative")
     gens = GeneratorSet(a, b)
     if not wedge_rank(p, a, b).total or not sym_rank(q, a, b).total:  # counted, so neither side is walked in vain
-        return FreeBasis(gens, ())
-    sym = list(iter_sym_monomials(a, b, q))  # one tuple per coefficient part, shared by every wedge part
-    entries = [
-        SuperMonomial(x_pow, thetas, dxs, dt_pow)
-        for dxs, dt_pow in iter_wedge_monomials(a, b, p)
-        for x_pow, thetas in sym
-    ]
-    entries.sort(key=SuperMonomial.sort_key)
-    return FreeBasis(gens, tuple(entries))
+        return FreeBasis(gens)
+    return FreeBasis(gens, tuple(sorted(iter_wedge_monomials(a, b, p))), tuple(sorted(iter_sym_monomials(a, b, q))))
 
 
 def binom(a: int, k: int) -> int:

@@ -176,6 +176,30 @@ class TestLocalModel:
         assert len(laurent_basis(2, 1)) == 4 * 3  # wedge choices times theta subsets
 
 
+class TestLaurentMemo:
+    def test_each_laurent_block_is_eliminated_once(self, monkeypatch):
+        """The m = 0 top row reads the twist-independent Laurent matrix, whose
+        parity blocks and their reductions stay with the cached matrix: a
+        second twist eliminates nothing, and clearing the cache drops them."""
+        import skos.bott
+        import skos.exact_linalg
+
+        for name in ("laurent_matrix", "laurent_basis"):
+            getattr(skos.bott, name).cache_clear()
+        first = [forms_cohomology_direct(0, 4, p, -4) for p in range(5)]
+
+        def eliminate(M):
+            raise AssertionError("a Laurent block was eliminated again")
+
+        monkeypatch.setattr(skos.exact_linalg, "_unit_core", eliminate)
+        for p in range(5):
+            rows = forms_cohomology_direct(0, 4, p, 3).rows
+            assert rows == first[p].rows == forms_cohomology_formula(0, 4, p, 3).rows
+        laurent_matrix.cache_clear()
+        with pytest.raises(AssertionError, match="eliminated again"):
+            forms_cohomology_direct(0, 4, 2, 3)
+
+
 def local_image(m, n, p, base):
     """Image by parity of the r = 0 local contraction from wedge degree p to p - 1."""
     src, dst = local_basis(m, n, p, 0), local_basis(m, n, p - 1, 0)

@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 from skos.complexes import (
     GradedComplex,
     WindowError,
+    _derivative_stencil,
+    _polynomial_times,
+    _wedge_times,
+    assemble,
     build_berezinian,
     build_derham,
     build_koszul,
+    contraction_stencil,
     specialize_koszul,
 )
 from skos.exact_linalg import ExactMatrix, homology
-from skos.multilinear import SuperDim, basis_wedge_sym
+from skos.multilinear import FreeBasis, SuperDim, basis_wedge_sym
+from skos.super_poly import GeneratorSet, contract_euler, exterior_d
 
 
 def envelope(total=4, weights=(0, 1, 2, 3, 4, 5)):
@@ -248,6 +254,37 @@ class TestSpecializedKoszul:
         for pos in C.positions[:-1]:
             if pos + 1 in C.diff_at:
                 assert (C.diff_at[pos + 1] @ C.diff_at[pos]).is_zero()
+
+
+class TestAssemble:
+    """``assemble`` reads both bases through their factors.  A stencil term
+    whose target is not in the target basis raises: dropping it would
+    assemble a wrong matrix without a word."""
+
+    @pytest.mark.parametrize("a, b, p, q", [(2, 1, 2, 1), (1, 2, 2, 0), (0, 2, 2, 1), (3, 0, 2, 0)])
+    def test_contraction_target_outside_dst_raises(self, a, b, p, q):
+        src, stencil = basis_wedge_sym(a, b, p, q), contraction_stencil(GeneratorSet(a, b), p, contract_euler)
+        M = assemble(src, basis_wedge_sym(a, b, p - 1, q + 1), stencil, _polynomial_times)
+        assert M.nnz
+        for wrong in ((p - 1, q), (p - 2, q + 1)):  # the symmetric degree, then the wedge degree
+            with pytest.raises(KeyError):
+                assemble(src, basis_wedge_sym(a, b, *wrong), stencil, _polynomial_times)
+        with pytest.raises(KeyError):
+            assemble(src, FreeBasis(src.gens), stencil, _polynomial_times)
+
+    @pytest.mark.parametrize("a, b, p, q", [(1, 1, 1, 2), (2, 1, 0, 2), (0, 2, 1, 1)])
+    def test_derivative_target_outside_dst_raises(self, a, b, p, q):
+        src, stencil = basis_wedge_sym(a, b, p, q), _derivative_stencil(GeneratorSet(a, b), q, exterior_d)
+        M = assemble(src, basis_wedge_sym(a, b, p + 1, q - 1), stencil, _wedge_times)
+        assert M.nnz
+        for wrong in ((p + 1, q), (p, q - 1)):  # the symmetric degree, then the wedge degree
+            with pytest.raises(KeyError):
+                assemble(src, basis_wedge_sym(a, b, *wrong), stencil, _wedge_times)
+
+    def test_empty_source_gives_zero_matrix(self):
+        dst = basis_wedge_sym(2, 1, 1, 1)
+        M = assemble(FreeBasis(dst.gens), dst, contraction_stencil(dst.gens, 2, contract_euler), _polynomial_times)
+        assert (M.rows, M.cols, M.nnz) == (len(dst), 0, 0)
 
 
 class TestSerialization:
