@@ -44,9 +44,11 @@ from skos.multilinear import (
 )
 from skos.super_poly import THETA, GeneratorSet, contract_euler
 
-# Bound of each per-process cache below.  A whole
+# Bound of each per-process cache below but ``local_matrix``.  A whole
 # bott_table(m, n, 4, -4, 4, "both") sweep over the (m|n) in (2|2), (0|4),
 # (3|1), (1|2) fills at most 162 entries of any one of them (local_basis).
+# ``local_matrix`` keeps one entry: no cell of a sweep reads another
+# cell's local matrix, and the cached one still serves a repeated cell.
 _CACHE_SIZE = 256
 
 
@@ -221,7 +223,7 @@ def _cone_times(coef, gen):
     return 1, (alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :], thetas)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def local_matrix(m: int, n: int, r: int, p: int) -> ExactMatrix:
     """Contraction matrix from wedge degree p to p-1 on the local model.
 

@@ -192,8 +192,8 @@ def _build_complex(args, position=None):
     if args.kind == "derham":
         return complexes.build_derham(a, b, args.weight, args.cap)
     cap = args.cap
-    if cap is None:
-        cap = max(abs(position) + 1, 6) if position is not None else 6
+    if cap is None:  # Berezinian positions start at 0, so a negative one needs no more of them
+        cap = max(position + 1, 6) if position is not None else 6
     return complexes.build_berezinian(a, b, args.weight, cap)
 
 

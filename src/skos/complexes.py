@@ -355,8 +355,13 @@ def assemble(src: FreeBasis, dst: FreeBasis, stencil: dict[tuple, tuple], times)
     table of (scalar, target offset), and each stencil key is looked up
     once per entry of the other factor; a row is then outer * |inner| +
     inner in the target's factors.  Columns run in basis order and each
-    column's terms in stencil order, so the triplets come in one fixed
-    order.  A term whose target is not in ``dst`` raises ``KeyError``.
+    column's terms in stencil order, and each entry is written straight
+    into the matrix's ``_d`` at its first term, the terms of a repeated
+    target summed into it and a zero (a zero product, or a sum that
+    cancels) dropped: the entries and their order are those of
+    ``ExactMatrix.from_triplets`` on the same terms, without its checks,
+    as every row and column is in range and every value an ``int``.
+    A term whose target is not in ``dst`` raises ``KeyError``.
     """
     if not src:
         return ExactMatrix.zeros(len(dst), 0)
@@ -395,14 +400,23 @@ def assemble(src: FreeBasis, dst: FreeBasis, stencil: dict[tuple, tuple], times)
         columns = product(key_terms, range(len(acted)))
     else:
         columns = ((terms, a) for a, terms in product(range(len(acted)), key_terms))
-    triplets = []
-    append = triplets.append
+    M = ExactMatrix(len(dst), len(src))
+    d = M._d
+    zeros = []  # entries that held a zero at some term: a zero product or a sum that cancelled
     for col, (terms, a) in enumerate(columns):
         for c, table, row in terms:
             hit = table[a]
             if hit is not None:
-                append((row + hit[1], col, c * hit[0]))
-    return ExactMatrix.from_triplets(len(dst), len(src), triplets)
+                rc, v = (row + hit[1], col), c * hit[0]
+                if rc in d:
+                    v += d[rc]
+                d[rc] = v
+                if not v:
+                    zeros.append(rc)
+    for rc in zeros:  # dropped only now, so a later term of the same entry keeps its place
+        if d.get(rc) == 0:
+            del d[rc]
+    return M
 
 
 def times_theta(coef: tuple, j: int) -> tuple[int, tuple] | None:

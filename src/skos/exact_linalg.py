@@ -118,6 +118,14 @@ def _positions(parities: Sequence[int]) -> tuple[list[int], list[int]]:
 class ExactMatrix:
     """Sparse integer matrix in coordinate form; no explicit zeros stored.
 
+    ``_d`` maps (row, col) to a nonzero ``int``.  Input from outside goes
+    through ``from_triplets``, the one constructor that checks it; the
+    builders that produce their entries in range and as ints write ``_d``
+    directly: ``skos.complexes.assemble``, ``GradedComplex.from_record``
+    (after checking each entry itself), ``parity_blocks``, ``__add__``
+    and ``__matmul__``.  The elimination kernel relies on it: it pivots
+    on any stored entry over a field.
+
     ``_memo`` is None, except on the blocks ``parity_blocks`` returns: there
     it holds what the block reduces to (its unit core, its rank over Q with
     the core minor D, its invariant factors, its rank mod each prime), each
@@ -141,7 +149,9 @@ class ExactMatrix:
         """Sum the values given for each entry; entries that sum to zero are dropped.
 
         The one constructor that checks its entries: each must lie inside
-        the shape and sum to an ``int``.
+        the shape and sum to an ``int``.  ``from_dense``, ``identity`` and
+        callers outside the package build through it; entries keep the
+        order in which each first occurs.
         """
         m = cls(rows, cols)
         acc: dict[tuple[int, int], int] = defaultdict(int)
@@ -251,17 +261,26 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 # elimination
 
-def _rows(M: ExactMatrix, convert) -> list[dict]:
-    """Nonzero rows of ``M`` as sparse {column: entry} dicts, entries converted."""
+def _rows(M: ExactMatrix, p: int | None = None) -> list[dict]:
+    """Nonzero rows of ``M`` as sparse {column: entry} dicts, in the order
+    each row first occurs in ``M._d``.  Entries are copied as they are,
+    or reduced mod ``p`` when it is given, which drops the multiples of
+    ``p``; no other entry can be zero, as ``M`` stores none.
+    """
     grouped: dict[int, dict] = defaultdict(dict)
-    for (r, c), v in M._d.items():
-        v = convert(v)
-        if v:
+    if p is None:
+        for (r, c), v in M._d.items():
             grouped[r][c] = v
+    else:
+        for (r, c), v in M._d.items():
+            v %= p
+            if v:
+                grouped[r][c] = v
     return list(grouped.values())
 
 
-def _eliminate(rows: list[dict], is_unit, inverse, p: int | None = None) -> tuple[int, list[dict]]:
+def _eliminate(rows: list[dict], inverse, p: int | None = None,
+               units: tuple | None = None) -> tuple[int, list[dict]]:
     """Pivot on unit entries until no row holds one; return (pivots, rows left).
 
     Each pivot clears its column from the other rows that hold it, found
@@ -271,9 +290,11 @@ def _eliminate(rows: list[dict], is_unit, inverse, p: int | None = None) -> tupl
     pivot row and column deleted.  Over a field every nonzero entry is a
     unit and no row is left.  Over Z only +-1 are units, every step is
     unimodular, and the Smith form is (1,...,1) + the Smith form of the
-    rows left.  Entries are reduced mod ``p`` when it is given.  Rows
-    are visited sparsest first, and each pivot is taken in the sparsest
-    column its row offers, to keep fill-in down.
+    rows left.  ``units`` holds the unit values over Z; over a field it
+    is None and every stored entry is a unit, as no row stores a zero.
+    Entries are reduced mod ``p`` when it is given.  Rows are visited
+    sparsest first, and each pivot is taken in the sparsest column its
+    row offers, to keep fill-in down.
     """
     where: dict[int, set[int]] = defaultdict(set)
     for i, row in enumerate(rows):
@@ -284,11 +305,11 @@ def _eliminate(rows: list[dict], is_unit, inverse, p: int | None = None) -> tupl
         waiting = []
         for i in todo:
             row = rows[i]
-            units = [c for c, v in row.items() if is_unit(v)]
-            if not units:
+            held = row if units is None else [c for c, v in row.items() if v in units]
+            if not held:
                 waiting.append(i)
                 continue
-            pc = min(units, key=lambda c: (len(where[c]), c))
+            pc = min(held, key=lambda c: (len(where[c]), c))
             for c in row:
                 where[c].discard(i)
             pinv = inverse(row.pop(pc))
@@ -368,7 +389,7 @@ def _unit_core(M: ExactMatrix) -> tuple[int, list[dict[int, int]]]:
     sign, and rank M = pivots + rank(core) over any field.
     """
     # +-1 is its own inverse, so ``int`` serves as the inverse map
-    return _eliminate(_rows(M, int), lambda v: v == 1 or v == -1, int)
+    return _eliminate(_rows(M), int, units=(1, -1))
 
 
 def _memoized(M: ExactMatrix, key, compute, *args):
@@ -435,11 +456,11 @@ def _core_rank_fractions(units: int, core: list[dict[int, int]]) -> tuple[int, i
         return 1 / v
 
     fractions = [{c: Fraction(v) for c, v in row.items()} for row in core]
-    return units + _eliminate(fractions, bool, inverse)[0], abs(int(math.prod(pivots)))
+    return units + _eliminate(fractions, inverse)[0], abs(int(math.prod(pivots)))
 
 
 def _rank_mod_p(M: ExactMatrix, p: int) -> int:
-    return _eliminate(_rows(M, lambda v: v % p), bool, lambda v: pow(v, -1, p), p)[0]
+    return _eliminate(_rows(M, p), lambda v: pow(v, -1, p), p)[0]
 
 
 def rank(M: ExactMatrix, base="Q") -> int:

@@ -200,6 +200,32 @@ class TestLaurentMemo:
             forms_cohomology_direct(0, 4, 2, 3)
 
 
+class TestLocalMatrixCache:
+    def test_sweeps_keep_one_local_matrix(self):
+        """No cell of a table reads another cell's local matrix, so the cache
+        keeps one: after the four benchmark sweeps it holds at most one
+        matrix, and what it holds is under 1 MB (tracemalloc, measured by
+        clearing it).  A repeated cell still finds its matrix."""
+        import tracemalloc
+
+        local_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            for m, n in ((2, 2), (0, 4), (3, 1), (1, 2)):
+                bott_table(m, n, 4, -4, 4, "both")
+            held = tracemalloc.get_traced_memory()[0]
+            assert local_matrix.cache_info().currsize <= 1
+            local_matrix.cache_clear()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
+        forms_cohomology_direct(1, 2, 2, -3)
+        hits = local_matrix.cache_info().hits
+        forms_cohomology_direct(1, 2, 2, -3)
+        assert local_matrix.cache_info().hits == hits + 1
+
+
 def local_image(m, n, p, base):
     """Image by parity of the r = 0 local contraction from wedge degree p to p - 1."""
     src, dst = local_basis(m, n, p, 0), local_basis(m, n, p - 1, 0)

@@ -85,6 +85,40 @@ class TestHomologyCommand:
         rec = json.loads(out)
         assert rec["summaries"][0]["odd_rank"] == 1
 
+    @pytest.mark.parametrize("position, cap", [(-3000, 6), (-1, 6), (0, 6), (5, 6), (6, 7), (8, 9), (None, 6)])
+    def test_berezinian_window_follows_the_position(self, position, cap):
+        """Berezinian positions start at 0: a negative one is refused after
+        the default window 0..6, not after |position| + 1 positions."""
+        import skos.complexes
+
+        caps = []
+        build = skos.complexes.build_berezinian
+        argv = ["homology", "--kind", "berezinian", "--rank", "1,1", "--weight", "0", "--output", "json"]
+        with mock.patch.object(skos.complexes, "build_berezinian",
+                               lambda a, b, n, cap: caps.append(cap) or build(a, b, n, cap)):
+            code, out, err = call(argv + ([] if position is None else ["--position", str(position)]))
+        assert caps == [cap]
+        if position is not None and position < 0:
+            assert (code, out) == (1, "")
+            assert f"position {position} is not materialized" in err
+        else:
+            assert code == 0 and json.loads(out)["summaries"]
+
+    def test_far_negative_berezinian_position_exits_at_once(self):
+        # a window of |position| + 1 positions would run out of the time and the address space
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024, 1_500_000 * 1024))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "skos", "homology", "--kind", "berezinian", "--rank", "1,1",
+             "--weight", "0", "--position", "-100000000"],
+            capture_output=True, text=True, preexec_fn=limit, timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "position -100000000 is not materialized" in proc.stderr
+
 
 class TestComplexCommands:
     @pytest.mark.parametrize(

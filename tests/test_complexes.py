@@ -22,7 +22,7 @@ from skos.complexes import (
 )
 from skos.exact_linalg import ExactMatrix, homology
 from skos.multilinear import FreeBasis, SuperDim, basis_wedge_sym
-from skos.super_poly import GeneratorSet, contract_euler, exterior_d
+from skos.super_poly import X, GeneratorSet, contract_euler, exterior_d
 
 
 def envelope(total=4, weights=(0, 1, 2, 3, 4, 5)):
@@ -285,6 +285,49 @@ class TestAssemble:
         dst = basis_wedge_sym(2, 1, 1, 1)
         M = assemble(FreeBasis(dst.gens), dst, contraction_stencil(dst.gens, 2, contract_euler), _polynomial_times)
         assert (M.rows, M.cols, M.nnz) == (len(dst), 0, 0)
+
+
+    def test_builders_write_entries_without_from_triplets(self, monkeypatch):
+        """Every builder writes its matrix entries once, straight into the
+        matrix, and stores no zero, however the terms cancel or vanish: a zero
+        omega slot makes zero products.  ``from_triplets`` is for outside input."""
+        import skos.bott
+
+        def refuse(*args):
+            raise AssertionError("an assembled matrix went through from_triplets")
+
+        monkeypatch.setattr(ExactMatrix, "from_triplets", classmethod(refuse))
+        for name in ("local_matrix", "laurent_matrix"):
+            getattr(skos.bott, name).cache_clear()
+        mats = []
+        for C in (build_koszul(2, 2, 3), build_derham(2, 1, 3), build_berezinian(2, 2, 1, 3),
+                  specialize_koszul(3, 1, (0, 2, 0, 0)), GradedComplex.from_record(build_koszul(1, 2, 2).to_record())):
+            mats += C.diff_at.values()
+        mats += [skos.bott.local_matrix(2, 1, r, p) for r in (-2, 0, 3) for p in range(4)]
+        mats += [skos.bott.laurent_matrix(3, p) for p in range(4)]
+        assert sum(M.nnz for M in mats) > 0
+        for M in mats:
+            assert all(type(v) is int and v for v in M._d.values())
+            assert all(0 <= r < M.rows and 0 <= c < M.cols for r, c in M._d)
+
+    def test_repeated_targets_are_summed_in_first_term_order(self):
+        """Terms that land on one entry are summed there, at the place of the
+        first, and a zero product or a sum that cancels is dropped, as
+        ``from_triplets`` does with the same terms."""
+        gens = GeneratorSet(2, 0)
+        dx0, one = ((0,), ()), ((), ())
+        src, dst = FreeBasis(gens, (dx0,), (((0, 0), ()),)), basis_wedge_sym(2, 0, 0, 1)
+        row = {0: 1, 1: 0}  # x0 * 1 is the second entry of dst, x1 * 1 the first
+        for coefficients, expected in [
+            ((2, 3, -1), [((1, 0), 1), ((0, 0), 3)]),
+            ((2, 5, -2), [((0, 0), 5)]),
+            ((0, 4, 7), [((1, 0), 7), ((0, 0), 4)]),
+        ]:
+            gens_used = (0, 1, 0)
+            stencil = {dx0: tuple(t for c, i in zip(coefficients, gens_used) for t in (c, (X, i), one))}
+            M = assemble(src, dst, stencil, _polynomial_times)
+            want = ExactMatrix.from_triplets(2, 1, [(row[i], 0, c) for c, i in zip(coefficients, gens_used)])
+            assert list(M._d.items()) == list(want._d.items()) == expected
 
 
 class TestSerialization:

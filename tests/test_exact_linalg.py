@@ -212,6 +212,41 @@ def test_rank_q_of_sparse_matrices(shape_and_rows):
     _check_rank_against_oracle(dense, n)
 
 
+def rank_mod_p_by_dense_gauss(dense, n, p):
+    """Independent rank-over-F_p oracle: dense Gauss elimination on residues."""
+    A = [[v % p for v in row] for row in dense]
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if pivot is None:
+            continue
+        A[r], A[pivot] = A[pivot], A[r]
+        inv = pow(A[r][c], -1, p)
+        for i in range(r + 1, len(A)):
+            f = A[i][c] * inv % p
+            A[i] = [(a - f * b) % p for a, b in zip(A[i], A[r])]
+        r += 1
+    return r
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7)).flatmap(lambda p: st.integers(0, 9).flatmap(lambda n: st.tuples(
+        st.just(p),
+        st.just(n),
+        st.lists(
+            # every nonzero multiple of p here reduces to a zero the kernel must not pivot on
+            st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, p, -p, 2 * p, p * p + 1)), min_size=n, max_size=n),
+            max_size=9,
+        ),
+    )))
+)
+def test_rank_mod_p_of_sparse_matrices(case):
+    p, n, dense = case
+    M = ExactMatrix.from_dense(dense) if dense else ExactMatrix.zeros(0, n)
+    assert rank(M, f"Fp:{p}") == rank_mod_p_by_dense_gauss(dense, n, p)
+
+
 def test_rank_q_without_core_builds_no_fraction(monkeypatch):
     # every pivot of this Koszul differential is +-1, so no entry may
     # leave the integers on the way to its rank
