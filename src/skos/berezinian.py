@@ -417,11 +417,18 @@ def _matmul(A: Matrix, B: Matrix, gens: int) -> Matrix:
     return tuple(tuple(_dot(gens, zip(row, col)) for col in cols) for row in A)
 
 
+_SINGULAR = "supermatrix is not invertible (a diagonal block body is singular)"
+
+
 def _schur(rows: Matrix, n: int) -> tuple[GrassmannElement, Matrix]:
     """det(D) and the Schur complement E - B D^-1 C of the rows
-    [[D, C], [B, E]], for an n x n even block D with an invertible body."""
+    [[D, C], [B, E]], for an n x n even block D.  Raises ValueError when
+    the body of D is singular: the elimination then finds no unit pivot
+    in some column of D."""
     A = [list(r) for r in rows]
-    det = _eliminate(A, n)[0]
+    det, k = _eliminate(A, n)
+    if k < n:
+        raise ValueError(_SINGULAR)
     return det, tuple(tuple(r[n:]) for r in A[n:])
 
 
@@ -599,14 +606,15 @@ def ber(M: SuperMatrix) -> GrassmannElement:
     Both closed forms are evaluated; a mismatch would indicate an
     internal arithmetic error and raises.  Block elimination of the
     columns of X gives det(X) and T - Z X^-1 Y; on the block-rotated
-    rows (T Z; Y X) it gives det(T) and X - Y T^-1 Z.
+    rows (T Z; Y X) it gives det(T) and X - Y T^-1 Z.  Each elimination
+    also tells whether the body of its diagonal block is invertible.
     """
-    if not is_invertible(M):
-        raise ValueError("supermatrix is not invertible (a diagonal block body is singular)")
     gens = M.gens
-    if M.q == 0:
-        return det_even(M.X) if M.p else GrassmannElement.scalar(gens, 1)
-    if M.p == 0:
+    if M.p == 0 or M.q == 0:
+        if not is_invertible(M):
+            raise ValueError(_SINGULAR)
+        if M.q == 0:
+            return det_even(M.X) if M.p else GrassmannElement.scalar(gens, 1)
         return invert_unit(det_even(M.T))
 
     p, full = M.p, M.full_rows()

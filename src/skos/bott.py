@@ -282,7 +282,7 @@ def _model_blocks(M: ExactMatrix, src: FreeBasis, dst: FreeBasis) -> tuple[Exact
     """The even and the odd block of the model matrix ``M`` from ``src`` to
     ``dst``, kept in the memo of ``M`` if it has one (the Laurent matrices),
     so each block is eliminated once while ``M`` stays cached."""
-    return _memoized(M, "blocks", M.parity_blocks, dst.parities, src.parities)
+    return _memoized(M, "blocks", M.parity_blocks, dst.parities, src.parities, dst.positions, src.positions)
 
 
 def forms_cohomology_formula(m: int, n: int, p: int, r: int) -> CohomologyTable:

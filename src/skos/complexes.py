@@ -169,8 +169,8 @@ class GradedComplex:
         split = self._memo.get(pos)
         if split is None:
             d = self.outgoing(pos) if pos in self.basis_at else self.incoming(pos + 1)
-            rows, cols = (self.basis_at[q].parities if q in self.basis_at else () for q in (pos + 1, pos))
-            split = self._memo[pos] = d.parity_blocks(rows, cols)
+            rows, cols = (self.basis_at.get(q, FreeBasis(self.gens)) for q in (pos + 1, pos))
+            split = self._memo[pos] = d.parity_blocks(rows.parities, cols.parities, rows.positions, cols.positions)
         return split
 
     def to_record(self) -> dict:

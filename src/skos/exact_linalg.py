@@ -12,7 +12,9 @@ Q the core is ranked by the same kernel over ``Fraction``, so no other
 entry ever becomes a fraction.  The product D of that elimination's
 pivots is a nonzero minor of the core, so every invariant factor of the
 core divides D: over Z the core's Smith form is worked modulo D, and no
-entry ever grows past D/2.
+entry ever grows past D/2.  Each pivot is taken in the sparsest column
+its row offers, the least on a tie (the column rule of structured
+Gaussian elimination, LaMacchia and Odlyzko, CRYPTO '90).
 
 Homology of a graded complex is reported per parity block: free ranks
 always, and over Z the torsion, which is read off the invariant factors
@@ -26,6 +28,12 @@ prime, each computed on first use.  Over Z the rank over Q of the
 outgoing block at one position and the Smith form of the same block,
 incoming at the next, read one shared unit core, and the Smith form
 reads D from the memo of the rank over Q.
+
+Every slice ends in zero modules, so many differentials and blocks store
+no entry.  Such a matrix costs nothing: it is not multiplied for the
+d∘d check, it is split without a pass over any basis (each ``FreeBasis``
+keeps the positions the split reads), and its unit core, its rank over
+Q and its rank mod p are 0 (with D = 1) without a row or an elimination.
 """
 
 from __future__ import annotations
@@ -104,16 +112,6 @@ def parse_base(base) -> tuple[str, int | None]:
 
 # ---------------------------------------------------------------------------
 # sparse integer matrices
-
-def _positions(parities: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Each index's position among the indices of its parity, and the two counts."""
-    counts = [0, 0]
-    pos = []
-    for p in parities:
-        pos.append(counts[p])
-        counts[p] += 1
-    return pos, counts
-
 
 class ExactMatrix:
     """Sparse integer matrix in coordinate form; no explicit zeros stored.
@@ -199,22 +197,26 @@ class ExactMatrix:
     def triplets(self) -> list[tuple[int, int, int]]:
         return sorted((r, c, v) for (r, c), v in self._d.items())
 
-    def parity_blocks(self, row_parity: Sequence[int],
-                      col_parity: Sequence[int]) -> tuple["ExactMatrix", "ExactMatrix"]:
+    def parity_blocks(self, row_parity: Sequence[int], col_parity: Sequence[int],
+                      row_positions: tuple[Sequence[int], Sequence[int]],
+                      col_positions: tuple[Sequence[int], Sequence[int]]) -> tuple["ExactMatrix", "ExactMatrix"]:
         """The even and the odd diagonal block, split in one pass over the entries.
 
-        ``row_parity[r]`` and ``col_parity[c]`` are 0 or 1.  Each block keeps
-        its rows and columns in their original order; entries that join a
-        row and a column of different parity belong to neither block.  Each
-        block keeps a memo of its reductions, so whoever holds on to a block
-        eliminates it once per base field.
+        ``row_parity[r]`` and ``col_parity[c]`` are 0 or 1.  Each positions
+        argument is a pair: each index's position among the indices of its
+        parity, and the two counts, as ``FreeBasis.positions`` keeps them.
+        Each block keeps its rows and columns in their original order;
+        entries that join a row and a column of different parity belong to
+        neither block.  Each block keeps a memo of its reductions, so
+        whoever holds on to a block eliminates it once per base field.
         """
-        (rpos, rows), (cpos, cols) = (_positions(p) for p in (row_parity, col_parity))
+        (rpos, rows), (cpos, cols) = row_positions, col_positions
         blocks = (ExactMatrix(rows[0], cols[0]), ExactMatrix(rows[1], cols[1]))
+        parts = (blocks[0]._d, blocks[1]._d)
         for (r, c), v in self._d.items():
             parity = row_parity[r]
             if parity == col_parity[c]:
-                blocks[parity]._d[(rpos[r], cpos[c])] = v
+                parts[parity][rpos[r], cpos[c]] = v
         for block in blocks:
             block._memo = {}
         return blocks
@@ -239,14 +241,19 @@ class ExactMatrix:
         by_row: dict[int, list[tuple[int, int]]] = defaultdict(list)
         for (k, c), v in other._d.items():
             by_row[k].append((c, v))
-        acc: dict[tuple[int, int], int] = defaultdict(int)
+        sums: dict[int, dict[int, int]] = defaultdict(dict)
         for (r, k), u in self._d.items():
-            for c, v in by_row.get(k, ()):
-                acc[(r, c)] += u * v
+            right = by_row.get(k)
+            if right:
+                row = sums[r]
+                for c, v in right:
+                    row[c] = row.get(c, 0) + u * v
         out = ExactMatrix(self.rows, other.cols)
-        for rc, v in acc.items():
-            if v:
-                out._d[rc] = v
+        d = out._d
+        for r, row in sums.items():
+            for c, v in row.items():
+                if v:
+                    d[r, c] = v
         return out
 
     def __eq__(self, other) -> bool:
@@ -309,7 +316,11 @@ def _eliminate(rows: list[dict], inverse, p: int | None = None,
             if not held:
                 waiting.append(i)
                 continue
-            pc = min(held, key=lambda c: (len(where[c]), c))
+            pc, least = -1, len(rows) + 1  # the sparsest column, the least on a tie
+            for c in held:
+                n = len(where[c])
+                if n < least or n == least and c < pc:
+                    pc, least = c, n
             for c in row:
                 where[c].discard(i)
             pinv = inverse(row.pop(pc))
@@ -388,6 +399,8 @@ def _unit_core(M: ExactMatrix) -> tuple[int, list[dict[int, int]]]:
     A22 - A21 A11^-1 A12: integer entries, each a minor of ``M`` up to
     sign, and rank M = pivots + rank(core) over any field.
     """
+    if not M._d:
+        return 0, []
     # +-1 is its own inverse, so ``int`` serves as the inverse map
     return _eliminate(_rows(M), int, units=(1, -1))
 
@@ -449,6 +462,8 @@ def _core_rank_fractions(units: int, core: list[dict[int, int]]) -> tuple[int, i
     its pivots is the determinant of the submatrix on their rows and
     columns: a nonzero minor of the core, which ``_smith_mod`` works modulo.
     """
+    if not core:
+        return units, 1
     pivots = []
 
     def inverse(v):
@@ -460,6 +475,8 @@ def _core_rank_fractions(units: int, core: list[dict[int, int]]) -> tuple[int, i
 
 
 def _rank_mod_p(M: ExactMatrix, p: int) -> int:
+    if not M._d:
+        return 0
     return _eliminate(_rows(M, p), lambda v: pow(v, -1, p), p)[0]
 
 
@@ -539,11 +556,12 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
     kind, p = parse_base(base)
     out_m = C.outgoing(position)
     in_m = C.incoming(position)
-    dd = out_m @ in_m
-    if not dd.is_zero():
-        raise ArithmeticError(
-            f"not a complex at position {position}: d∘d has {dd.nnz} nonzero entries"
-        )
+    if out_m._d and in_m._d:  # a product with an entry-free factor has no entries
+        dd = out_m @ in_m
+        if not dd.is_zero():
+            raise ArithmeticError(
+                f"not a complex at position {position}: d∘d has {dd.nnz} nonzero entries"
+            )
     out_blocks = C.parity_split(position)
     in_blocks = C.parity_split(position - 1)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import skos.berezinian
 from skos.berezinian import (
     GrassmannElement,
     SuperMatrix,
@@ -314,6 +315,30 @@ class TestBerBlockElimination:
         assert not is_invertible(singular)
         with pytest.raises(ValueError, match="not invertible"):
             ber(singular)
+
+    def test_verdict_comes_from_the_two_block_eliminations(self, monkeypatch):
+        # bodies in {-1, 0, 1} are often singular; with both blocks present
+        # ber rejects exactly the matrices is_invertible rejects, without asking it
+        rng = random.Random(11)
+        verdicts = []
+        for p, q in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2)):
+            for _ in range(12):
+                def block(rows, cols, parity):
+                    return [[random_grassmann(rng, 3, parity, bound=1) for _ in range(cols)] for _ in range(rows)]
+
+                M = SuperMatrix.from_blocks(p, q, 3, block(p, p, 0), block(p, q, 1), block(q, p, 1), block(q, q, 0))
+                invertible = is_invertible(M)
+                with monkeypatch.context() as patch:
+                    patch.setattr(skos.berezinian, "is_invertible", None)
+                    try:
+                        ber(M)
+                    except ValueError as e:
+                        assert str(e) == "supermatrix is not invertible (a diagonal block body is singular)"
+                        verdicts.append((invertible, False))
+                    else:
+                        verdicts.append((invertible, True))
+        assert all(want == got for want, got in verdicts)
+        assert {got for _, got in verdicts} == {True, False}
 
 
 class TestModuleRank:

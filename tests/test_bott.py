@@ -231,7 +231,7 @@ def local_image(m, n, p, base):
     src, dst = local_basis(m, n, p, 0), local_basis(m, n, p - 1, 0)
     if not src or not dst:
         return SuperDim(0, 0)
-    blocks = local_matrix(m, n, 0, p).parity_blocks(dst.parities, src.parities)
+    blocks = local_matrix(m, n, 0, p).parity_blocks(dst.parities, src.parities, dst.positions, src.positions)
     return SuperDim(*(rank(block, base) for block in blocks))
 
 
