@@ -607,15 +607,13 @@ def ber(M: SuperMatrix) -> GrassmannElement:
     internal arithmetic error and raises.  Block elimination of the
     columns of X gives det(X) and T - Z X^-1 Y; on the block-rotated
     rows (T Z; Y X) it gives det(T) and X - Y T^-1 Z.  Each elimination
-    also tells whether the body of its diagonal block is invertible.
+    also tells whether the body of its diagonal block is invertible; with
+    one block empty, the other's elimination alone gives both.
     """
-    gens = M.gens
-    if M.p == 0 or M.q == 0:
-        if not is_invertible(M):
-            raise ValueError(_SINGULAR)
-        if M.q == 0:
-            return det_even(M.X) if M.p else GrassmannElement.scalar(gens, 1)
-        return invert_unit(det_even(M.T))
+    if M.q == 0:
+        return _schur(M.X, M.p)[0] if M.p else GrassmannElement.scalar(M.gens, 1)
+    if M.p == 0:
+        return invert_unit(_schur(M.T, M.q)[0])
 
     p, full = M.p, M.full_rows()
     det_x, schur_t = _schur(full, p)

@@ -18,7 +18,8 @@ even and n odd homogeneous directions:
   the models share the basis order, parities and factor-by-factor
   matrix assembler of the complexes.  The Laurent matrices do not depend
   on the twist, so each keeps its parity blocks and their reductions
-  while it is cached: every twist of an m = 0 table eliminates them once.
+  (``parity_split``) while it is cached: every twist of an m = 0 table
+  eliminates them once.
 
 The two paths agreeing cell by cell is the headline cross-validation of
 this package.
@@ -32,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from skos.complexes import GradedComplex, assemble, build_koszul, contraction_stencil, times_theta
-from skos.exact_linalg import ExactMatrix, _memoized, homology, parse_base, rank
+from skos.exact_linalg import ExactMatrix, homology, parity_split, parse_base, rank
 from skos.multilinear import (
     FreeBasis,
     SuperDim,
@@ -40,6 +41,7 @@ from skos.multilinear import (
     _compositions,
     binom,
     iter_wedge_monomials,
+    super_product,
     wedge_rank,
 )
 from skos.super_poly import THETA, GeneratorSet, contract_euler
@@ -93,21 +95,18 @@ def twisted_form_rank(p: int, r: int, which: str, m: int, n: int) -> SuperDim:
     """
     if which == "zero" and m >= 1 and r == 0:
         return SuperDim(1, 0) if p == 0 else ZERO_DIM
-    even = odd = 0
+    total = ZERO_DIM
     for j in range(p + 1):
-        lam = wedge_rank(p - j, m + 1, n)
-        ell = line_bundle_rank(r - p + j, which, m, n)
-        sign = -1 if j & 1 else 1
-        even += sign * (lam.even * ell.even + lam.odd * ell.odd)
-        odd += sign * (lam.even * ell.odd + lam.odd * ell.even)
+        term = super_product(wedge_rank(p - j, m + 1, n), line_bundle_rank(r - p + j, which, m, n))
+        total = total - term if j & 1 else total + term
     if which == "top" and m >= 1 and r == 0 and p >= m:
-        even += -1 if (p - m) & 1 else 1
-    if even < 0 or odd < 0:
+        total += SuperDim(-1 if (p - m) & 1 else 1, 0)
+    if total.even < 0 or total.odd < 0:
         raise ValueError(
             f"alternating sum is negative at (p={p}, r={r}, {which}, m={m}, n={n}); "
             "the closed form applies in characteristic zero"
         )
-    return SuperDim(even, odd)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +151,13 @@ def line_bundle_cohomology(m: int, n: int, r: int) -> CohomologyTable:
 # ---------------------------------------------------------------------------
 # direct path: contraction-matrix kernels
 
-def _kernel(src: FreeBasis, dst: FreeBasis, blocks, base) -> SuperDim:
-    """Kernel by parity of the map from ``src`` to ``dst`` whose even and odd
-    blocks ``blocks()`` gives.  When either basis is empty the map is zero
-    and its kernel is all of ``src``, so ``blocks`` is not called."""
+def _kernel(src: FreeBasis, dst: FreeBasis, matrix, base) -> SuperDim:
+    """Kernel by parity of the map ``matrix()`` from ``src`` to ``dst``, from
+    the blocks ``parity_split`` keeps on it.  When either basis is empty the
+    map is zero and its kernel is all of ``src``, so ``matrix`` is not called."""
     if not src or not dst:
         return src.dims()
-    return src.dims() - SuperDim(*(rank(block, base) for block in blocks()))
+    return src.dims() - SuperDim(*(rank(block, base) for block in parity_split(matrix(), dst, src)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -168,13 +167,13 @@ def _koszul(m: int, n: int, r: int) -> GradedComplex:
 
 def _koszul_cycles(m: int, n: int, p: int, r: int, base) -> SuperDim:
     """Kernel of the contraction leaving position -p of the weight-r slice,
-    from the slice's memoized ``parity_split``, which ``homology`` shares; a
-    position the slice does not materialize (p > m + 1 when n = 0) is empty."""
+    from the blocks its differential keeps for ``homology`` too; a position
+    the slice does not materialize (p > m + 1 when n = 0) is empty."""
     if r < 0 or p > r:
         return ZERO_DIM
     C = _koszul(m, n, r)
     src, dst = (C.basis_at.get(pos, FreeBasis(C.gens)) for pos in (-p, 1 - p))
-    return _kernel(src, dst, lambda: C.parity_split(-p), base)
+    return _kernel(src, dst, lambda: C.diff_at[-p], base)
 
 
 def _koszul_homology(m: int, n: int, pos: int, r: int, base) -> SuperDim:
@@ -263,26 +262,16 @@ def _laurent_times(coef, gen):
 def laurent_matrix(n: int, p: int) -> ExactMatrix:
     """Contraction matrix from wedge degree p to p-1 on the Laurent model.
 
-    It does not depend on the twist, so it keeps a memo that every twist
-    shares: its parity blocks, each with what it reduces to (see
-    ``_model_blocks``).  The memo goes with the cached matrix, so
-    ``laurent_matrix.cache_clear()`` drops it too.
+    It does not depend on the twist, so every twist shares the parity
+    blocks and reductions it keeps (``parity_split``).  They go with the
+    cached matrix, so ``laurent_matrix.cache_clear()`` drops them too.
     """
-    M = assemble(
+    return assemble(
         laurent_basis(n, p),
         laurent_basis(n, p - 1),
         contraction_stencil(GeneratorSet(1, n), p, contract_euler),
         _laurent_times,
     )
-    M._memo = {}
-    return M
-
-
-def _model_blocks(M: ExactMatrix, src: FreeBasis, dst: FreeBasis) -> tuple[ExactMatrix, ExactMatrix]:
-    """The even and the odd block of the model matrix ``M`` from ``src`` to
-    ``dst``, kept in the memo of ``M`` if it has one (the Laurent matrices),
-    so each block is eliminated once while ``M`` stays cached."""
-    return _memoized(M, "blocks", M.parity_blocks, dst.parities, src.parities, dst.positions, src.positions)
 
 
 def forms_cohomology_formula(m: int, n: int, p: int, r: int) -> CohomologyTable:
@@ -334,7 +323,7 @@ def forms_cohomology_direct(m: int, n: int, p: int, r: int, base="Q") -> Cohomol
         for i in range(1, m):
             rows[i] = _koszul_homology(m, n, i - p, r, base)
         src, dst, model = local_basis(m, n, p, r), local_basis(m, n, p - 1, r), lambda: local_matrix(m, n, r, p)
-    rows[m] = _kernel(src, dst, lambda: _model_blocks(model(), src, dst), base)
+    rows[m] = _kernel(src, dst, model, base)
     if m > 0 and r == 0 and p in (m, m + 1):
         rows[m] += SuperDim(1 if p == m else -1, 0)
     return CohomologyTable(m, n, p, r, "direct", tuple(rows))

@@ -19,13 +19,14 @@ every kind share.
 All structure constants are integers regardless of the eventual base
 ring; base change happens in :mod:`skos.exact_linalg`.  Built complexes
 are never changed after construction and are safe to share between
-threads; each keeps a memo of the parity split of its differentials,
-filled on first use with values that depend on the complex alone.
+threads; each differential keeps its own parity split and reductions
+(``skos.exact_linalg.parity_split``), filled on first use with values
+that depend on the matrix alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator
@@ -120,8 +121,7 @@ class GradedComplex:
     ``pos + 1`` (rows = target basis, columns = source basis).  The
     support bounds record where the full complex provably vanishes
     (``None`` means unbounded on that side), so edge positions can still
-    report homology.  ``_memo`` keeps the parity split of each
-    differential (see ``parity_split``).
+    report homology.
     """
 
     kind: str
@@ -134,7 +134,6 @@ class GradedComplex:
     support_min: int | None
     support_max: int | None
     omega: tuple[int, ...] | None = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dim(self, pos: int) -> int:
         return len(self.basis_at.get(pos, ()))
@@ -158,20 +157,6 @@ class GradedComplex:
         if self.support_min is not None and pos - 1 < self.support_min:
             return ExactMatrix.zeros(self.dim(pos), 0)
         raise WindowError(f"position {pos - 1} is outside the materialized window")
-
-    def parity_split(self, pos: int) -> tuple[ExactMatrix, ExactMatrix]:
-        """The even and the odd block of the differential from ``pos`` to ``pos + 1``.
-
-        Split on first use and kept, together with what each block reduces
-        to, so the homology at ``pos`` and at ``pos + 1`` eliminate each
-        block once.  Raises WindowError as ``outgoing`` and ``incoming`` do.
-        """
-        split = self._memo.get(pos)
-        if split is None:
-            d = self.outgoing(pos) if pos in self.basis_at else self.incoming(pos + 1)
-            rows, cols = (self.basis_at.get(q, FreeBasis(self.gens)) for q in (pos + 1, pos))
-            split = self._memo[pos] = d.parity_blocks(rows.parities, cols.parities, rows.positions, cols.positions)
-        return split
 
     def to_record(self) -> dict:
         return {

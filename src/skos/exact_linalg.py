@@ -21,13 +21,13 @@ always, and over Z the torsion, which is read off the invariant factors
 of the incoming differential alone.  Every homology call first checks
 that the two differentials at the position compose to zero.
 
-Each differential block is eliminated once per complex: a complex keeps
-the parity split of each differential, and each block keeps its unit
-core, its rank over Q, its invariant factors and its rank mod each
-prime, each computed on first use.  Over Z the rank over Q of the
-outgoing block at one position and the Smith form of the same block,
-incoming at the next, read one shared unit core, and the Smith form
-reads D from the memo of the rank over Q.
+Each block is eliminated once per complex: each differential keeps its
+parity split (``parity_split``), and each block its unit core, its rank
+over Q, its invariant factors and its rank mod each prime, each computed
+on first use.  Over Z the rank over Q of the outgoing block at one
+position and the Smith form of the same block, incoming at the next,
+read one shared unit core, and the Smith form reads D from the memo of
+the rank over Q.
 
 Every slice ends in zero modules, so many differentials and blocks store
 no entry.  Such a matrix costs nothing: it is not multiplied for the
@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from skos.multilinear import SuperDim
+from skos.multilinear import FreeBasis, SuperDim
 
 if TYPE_CHECKING:  # pragma: no cover
     from skos.complexes import GradedComplex
@@ -124,12 +124,10 @@ class ExactMatrix:
     and ``__matmul__``.  The elimination kernel relies on it: it pivots
     on any stored entry over a field.
 
-    ``_memo`` is None, except on the blocks ``parity_blocks`` returns: there
-    it holds what the block reduces to (its unit core, its rank over Q with
-    the core minor D, its invariant factors, its rank mod each prime), each
-    filled on first use.  The Laurent model matrices that ``skos.bott``
-    caches have one too, which keeps their parity blocks.
-    Matrices with a memo are read-only.
+    ``_memo`` holds what the matrix reduces to, each filled on first use:
+    its parity blocks (``parity_split``), its unit core, its rank over Q
+    with the core minor D, its invariant factors, its rank mod each prime.
+    So a matrix is read-only once it is split or ranked.
     """
 
     __slots__ = ("rows", "cols", "_d", "_memo")
@@ -140,7 +138,7 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self._d: dict[tuple[int, int], int] = {}
-        self._memo: dict | None = None
+        self._memo: dict = {}
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, triplets: Iterable[tuple[int, int, int]]) -> "ExactMatrix":
@@ -207,8 +205,8 @@ class ExactMatrix:
         parity, and the two counts, as ``FreeBasis.positions`` keeps them.
         Each block keeps its rows and columns in their original order;
         entries that join a row and a column of different parity belong to
-        neither block.  Each block keeps a memo of its reductions, so
-        whoever holds on to a block eliminates it once per base field.
+        neither block.  ``parity_split`` keeps the blocks in the memo of
+        the matrix they come from.
         """
         (rpos, rows), (cpos, cols) = row_positions, col_positions
         blocks = (ExactMatrix(rows[0], cols[0]), ExactMatrix(rows[1], cols[1]))
@@ -217,8 +215,6 @@ class ExactMatrix:
             parity = row_parity[r]
             if parity == col_parity[c]:
                 parts[parity][rpos[r], cpos[c]] = v
-        for block in blocks:
-            block._memo = {}
         return blocks
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -406,17 +402,22 @@ def _unit_core(M: ExactMatrix) -> tuple[int, list[dict[int, int]]]:
 
 
 def _memoized(M: ExactMatrix, key, compute, *args):
-    """``compute(*args)``, kept in the memo of ``M`` under ``key`` if it has one.
+    """``compute(*args)``, kept in the memo of ``M`` under ``key``.
 
-    Every value is a function of the block alone, so two threads that fill
-    the same key at once store equal values.
+    Every value is a function of the matrix alone, so two threads that
+    fill the same key at once store equal values.
     """
     memo = M._memo
-    if memo is None:
-        return compute(*args)
     if key not in memo:
         memo[key] = compute(*args)
     return memo[key]
+
+
+def parity_split(M: ExactMatrix, rows: FreeBasis, cols: FreeBasis) -> tuple[ExactMatrix, ExactMatrix]:
+    """The even and the odd block of ``M``, a map from ``cols`` to ``rows``,
+    split on first use and kept in the memo of ``M`` with what each block
+    reduces to: whoever holds ``M`` eliminates each block once per base field."""
+    return _memoized(M, "blocks", M.parity_blocks, rows.parities, cols.parities, rows.positions, cols.positions)
 
 
 def _core(M: ExactMatrix) -> tuple[int, list[dict[int, int]]]:
@@ -549,8 +550,8 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
     otherwise, and ArithmeticError if the differentials leaving and
     entering the position do not compose to zero.  Over fields the
     torsion lists are empty; over Z the invariant factors > 1 of the
-    incoming differential are reported.  The parity blocks come from
-    ``C.parity_split`` and keep their reductions, so a sweep over every
+    incoming differential are reported.  Each differential keeps its
+    blocks and their reductions (``parity_split``), so a sweep over every
     position eliminates each block once per base field.
     """
     kind, p = parse_base(base)
@@ -562,8 +563,9 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
             raise ArithmeticError(
                 f"not a complex at position {position}: d∘d has {dd.nnz} nonzero entries"
             )
-    out_blocks = C.parity_split(position)
-    in_blocks = C.parity_split(position - 1)
+    here, edge = C.basis_at[position], FreeBasis(C.gens)
+    out_blocks = parity_split(out_m, C.basis_at.get(position + 1, edge), here)
+    in_blocks = parity_split(in_m, here, C.basis_at.get(position - 1, edge))
 
     free = {}
     torsion = {}

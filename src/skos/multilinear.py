@@ -213,18 +213,12 @@ def wedge_rank(p: int, a: int, b: int) -> SuperDim:
 
 
 def sym_rank(k: int, a: int, b: int) -> SuperDim:
-    """Parity-split count of x^alpha * t_S monomials of degree k."""
+    """Parity-split count of x^alpha * t_S monomials of degree k: S^k(a|b)
+    is Lambda^k(b|a), t_S as dx_S and x^alpha as dt^alpha, with the parity
+    |S| = k - |alpha| flipped k times."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    even = odd = 0
-    for i in range(min(b, k) + 1):
-        j = k - i
-        count = math.comb(b, i) * (math.comb(a + j - 1, j) if a > 0 else (1 if j == 0 else 0))
-        if i & 1:
-            odd += count
-        else:
-            even += count
-    return SuperDim(even, odd)
+    return wedge_rank(k, b, a).flip(k)
 
 
 def super_product(u: SuperDim, v: SuperDim) -> SuperDim:

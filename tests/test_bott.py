@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -198,6 +199,34 @@ class TestLaurentMemo:
         laurent_matrix.cache_clear()
         with pytest.raises(AssertionError, match="eliminated again"):
             forms_cohomology_direct(0, 4, 2, 3)
+
+    def test_each_cached_matrix_is_split_at_most_once(self, monkeypatch):
+        """Every kernel and homology of the direct path splits its matrix
+        through ``parity_split``, which keeps the blocks on the matrix: over
+        two bases and seven twists, each differential of a cached Koszul
+        slice and each cached Laurent matrix is split once at most."""
+        import skos.bott
+        from skos.exact_linalg import ExactMatrix
+
+        for name in ("_koszul", "laurent_matrix"):
+            getattr(skos.bott, name).cache_clear()
+        split, held = Counter(), []
+        parity_blocks = ExactMatrix.parity_blocks
+
+        def counted(M, *args):
+            split[id(M)] += 1
+            held.append(M)  # no id is reused while it is counted
+            return parity_blocks(M, *args)
+
+        monkeypatch.setattr(ExactMatrix, "parity_blocks", counted)
+        for base in ("Q", "Fp:3"):
+            for p in range(5):
+                forms_cohomology_direct(2, 1, p, 3, base)
+        for r in range(-3, 4):
+            for p in range(5):
+                forms_cohomology_direct(0, 3, p, r)
+        for cached in (skos.bott._koszul(2, 1, 3).diff_at.values(), [laurent_matrix(3, p) for p in range(5)]):
+            assert max(split[id(M)] for M in cached) == 1
 
 
 class TestLocalMatrixCache:

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -485,6 +486,34 @@ def test_each_block_is_reduced_once_per_complex(build, monkeypatch):
     assert {tag for _, tag in reductions} == {"core", 2, 3, 32003}
     over = {(key[:2], tag): n for (key, tag), n in reductions.items() if n > owners[key]}
     assert not over, f"blocks reduced more than once: {over}"
+
+
+def test_cartan_homotopy_kills_every_slice():
+    """On weight n, i_E d + d i_E = n, so n kills the homology of every
+    Koszul and De Rham slice: it is zero over Q and over F_p for p not
+    dividing n, and over Z every invariant factor divides n."""
+    zero, positions, torsion = SuperDim(0, 0), 0, 0
+    for a, b in ((a, s - a) for s in range(1, 5) for a in range(s + 1)):
+        for n in range(1, 5 if a + b == 4 else 6):
+            for C in (build_koszul(a, b, n), build_derham(a, b, n)):
+                for pos in C.positions:
+                    where = (C.kind, a, b, n, pos)
+                    assert homology(C, "Q", pos).free == zero, where
+                    for p in (2, 3, 5):
+                        assert n % p == 0 or homology(C, f"Fp:{p}", pos).free == zero, (p, where)
+                    h = homology(C, "Z", pos)
+                    factors = h.torsion_even + h.torsion_odd
+                    assert h.free == zero and all(n % f == 0 for f in factors), where
+                    positions, torsion = positions + 1, torsion + bool(factors)
+    assert (positions, torsion) == (462, 84)
+
+
+def test_only_exact_linalg_owns_a_matrix_memo():
+    """Every matrix memo is read and filled in ``skos.exact_linalg`` alone,
+    so no other module keeps a second copy of a split or a reduction."""
+    src = Path(skos.exact_linalg.__file__).parent
+    owners = sorted(path.name for path in src.glob("*.py") if "_memo" in path.read_text(encoding="utf-8"))
+    assert owners == ["exact_linalg.py"]
 
 
 def test_entry_free_matrices_never_reach_the_kernel(monkeypatch):
