@@ -17,9 +17,8 @@ even and n odd homogeneous directions:
   ``FreeBasis``, the product of its wedge and coefficient factors, so
   the models share the basis order, parities and factor-by-factor
   matrix assembler of the complexes.  The Laurent matrices do not depend
-  on the twist, so each keeps its parity blocks and their reductions
-  (``parity_split``) while it is cached: every twist of an m = 0 table
-  eliminates them once.
+  on the twist, so each keeps its elimination (``exact_linalg.rank``)
+  while it is cached: every twist of an m = 0 table eliminates it once.
 
 The two paths agreeing cell by cell is the headline cross-validation of
 this package.
@@ -33,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from skos.complexes import GradedComplex, assemble, build_koszul, contraction_stencil, times_theta
-from skos.exact_linalg import ExactMatrix, homology, parity_split, parse_base, rank
+from skos.exact_linalg import ExactMatrix, homology, parse_base, rank
 from skos.multilinear import (
     FreeBasis,
     SuperDim,
@@ -152,12 +151,12 @@ def line_bundle_cohomology(m: int, n: int, r: int) -> CohomologyTable:
 # direct path: contraction-matrix kernels
 
 def _kernel(src: FreeBasis, dst: FreeBasis, matrix, base) -> SuperDim:
-    """Kernel by parity of the map ``matrix()`` from ``src`` to ``dst``, from
-    the blocks ``parity_split`` keeps on it.  When either basis is empty the
-    map is zero and its kernel is all of ``src``, so ``matrix`` is not called."""
+    """Kernel by parity of the even map ``matrix()`` from ``src`` to ``dst``,
+    from its pivot rows of each parity.  When either basis is empty the map
+    is zero and its kernel is all of ``src``, so ``matrix`` is not called."""
     if not src or not dst:
         return src.dims()
-    return src.dims() - SuperDim(*(rank(block, base) for block in parity_split(matrix(), dst, src)))
+    return src.dims() - rank(matrix(), base, dst.parities)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -167,7 +166,7 @@ def _koszul(m: int, n: int, r: int) -> GradedComplex:
 
 def _koszul_cycles(m: int, n: int, p: int, r: int, base) -> SuperDim:
     """Kernel of the contraction leaving position -p of the weight-r slice,
-    from the blocks its differential keeps for ``homology`` too; a position
+    from the elimination its differential keeps for ``homology`` too; a position
     the slice does not materialize (p > m + 1 when n = 0) is empty."""
     if r < 0 or p > r:
         return ZERO_DIM
@@ -262,9 +261,9 @@ def _laurent_times(coef, gen):
 def laurent_matrix(n: int, p: int) -> ExactMatrix:
     """Contraction matrix from wedge degree p to p-1 on the Laurent model.
 
-    It does not depend on the twist, so every twist shares the parity
-    blocks and reductions it keeps (``parity_split``).  They go with the
-    cached matrix, so ``laurent_matrix.cache_clear()`` drops them too.
+    It does not depend on the twist, so every twist shares the
+    eliminations its memo keeps.  They go with the cached matrix, so
+    ``laurent_matrix.cache_clear()`` drops them too.
     """
     return assemble(
         laurent_basis(n, p),

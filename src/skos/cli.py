@@ -135,16 +135,20 @@ def _json(value, pad: str) -> str:
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, so
     the shapes records are made of are written here: dicts with str keys,
-    ints, strs and lists (or tuples) of them.  Any other leaf (``bool``,
-    ``None``, a float, a dict with non-str keys, a subclass) is handed to
-    ``json.dumps`` on its own and re-indented, which is exact because
-    JSON text has no raw newline outside its layout.
+    ints, strs, ``None``, ``True``, ``False`` and lists (or tuples) of
+    them.  Any other leaf (a float, a dict with non-str keys, a subclass)
+    is handed to ``json.dumps`` on its own and re-indented, which is exact
+    because JSON text has no raw newline outside its layout.
     """
     kind = type(value)
     if kind is str:
         return _STR(value)
     if kind is int:
         return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
     inner = pad + "  "
     sep = ",\n" + inner
     if kind is dict and all(type(k) is str for k in value):

@@ -17,11 +17,12 @@ so each is built once per process and kept in a bounded cache; so is
 each basis (``skos.multilinear.basis_wedge_sym``), which complexes of
 every kind share.
 All structure constants are integers regardless of the eventual base
-ring; base change happens in :mod:`skos.exact_linalg`.  Built complexes
-are never changed after construction and are safe to share between
-threads; each differential keeps its own parity split and reductions
-(``skos.exact_linalg.parity_split``), filled on first use with values
-that depend on the matrix alone.
+ring; base change happens in :mod:`skos.exact_linalg`.  Every
+differential is an even map (a record that is not is refused).  Built
+complexes are never changed after construction and are safe to share
+between threads; each differential keeps its own eliminations
+(``skos.exact_linalg.rank``), filled on first use with values that
+depend on the matrix alone.
 """
 
 from __future__ import annotations
@@ -179,8 +180,9 @@ class GradedComplex:
     def from_record(cls, record: dict) -> "GradedComplex":
         """Inverse of ``to_record``.  Each basis must be the enumerated basis
         of the record's kind, string for string and in order, and each
-        matrix must list its nonzero entries once, sorted; anything else
-        raises ``ValueError`` naming the field or the position."""
+        matrix must list its nonzero entries once, sorted, each joining a
+        row and a column of one parity; anything else raises
+        ``ValueError`` naming the field or the position."""
         if not isinstance(record, dict):
             raise ValueError(f"complex record must be a JSON object, got {type(record).__name__}")
         if record.get("format") != "skos.graded-complex/1":
@@ -229,10 +231,13 @@ class GradedComplex:
                 raise ValueError(f"{where} must have {shape} and a list of entries")
             M = diff_at[pos] = ExactMatrix.zeros(rows, cols)
             stored, last, in_order = M._d, (-1, -1), True
+            row_parity, col_parity = basis_at[pos + 1].parities, basis_at[pos].parities
             for t in d["entries"]:  # checked here, so stored straight into the matrix
                 r, c, v = t if type(t) is list and len(t) == 3 else (None, None, None)
                 if not (type(r) is int and type(c) is int and type(v) is int and 0 <= r < rows and 0 <= c < cols):
                     raise ValueError(f"{where} has entry {t!r}")
+                if row_parity[r] != col_parity[c]:
+                    raise ValueError(f"{where} has entry {t!r}, which joins a row and a column of different parity")
                 in_order = in_order and v != 0 and (r, c) > last
                 last = (r, c)
                 stored[last] = v

@@ -17,23 +17,16 @@ its row offers, the least on a tie (the column rule of structured
 Gaussian elimination, LaMacchia and Odlyzko, CRYPTO '90).
 
 Homology of a graded complex is reported per parity block: free ranks
-always, and over Z the torsion, which is read off the invariant factors
-of the incoming differential alone.  Every homology call first checks
-that the two differentials at the position compose to zero.
-
-Each block is eliminated once per complex: each differential keeps its
-parity split (``parity_split``), and each block its unit core, its rank
-over Q, its invariant factors and its rank mod each prime, each computed
-on first use.  Over Z the rank over Q of the outgoing block at one
-position and the Smith form of the same block, incoming at the next,
-read one shared unit core, and the Smith form reads D from the memo of
-the rank over Q.
-
-Every slice ends in zero modules, so many differentials and blocks store
-no entry.  Such a matrix costs nothing: it is not multiplied for the
-d∘d check, it is split without a pass over any basis (each ``FreeBasis``
-keeps the positions the split reads), and its unit core, its rank over
-Q and its rank mod p are 0 (with D = 1) without a row or an elimination.
+always, and over Z the torsion, read off the invariant factors of the
+incoming differential alone.  Every differential is an even map, and
+the kernel only combines rows that share a column, so one elimination
+of a differential eliminates both its parity blocks: a block's rank is
+its number of pivot rows, and over Z its core is the core rows of its
+parity.  Each differential keeps its unit core, its pivots over Q and
+its pivot rows mod each prime, each computed on first use, so it is
+eliminated once per base field; an entry-free one is never eliminated.
+Every homology call checks d∘d = 0 and, on Koszul and De Rham slices,
+the Cartan homotopy.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from skos.multilinear import FreeBasis, SuperDim
+from skos.multilinear import SuperDim
 
 if TYPE_CHECKING:  # pragma: no cover
     from skos.complexes import GradedComplex
@@ -120,14 +113,14 @@ class ExactMatrix:
     through ``from_triplets``, the one constructor that checks it; the
     builders that produce their entries in range and as ints write ``_d``
     directly: ``skos.complexes.assemble``, ``GradedComplex.from_record``
-    (after checking each entry itself), ``parity_blocks``, ``__add__``
-    and ``__matmul__``.  The elimination kernel relies on it: it pivots
-    on any stored entry over a field.
+    (after checking each entry itself), ``__add__`` and ``__matmul__``.
+    The elimination kernel relies on it: it pivots on any stored entry
+    over a field.
 
-    ``_memo`` holds what the matrix reduces to, each filled on first use:
-    its parity blocks (``parity_split``), its unit core, its rank over Q
-    with the core minor D, its invariant factors, its rank mod each prime.
-    So a matrix is read-only once it is split or ranked.
+    ``_memo`` holds what the matrix reduces to, each filled on first use
+    (``_memoized``): its unit core, the pivot of each core row over Q and
+    its pivot rows mod each prime.  So a matrix is read-only once it is
+    ranked.
     """
 
     __slots__ = ("rows", "cols", "_d", "_memo")
@@ -195,28 +188,6 @@ class ExactMatrix:
     def triplets(self) -> list[tuple[int, int, int]]:
         return sorted((r, c, v) for (r, c), v in self._d.items())
 
-    def parity_blocks(self, row_parity: Sequence[int], col_parity: Sequence[int],
-                      row_positions: tuple[Sequence[int], Sequence[int]],
-                      col_positions: tuple[Sequence[int], Sequence[int]]) -> tuple["ExactMatrix", "ExactMatrix"]:
-        """The even and the odd diagonal block, split in one pass over the entries.
-
-        ``row_parity[r]`` and ``col_parity[c]`` are 0 or 1.  Each positions
-        argument is a pair: each index's position among the indices of its
-        parity, and the two counts, as ``FreeBasis.positions`` keeps them.
-        Each block keeps its rows and columns in their original order;
-        entries that join a row and a column of different parity belong to
-        neither block.  ``parity_split`` keeps the blocks in the memo of
-        the matrix they come from.
-        """
-        (rpos, rows), (cpos, cols) = row_positions, col_positions
-        blocks = (ExactMatrix(rows[0], cols[0]), ExactMatrix(rows[1], cols[1]))
-        parts = (blocks[0]._d, blocks[1]._d)
-        for (r, c), v in self._d.items():
-            parity = row_parity[r]
-            if parity == col_parity[c]:
-                parts[parity][rpos[r], cpos[c]] = v
-        return blocks
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
@@ -264,11 +235,11 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 # elimination
 
-def _rows(M: ExactMatrix, p: int | None = None) -> list[dict]:
-    """Nonzero rows of ``M`` as sparse {column: entry} dicts, in the order
-    each row first occurs in ``M._d``.  Entries are copied as they are,
-    or reduced mod ``p`` when it is given, which drops the multiples of
-    ``p``; no other entry can be zero, as ``M`` stores none.
+def _rows(M: ExactMatrix, p: int | None = None) -> dict[int, dict]:
+    """Nonzero rows of ``M`` as sparse {column: entry} dicts keyed by row,
+    in the order each row first occurs in ``M._d``.  Entries are copied as
+    they are, or reduced mod ``p`` when it is given, which drops the
+    multiples of ``p``; no other entry can be zero, as ``M`` stores none.
     """
     grouped: dict[int, dict] = defaultdict(dict)
     if p is None:
@@ -279,31 +250,36 @@ def _rows(M: ExactMatrix, p: int | None = None) -> list[dict]:
             v %= p
             if v:
                 grouped[r][c] = v
-    return list(grouped.values())
+    return grouped
 
 
-def _eliminate(rows: list[dict], inverse, p: int | None = None,
-               units: tuple | None = None) -> tuple[int, list[dict]]:
-    """Pivot on unit entries until no row holds one; return (pivots, rows left).
+def _eliminate(rows: dict[int, dict], inverse, p: int | None = None,
+               units: tuple | None = None) -> tuple[list[int], dict[int, dict]]:
+    """Pivot on unit entries until no row holds one; return (pivot rows, rows left).
 
-    Each pivot clears its column from the other rows that hold it, found
-    through a column -> rows index, and then drops its own row: column
-    operations on the pivot would clear the rest of that row without
-    touching any other row.  So the rows left are the matrix with every
-    pivot row and column deleted.  Over a field every nonzero entry is a
-    unit and no row is left.  Over Z only +-1 are units, every step is
+    ``rows`` maps each row to its entries.  Each pivot clears its column
+    from the other rows that hold it, found through a column -> rows
+    index, and then drops its own row: column operations on the pivot
+    would clear the rest of that row without touching any other row.  So
+    the rows left are the matrix with every pivot row and column deleted,
+    and each keeps its key.  Over a field every nonzero entry is a unit
+    and no row is left.  Over Z only +-1 are units, every step is
     unimodular, and the Smith form is (1,...,1) + the Smith form of the
     rows left.  ``units`` holds the unit values over Z; over a field it
     is None and every stored entry is a unit, as no row stores a zero.
     Entries are reduced mod ``p`` when it is given.  Rows are visited
     sparsest first, and each pivot is taken in the sparsest column its
     row offers, to keep fill-in down.
+
+    Only rows that share a column are combined, so on a graded map this
+    eliminates every graded block at once.
     """
     where: dict[int, set[int]] = defaultdict(set)
-    for i, row in enumerate(rows):
+    for i, row in rows.items():
         for c in row:
             where[c].add(i)
-    todo = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+    todo = sorted(rows, key=lambda i: len(rows[i]))
+    pivots = []
     while True:
         waiting = []
         for i in todo:
@@ -319,6 +295,7 @@ def _eliminate(rows: list[dict], inverse, p: int | None = None,
                     pc, least = c, n
             for c in row:
                 where[c].discard(i)
+            pivots.append(i)
             pinv = inverse(row.pop(pc))
             for j in where.pop(pc):
                 other = rows[j]
@@ -335,7 +312,7 @@ def _eliminate(rows: list[dict], inverse, p: int | None = None,
                         del other[c]
                         where[c].discard(j)
         if len(waiting) == len(todo):
-            return len(rows) - len(waiting), [rows[i] for i in waiting if rows[i]]
+            return pivots, {i: rows[i] for i in waiting if rows[i]}
         todo = waiting
 
 
@@ -387,16 +364,16 @@ def _smith_mod(core: list[dict[int, int]], D: int, r: int) -> tuple[int, ...]:
     return (tuple(found) + (D,) * r)[:r]
 
 
-def _unit_core(M: ExactMatrix) -> tuple[int, list[dict[int, int]]]:
-    """Pivot on the +-1 entries of ``M`` over Z; return (pivots, residual core).
+def _unit_core(M: ExactMatrix) -> tuple[list[int], dict[int, dict[int, int]]]:
+    """Pivot on the +-1 entries of ``M`` over Z; return (pivot rows, residual core).
 
     The pivots form a block A11 with det A11 = +-1, and every step is
-    unimodular, so the core rows are the Schur complement
+    unimodular, so the core rows, keyed by row, are the Schur complement
     A22 - A21 A11^-1 A12: integer entries, each a minor of ``M`` up to
     sign, and rank M = pivots + rank(core) over any field.
     """
     if not M._d:
-        return 0, []
+        return [], {}
     # +-1 is its own inverse, so ``int`` serves as the inverse map
     return _eliminate(_rows(M), int, units=(1, -1))
 
@@ -413,23 +390,44 @@ def _memoized(M: ExactMatrix, key, compute, *args):
     return memo[key]
 
 
-def parity_split(M: ExactMatrix, rows: FreeBasis, cols: FreeBasis) -> tuple[ExactMatrix, ExactMatrix]:
-    """The even and the odd block of ``M``, a map from ``cols`` to ``rows``,
-    split on first use and kept in the memo of ``M`` with what each block
-    reduces to: whoever holds ``M`` eliminates each block once per base field."""
-    return _memoized(M, "blocks", M.parity_blocks, rows.parities, cols.parities, rows.positions, cols.positions)
+def _pivots(M: ExactMatrix) -> tuple[list[int], dict[int, dict[int, int]], dict[int, Fraction]]:
+    """The unit pivot rows and the core of ``M``, and the pivot over Q of each
+    core row that pivots, kept in the memo of ``M`` for its rank over Q
+    and its Smith form alike."""
+    units, core = _memoized(M, "core", _unit_core, M)
+    return units, core, _memoized(M, "Q", _core_pivots, core)
 
 
-def _core(M: ExactMatrix) -> tuple[int, list[dict[int, int]]]:
-    """``_unit_core(M)``, shared by the Smith form and the rank over Q of a
-    block; both only read the core rows."""
-    return _memoized(M, "core", _unit_core, M)
+def _core_pivots(core: dict[int, dict[int, int]]) -> dict[int, Fraction]:
+    """The pivot of each core row that pivots over Q, keyed by row.  The
+    product of the pivots of rows combined with no other row (one parity
+    block's) is a nonzero minor of those rows: Gaussian steps keep it."""
+    if not core:
+        return {}
+    pivots = []
+
+    def inverse(v):
+        pivots.append(v)
+        return 1 / v
+
+    fractions = {i: {c: Fraction(v) for c, v in row.items()} for i, row in core.items()}
+    return dict(zip(_eliminate(fractions, inverse)[0], pivots))
 
 
-def _smith_factors(M: ExactMatrix) -> tuple[int, ...]:
-    units, core = _core(M)
-    rank_q, D = _memoized(M, "Q", _core_rank_fractions, units, core)
-    return (1,) * units + _smith_mod(core, D, rank_q - units)
+def _block_factors(M: ExactMatrix, parities: Sequence[int]) -> list[tuple[int, ...]]:
+    """Invariant factors of the even and of the odd block of the even map
+    ``M``, whose row r has parity ``parities[r]``: a block's core is the
+    core rows of its parity, worked modulo the product of their pivots."""
+    units, core, pivots = _pivots(M)
+    odd = sum(map(parities.__getitem__, units))
+    groups, minors, ranks = ([], []), [1, 1], [0, 0]
+    for i, row in core.items():
+        groups[parities[i]].append(row)
+    for i, v in pivots.items():
+        minors[parities[i]] *= v
+        ranks[parities[i]] += 1
+    return [(1,) * n + _smith_mod(groups[e], abs(int(minors[e])), ranks[e])
+            for e, n in ((0, len(units) - odd), (1, odd))]
 
 
 def smith_normal_form(M: ExactMatrix | list[list[int]]) -> tuple[tuple[int, ...], int]:
@@ -440,57 +438,52 @@ def smith_normal_form(M: ExactMatrix | list[list[int]]) -> tuple[tuple[int, ...]
     """
     if not isinstance(M, ExactMatrix):
         M = ExactMatrix.from_dense([list(r) for r in M])
-    factors = _memoized(M, "Z", _smith_factors, M)
+    factors = _block_factors(M, (0,) * M.rows)[0]  # every row in one block
     return factors, len(factors)
 
 
 # ---------------------------------------------------------------------------
 # ranks over fields
 
-def _rank_fractions(M: ExactMatrix) -> int:
-    """Rank over Q: the +-1 pivots on ``int`` entries, then the core over Q.
-
-    The Schur-complement argument of ``_unit_core`` makes the sum exact.
-    Only the core's entries become ``Fraction``s.
-    """
-    return _memoized(M, "Q", _core_rank_fractions, *_core(M))[0]
-
-
-def _core_rank_fractions(units: int, core: list[dict[int, int]]) -> tuple[int, int]:
-    """The rank over Q, and D: the absolute product of the core's pivots.
-
-    The kernel eliminates the core by Gaussian steps, so the product of
-    its pivots is the determinant of the submatrix on their rows and
-    columns: a nonzero minor of the core, which ``_smith_mod`` works modulo.
-    """
-    if not core:
-        return units, 1
-    pivots = []
-
-    def inverse(v):
-        pivots.append(v)
-        return 1 / v
-
-    fractions = [{c: Fraction(v) for c, v in row.items()} for row in core]
-    return units + _eliminate(fractions, inverse)[0], abs(int(math.prod(pivots)))
+def _count(pivots: Iterable[Sequence[int]], parities: Sequence[int] | None):
+    """How many pivot rows there are, or how many of each parity."""
+    total = odd = 0
+    for rows in pivots:
+        total += len(rows)
+        if parities is not None:
+            odd += sum(map(parities.__getitem__, rows))
+    return total if parities is None else SuperDim(total - odd, odd)
 
 
-def _rank_mod_p(M: ExactMatrix, p: int) -> int:
+def _rank_fractions(M: ExactMatrix, parities: Sequence[int] | None = None):
+    """Rank over Q, by parity as ``rank`` gives it: the +-1 pivots on ``int``
+    entries, then the core over Q, exact by the Schur-complement argument
+    of ``_unit_core``.  Only the core's entries become ``Fraction``s."""
+    units, _, pivots = _pivots(M)
+    return _count((units, pivots), parities)
+
+
+def _rank_mod_p(M: ExactMatrix, p: int) -> list[int]:
+    """The pivot rows of ``M`` over F_p."""
     if not M._d:
-        return 0
+        return []
     return _eliminate(_rows(M, p), lambda v: pow(v, -1, p), p)[0]
 
 
-def rank(M: ExactMatrix, base="Q") -> int:
+def rank(M: ExactMatrix, base="Q", parities: Sequence[int] | None = None):
     """Exact rank of an integer matrix over the given base's field.
 
     Over Z this is the rank over Q (the kernel of an integer matrix is
-    a free lattice of the complementary rank).
+    a free lattice of the complementary rank).  Given the parity (0 or 1)
+    of each row of an even map (no entry joins a row and a column of
+    different parity), the ranks of its even and odd block as a
+    ``SuperDim``: its pivot rows of each parity.  The elimination is kept
+    in the memo of ``M``, once per base field.
     """
     kind, p = parse_base(base)
     if kind == "Fp":
-        return _memoized(M, p, _rank_mod_p, M, p)
-    return _rank_fractions(M)
+        return _count((_memoized(M, p, _rank_mod_p, M, p),), parities)
+    return _rank_fractions(M, parities)
 
 
 def kernel_rank(M: ExactMatrix, base="Q") -> int:
@@ -530,16 +523,31 @@ class HomologySummary:
         )
 
 
-def _block_homology_z(out_block: ExactMatrix, in_block: ExactMatrix) -> tuple[int, tuple[int, ...]]:
-    """Free rank and torsion of ker(out)/im(in) over Z for one parity block.
+def _block_homology_z(in_m: ExactMatrix, parities: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Torsion of the homology over Z on the even and on the odd block.
 
     ker(out) is a direct summand of the lattice, so the torsion of the
     homology is the torsion of coker(in): the invariant factors > 1 of
-    ``in`` alone.
+    each block of ``in_m`` alone, whose rows have the given ``parities``.
     """
-    factors, rank_in = smith_normal_form(in_block)
-    free = out_block.cols - _rank_fractions(out_block) - rank_in
-    return free, tuple(f for f in factors if f > 1)
+    even, odd = _block_factors(in_m, parities)
+    return tuple(f for f in even if f > 1), tuple(f for f in odd if f > 1)
+
+
+def _check_cartan(C: "GradedComplex", p: int | None, h: HomologySummary) -> None:
+    """On weight n >= 1, i_E d + d i_E = n (``skos.super_poly.exterior_d``),
+    so n kills the homology of every Koszul and De Rham slice: no free part
+    over Q, Z or F_p with p not dividing n, and over Z every invariant
+    factor divides n.  A violation raises ArithmeticError naming it."""
+    n = C.weight
+    if C.kind not in ("koszul", "derham") or not n or p and n % p == 0:
+        return
+    where = f"Cartan homotopy fails at position {h.position} of a weight-{n} {C.kind} slice"
+    if h.free.total:
+        raise ArithmeticError(f"{where}: free rank {h.free} is not zero")
+    for f in h.torsion_even + h.torsion_odd:
+        if n % f:
+            raise ArithmeticError(f"{where}: invariant factor {f} does not divide {n}")
 
 
 def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
@@ -548,11 +556,11 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
     Requires the position and both neighbors to be materialized (or
     provably zero beyond the complex's support); raises WindowError
     otherwise, and ArithmeticError if the differentials leaving and
-    entering the position do not compose to zero.  Over fields the
-    torsion lists are empty; over Z the invariant factors > 1 of the
-    incoming differential are reported.  Each differential keeps its
-    blocks and their reductions (``parity_split``), so a sweep over every
-    position eliminates each block once per base field.
+    entering the position do not compose to zero or the answer breaks
+    the Cartan homotopy (``_check_cartan``).  Over fields the torsion
+    lists are empty; over Z the invariant factors > 1 of the incoming
+    differential are reported.  Each parity block's rank is counted off
+    one elimination of its whole differential, kept in its memo.
     """
     kind, p = parse_base(base)
     out_m = C.outgoing(position)
@@ -563,19 +571,10 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
             raise ArithmeticError(
                 f"not a complex at position {position}: d∘d has {dd.nnz} nonzero entries"
             )
-    here, edge = C.basis_at[position], FreeBasis(C.gens)
-    out_blocks = parity_split(out_m, C.basis_at.get(position + 1, edge), here)
-    in_blocks = parity_split(in_m, here, C.basis_at.get(position - 1, edge))
-
-    free = {}
-    torsion = {}
-    for parity in (0, 1):
-        out_block, in_block = out_blocks[parity], in_blocks[parity]
-        if kind == "Z":
-            free[parity], torsion[parity] = _block_homology_z(out_block, in_block)
-        else:
-            fbase = (kind, p)
-            ker = out_block.cols - rank(out_block, fbase)
-            free[parity] = ker - rank(in_block, fbase)
-            torsion[parity] = ()
-    return HomologySummary(position, SuperDim(free[0], free[1]), torsion[0], torsion[1])
+    here = C.basis_at[position]
+    above = C.basis_at[position + 1].parities if out_m._d else ()  # an entry-free rank reads none
+    free = here.dims() - rank(out_m, (kind, p), above) - rank(in_m, (kind, p), here.parities)
+    torsion = _block_homology_z(in_m, here.parities) if kind == "Z" else ((), ())
+    h = HomologySummary(position, free, *torsion)
+    _check_cartan(C, p, h)
+    return h

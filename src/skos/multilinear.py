@@ -9,10 +9,9 @@ A basis is the product of a sorted list of wedge parts and a sorted list
 of coefficient parts (``FreeBasis``), so only the two factors are ever
 enumerated and sorted.  Each piece's basis is built once per process and
 kept in a bounded cache (``basis_wedge_sym``), and each basis computes
-its entries, their labels, their parities and their positions within
-their parity once, on first use.  Cached bases are shared by
-every complex and record that names the piece, so they must not be
-changed.
+its entries, their labels and their parities once, on first use.
+Cached bases are shared by every complex and record that names the
+piece, so they must not be changed.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from operator import sub
 from typing import Iterator, NamedTuple
 
@@ -64,10 +63,10 @@ class FreeBasis:
     the entries run in the lexicographic order on (dxs, dt_pow, x_pow,
     thetas) (``SuperMonomial.sort_key``) without the product being sorted,
     and all differential matrices are reproducible bit for bit.  The
-    entries, their ``labels``, their ``parities`` and their ``positions``
-    within their parity are computed on first use and kept, so a matrix is
-    split into parity blocks without a pass over the basis; a basis may be
-    shared through a cache, so neither it nor its memos may be changed.
+    entries, their ``labels`` and their ``parities`` are computed from the
+    two factors on first use and kept, and ``dims`` is counted off the two
+    factors; a basis may be shared through a cache, so neither it nor its
+    memos may be changed.
     """
 
     gens: GeneratorSet
@@ -96,24 +95,17 @@ class FreeBasis:
 
     @cached_property
     def parities(self) -> tuple[int, ...]:
-        """The parity (0 or 1) of each entry: that of its t_S plus that of its dt^beta, mod 2."""
-        coefs = [len(thetas) & 1 for _, thetas in self.coefs]
-        return tuple((sum(dt_pow) & 1) ^ c for _, dt_pow in self.wedges for c in coefs)
-
-    @cached_property
-    def positions(self) -> tuple[tuple[int, ...], tuple[int, int]]:
-        """Each entry's position among the entries of its parity, and the
-        two counts (even, odd): what ``ExactMatrix.parity_blocks`` reads."""
-        counts = [0, 0]
-        pos = []
-        for p in self.parities:
-            pos.append(counts[p])
-            counts[p] += 1
-        return tuple(pos), (counts[0], counts[1])
+        """The parity (0 or 1) of each entry, that of its t_S plus that of its
+        dt^beta: the coefficient factor's, flipped after an odd wedge part."""
+        even = tuple(len(thetas) & 1 for _, thetas in self.coefs)
+        odd = tuple(1 - c for c in even)
+        return tuple(chain.from_iterable(odd if sum(dt_pow) & 1 else even for _, dt_pow in self.wedges))
 
     def dims(self) -> SuperDim:
-        odd = sum(self.parities)
-        return SuperDim(len(self) - odd, odd)
+        """The number of even and of odd entries, counted off the two factors."""
+        w = sum(sum(dt_pow) & 1 for _, dt_pow in self.wedges)
+        c = sum(len(thetas) & 1 for _, thetas in self.coefs)
+        return super_product(SuperDim(len(self.wedges) - w, w), SuperDim(len(self.coefs) - c, c))
 
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -152,11 +144,10 @@ def iter_wedge_monomials(a: int, b: int, p: int) -> Iterator[tuple[tuple[int, ..
 
 
 # Bound of the basis cache.  A cached basis retains its two factors, about
-# 60 bytes per entry of their product, 85 more once its labels and
-# parities are read, 13 more once its positions are and 90 more once its
-# entries are (CPython 3.11, 64-bit).  Every piece with a + b <= 5 and
-# p + q <= 5 fits: 441 bases of 14633 entries in all, 0.9 MB, or 2.4 MB
-# with their labels, parities and positions.
+# 64 bytes per entry of their product, 89 more once its labels and
+# parities are read and 90 more once its entries are (CPython 3.11,
+# 64-bit).  Every piece with a + b <= 5 and p + q <= 5 fits: 441 bases of
+# 14633 entries in all, 0.9 MB, or 2.2 MB with their labels and parities.
 _BASES = 512
 
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -19,7 +21,7 @@ from skos.bott import (
     local_matrix,
     twisted_form_rank,
 )
-from skos.exact_linalg import rank
+from skos.exact_linalg import ExactMatrix, rank
 from skos.multilinear import SuperDim, sym_rank
 
 
@@ -200,33 +202,41 @@ class TestLaurentMemo:
         with pytest.raises(AssertionError, match="eliminated again"):
             forms_cohomology_direct(0, 4, 2, 3)
 
-    def test_each_cached_matrix_is_split_at_most_once(self, monkeypatch):
-        """Every kernel and homology of the direct path splits its matrix
-        through ``parity_split``, which keeps the blocks on the matrix: over
-        two bases and seven twists, each differential of a cached Koszul
-        slice and each cached Laurent matrix is split once at most."""
+    def test_each_cached_matrix_is_eliminated_once_per_base(self, monkeypatch):
+        """Every kernel and homology of the direct path ranks its matrix
+        whole, from the eliminations its memo keeps: over two bases and
+        seven twists, each differential of a cached Koszul slice and each
+        cached Laurent matrix is eliminated once at most per base field."""
         import skos.bott
-        from skos.exact_linalg import ExactMatrix
+        import skos.exact_linalg
 
         for name in ("_koszul", "laurent_matrix"):
             getattr(skos.bott, name).cache_clear()
-        split, held = Counter(), []
-        parity_blocks = ExactMatrix.parity_blocks
+        eliminated, held = Counter(), []
+        unit_core, rank_mod_p = skos.exact_linalg._unit_core, skos.exact_linalg._rank_mod_p
 
-        def counted(M, *args):
-            split[id(M)] += 1
+        def counted_unit_core(M):
+            eliminated[id(M), "Q"] += 1
             held.append(M)  # no id is reused while it is counted
-            return parity_blocks(M, *args)
+            return unit_core(M)
 
-        monkeypatch.setattr(ExactMatrix, "parity_blocks", counted)
+        def counted_rank_mod_p(M, p):
+            eliminated[id(M), p] += 1
+            held.append(M)
+            return rank_mod_p(M, p)
+
+        monkeypatch.setattr(skos.exact_linalg, "_unit_core", counted_unit_core)
+        monkeypatch.setattr(skos.exact_linalg, "_rank_mod_p", counted_rank_mod_p)
         for base in ("Q", "Fp:3"):
             for p in range(5):
                 forms_cohomology_direct(2, 1, p, 3, base)
         for r in range(-3, 4):
             for p in range(5):
                 forms_cohomology_direct(0, 3, p, r)
+        assert {tag for _, tag in eliminated} == {"Q", 3}
         for cached in (skos.bott._koszul(2, 1, 3).diff_at.values(), [laurent_matrix(3, p) for p in range(5)]):
-            assert max(split[id(M)] for M in cached) == 1
+            counts = [eliminated[id(M), tag] for M in cached for tag in ("Q", 3)]
+            assert max(counts) == 1, counts
 
 
 class TestLocalMatrixCache:
@@ -255,12 +265,44 @@ class TestLocalMatrixCache:
         assert local_matrix.cache_info().hits == hits + 1
 
 
+def test_slowest_cell_stays_within_its_budget():
+    """forms_cohomology_direct(3, 3, 8, 0), the slowest cell of the Bott
+    sweeps, in a child process: its rows are the formula's, it ends within
+    30 s, and its peak RSS stays under 236 MB.  It takes 1.7-1.9 s and
+    230 MB on a 2-core Xeon under Python 3.11 (239 MB when each matrix was
+    cut into two parity blocks before it was ranked).  The probe reads the
+    RSS of its own one child, so no other child of the test run counts."""
+    cell = ("from skos.bott import forms_cohomology_direct, forms_cohomology_formula\n"
+            "assert forms_cohomology_direct(3, 3, 8, 0).rows == forms_cohomology_formula(3, 3, 8, 0).rows\n")
+    probe = ("import resource, subprocess, sys\n"
+             f"subprocess.run([sys.executable, '-c', {cell!r}], check=True, timeout=30)\n"
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 236 * 1024  # kB
+
+
 def local_image(m, n, p, base):
-    """Image by parity of the r = 0 local contraction from wedge degree p to p - 1."""
+    """Image by parity of the r = 0 local contraction from wedge degree p to p - 1,
+    from the ranks of its two parity blocks, cut out here entry by entry."""
     src, dst = local_basis(m, n, p, 0), local_basis(m, n, p - 1, 0)
     if not src or not dst:
         return SuperDim(0, 0)
-    blocks = local_matrix(m, n, 0, p).parity_blocks(dst.parities, src.parities, dst.positions, src.positions)
+
+    def places(parities):  # each index's place among the indices of its parity, and the two counts
+        seen, at = [0, 0], []
+        for q in parities:
+            at.append(seen[q])
+            seen[q] += 1
+        return at, seen
+
+    (row_at, rows), (col_at, cols) = places(dst.parities), places(src.parities)
+    triplets = local_matrix(m, n, 0, p).triplets()
+    blocks = [
+        ExactMatrix.from_triplets(rows[q], cols[q], [
+            (row_at[r], col_at[c], v) for r, c, v in triplets if dst.parities[r] == src.parities[c] == q])
+        for q in (0, 1)
+    ]
     return SuperDim(*(rank(block, base) for block in blocks))
 
 

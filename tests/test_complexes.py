@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skos.bott import laurent_basis, laurent_matrix, local_basis, local_matrix
 from skos.complexes import (
     GradedComplex,
     WindowError,
@@ -78,8 +79,16 @@ class TestDeRhamBuilder:
         assert C.diff_at[1].to_dense() == [[1]]
 
 
+def _crossings(M, src, dst):
+    """The entries of ``M`` that join a row and a column of different parity."""
+    return [(r, c, v) for r, c, v in M.triplets() if dst.parities[r] != src.parities[c]]
+
+
 class TestStructuralInvariants:
     def test_squares_to_zero_and_parity_blocks(self):
+        """Every differential squares to zero and keeps the weight, and no
+        assembled matrix of any kind joins a row and a column of different
+        parity: the parity blocks of each are ranked off one elimination."""
         for a, b, n in envelope():
             for C in (build_koszul(a, b, n, n), build_derham(a, b, n, n)):
                 for pos in C.positions[:-1]:
@@ -91,6 +100,17 @@ class TestStructuralInvariants:
                     for (r, c, v) in M.triplets():
                         assert dst[r].parity == src[c].parity
                         assert dst[r].weight == src[c].weight
+        complexes = [build_berezinian(a, b, n, 4) for a, b, n in envelope()]
+        complexes += [specialize_koszul(a, b, tuple(range(2, a + 2)) + (0,) * b, 4)
+                      for a, b, _ in envelope(weights=(0,))]
+        matrices = [(C.diff_at[pos], C.basis_at[pos], C.basis_at[pos + 1]) for C in complexes for pos in C.diff_at]
+        matrices += [(local_matrix(m, n, r, p), local_basis(m, n, p, r), local_basis(m, n, p - 1, r))
+                     for m in range(1, 4) for n in range(4 - m) for r in (-3, 0, 3) for p in range(5)]
+        matrices += [(laurent_matrix(n, p), laurent_basis(n, p), laurent_basis(n, p - 1))
+                     for n in range(5) for p in range(6)]
+        assert sum(M.nnz for M, _, _ in matrices) > 10**4
+        for M, src, dst in matrices:
+            assert not _crossings(M, src, dst), M
 
     def test_cartan_identity_as_matrices(self):
         for a, b, n in envelope():
@@ -471,6 +491,24 @@ class TestSerialization:
         rec.update(change, bases=[[]], differentials=[])
         C = GradedComplex.from_record(rec)
         assert C.dim(rec["positions"][0]) == 0 and C.to_record() == rec
+
+    @pytest.mark.parametrize("kind", ["koszul", "derham", "berezinian", "specialized"])
+    def test_entry_across_parities_rejected(self, kind):
+        """Every differential is an even map, and the ranks of its parity
+        blocks are counted off its pivot rows, so a record entry that joins
+        a row and a column of different parity is refused by name."""
+        C = {"koszul": build_koszul(2, 1, 2), "derham": build_derham(1, 2, 2),
+             "berezinian": build_berezinian(1, 1, 1, 3), "specialized": specialize_koszul(2, 1, (2, 3, 0), 3)}[kind]
+        rec = json.loads(json.dumps(C.to_record()))
+        d = next(d for d in rec["differentials"] if d["entries"])
+        pos = d["from"]
+        src, dst = C.basis_at[pos], C.basis_at[pos + 1]
+        r, c = next((r, c) for r in range(d["rows"]) for c in range(d["cols"])
+                    if dst.parities[r] != src.parities[c])
+        d["entries"] = sorted([[r, c, 5]] + [e for e in d["entries"] if e[:2] != [r, c]])
+        with pytest.raises(ValueError, match=rf"differential from position {pos} has entry \[{r}, {c}, 5\], "
+                                             "which joins a row and a column of different parity"):
+            GradedComplex.from_record(rec)
 
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object, got list"):

@@ -169,6 +169,22 @@ def rank_by_dense_gauss(dense, n):
     return r
 
 
+def _rank_mod_5(dense, n):
+    """Rank over F_5: dense Gauss elimination on residues."""
+    A = [[v % 5 for v in row] for row in dense]
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if pivot is None:
+            continue
+        A[r], A[pivot] = A[pivot], A[r]
+        for i in range(r + 1, len(A)):
+            f = A[i][c] * pow(A[r][c], -1, 5)
+            A[i] = [(a - f * b) % 5 for a, b in zip(A[i], A[r])]
+        r += 1
+    return r
+
+
 def _check_rank_against_oracle(dense, n):
     M = ExactMatrix.from_dense(dense) if dense else ExactMatrix.zeros(0, n)
     rq = _rank_fractions(M)
@@ -358,13 +374,30 @@ class TestMatrixOps:
         want = [[sum(A[i][k] * B[k][j] for k in range(4)) for j in range(2)] for i in range(3)]
         assert got == ExactMatrix.from_dense(want)
 
-    def test_parity_blocks(self):
-        M = ExactMatrix.from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        even, odd = M.parity_blocks([1, 0, 0], [0, 1, 0], ([0, 0, 1], (2, 1)), ([0, 0, 1], (2, 1)))
-        assert even == ExactMatrix.from_dense([[4, 6], [7, 9]])
-        assert odd == ExactMatrix.from_dense([[2]])
-        empty, rest = ExactMatrix.zeros(0, 2).parity_blocks([], [1, 1], ([], (0, 0)), ([0, 1], (0, 2)))
-        assert (empty.rows, empty.cols, rest.rows, rest.cols) == (0, 0, 0, 2)
+    @settings(max_examples=150, deadline=None)
+    @example(([0, 1, 0], [1, 0, 0], [[0, 0, 0], [4, 0, 6], [0, 8, 0]]))
+    @example(([], [1, 1], []))
+    @given(st.integers(0, 6).flatmap(lambda m: st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 1), min_size=m, max_size=m),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.lists(st.lists(st.sampled_from((0, 0, 1, -1, 2, -2, 3, 4, 6)), min_size=n, max_size=n),
+                 min_size=m, max_size=m)))))
+    def test_parity_blocks(self, case):
+        """Ranks over Q and F_5 and invariant factors over Z of each parity
+        block of an even map, counted off one elimination of the whole
+        matrix, against the blocks cut out of the dense matrix here."""
+        row_parity, col_parity, dense = case
+        dense = [[v if r == c else 0 for v, c in zip(row, col_parity)] for row, r in zip(dense, row_parity)]
+        M = ExactMatrix.from_dense(dense) if dense else ExactMatrix.zeros(0, len(col_parity))
+        blocks = [
+            [[v for v, c in zip(row, col_parity) if c == q] for row, r in zip(dense, row_parity) if r == q]
+            for q in (0, 1)
+        ]
+        widths = [col_parity.count(q) for q in (0, 1)]
+        assert rank(M, "Q", row_parity) == SuperDim(*map(rank_by_dense_gauss, blocks, widths))
+        assert rank(M, "Fp:5", row_parity) == SuperDim(*(_rank_mod_5(b, w) for b, w in zip(blocks, widths)))
+        assert skos.exact_linalg._block_homology_z(M, row_parity) == tuple(
+            tuple(f for f in snf_by_minor_gcds(b) if f > 1) if b else () for b in blocks)
 
     def test_triplets_sorted(self):
         M = ExactMatrix.from_triplets(2, 2, [(1, 1, 5), (0, 0, 1), (1, 1, -5)])
@@ -447,24 +480,13 @@ def _content(M):
 
 @pytest.mark.parametrize("build", [build_koszul, build_derham])
 def test_each_block_is_reduced_once_per_complex(build, monkeypatch):
-    """A sweep over every position and base reduces each nonempty parity
-    block of each differential at most once per complex: one unit core,
-    shared by Z and Q, and one rank mod each prime."""
+    """A sweep over every position and base ranks the parity blocks of each
+    differential off one elimination of the whole differential, at most
+    once per base field: one unit core, shared by Z and Q, and one
+    elimination mod each prime."""
     C = build(2, 2, 5)
-
-    def parities(pos):
-        return [m.parity for m in C.basis_at[pos].entries] if pos in C.basis_at else []
-
-    def positions(pos):
-        return C.basis_at[pos].positions if pos in C.basis_at else ([], (0, 0))
-
-    # how many (differential, parity) pairs hold a block of each content
-    owners = Counter(
-        _content(block)
-        for pos in C.positions[:-1]
-        for block in C.diff_at[pos].parity_blocks(parities(pos + 1), parities(pos), positions(pos + 1), positions(pos))
-        if block.nnz
-    )
+    # how many differentials hold each content
+    owners = Counter(_content(M) for M in C.diff_at.values() if M.nnz)
     reductions = Counter()
     unit_core, rank_mod_p = skos.exact_linalg._unit_core, skos.exact_linalg._rank_mod_p
 
@@ -485,7 +507,7 @@ def test_each_block_is_reduced_once_per_complex(build, monkeypatch):
             homology(C, base, pos)
     assert {tag for _, tag in reductions} == {"core", 2, 3, 32003}
     over = {(key[:2], tag): n for (key, tag), n in reductions.items() if n > owners[key]}
-    assert not over, f"blocks reduced more than once: {over}"
+    assert not over, f"differentials eliminated more than once: {over}"
 
 
 def test_cartan_homotopy_kills_every_slice():
@@ -528,7 +550,7 @@ def test_entry_free_matrices_never_reach_the_kernel(monkeypatch):
         return rows(M, p)
 
     def guarded_eliminate(rows_in, *args, **kwargs):
-        assert any(rows_in), "_eliminate of entry-free rows"
+        assert any(rows_in.values()), "_eliminate of entry-free rows"
         return eliminate(rows_in, *args, **kwargs)
 
     def guarded_matmul(A, B):
@@ -621,9 +643,9 @@ def test_pivot_rule_matches_min_oracle(base, dense_rows):
         return [{c: entry(v) for c, v in row.items() if entry(v)} for row in dense_rows]
 
     want = _eliminate_by_min(copy(), inverse, p, units)
-    got = skos.exact_linalg._eliminate(copy(), inverse, p, units)
-    assert got[0] == want[0]
-    assert [list(row.items()) for row in got[1]] == [list(row.items()) for row in want[1]]
+    got = skos.exact_linalg._eliminate(dict(enumerate(copy())), inverse, p, units)
+    assert len(got[0]) == want[0]
+    assert [list(row.items()) for row in got[1].values()] == [list(row.items()) for row in want[1]]
 
 
 def test_z_homology_of_the_large_koszul_slice_stays_fast():
