@@ -53,6 +53,17 @@ _PIECE = {
 }
 
 
+# kind -> (a, b, weight) -> (least, greatest) position outside which the full
+# complex over (a|b) vanishes, None where it is unbounded: no degree is negative,
+# the wedge degree is at most a when b = 0, the symmetric degree at most b when a = 0
+_SUPPORT = {
+    "koszul": lambda a, b, n: (-(min(n, a) if b == 0 else n), 0),
+    "derham": lambda a, b, n: (0, min(n, a) if b == 0 else n),
+    "berezinian": lambda a, b, n: (0, min([a] * (b == 0) + [max(b - n, 0)] * (a == 0), default=None)),
+    "specialized": lambda a, b, n: (-a if b == 0 else None, 0),
+}
+
+
 def _direction(kind: str) -> int:
     """+1 when the differential raises the wedge degree, -1 when it lowers it."""
     return _PIECE[kind](1, 0)[0] - _PIECE[kind](0, 0)[0]
@@ -121,8 +132,8 @@ class GradedComplex:
     ``diff_at[pos]`` is the matrix of the differential from ``pos`` to
     ``pos + 1`` (rows = target basis, columns = source basis).  The
     support bounds record where the full complex provably vanishes
-    (``None`` means unbounded on that side), so edge positions can still
-    report homology.
+    (``None`` means unbounded on that side, see ``_SUPPORT``), so edge
+    positions can still report homology.
     """
 
     kind: str
@@ -181,7 +192,8 @@ class GradedComplex:
         """Inverse of ``to_record``.  Each basis must be the enumerated basis
         of the record's kind, string for string and in order, and each
         matrix must list its nonzero entries once, sorted, each joining a
-        row and a column of one parity; anything else raises
+        row and a column of one parity, and the support must be the one
+        of the record's kind, rank and weight; anything else raises
         ``ValueError`` naming the field or the position."""
         if not isinstance(record, dict):
             raise ValueError(f"complex record must be a JSON object, got {type(record).__name__}")
@@ -203,7 +215,6 @@ class GradedComplex:
         get("direction", lambda v: _is_int(v) and v == direction, str(direction))
         omega = get("omega", lambda v: _ints(v, a + b) if special else v is None,
                     f"{a + b} integers" if special else "null")
-        support = get("support", lambda v: _ints(v, 2, none=True), "two integers or nulls")
         positions = tuple(get("positions", lambda v: _ints(v) and v[:1] and v == list(range(v[0], v[0] + len(v))),
                               "consecutive integers"))
         bases = get("bases", lambda v: type(v) is list and len(v) == len(positions), f"{len(positions)} bases")
@@ -243,6 +254,8 @@ class GradedComplex:
                 stored[last] = v
             if not in_order:
                 raise ValueError(f"{where} must list its nonzero entries once, sorted")
+        bounds = list(_SUPPORT[kind](a, b, weight))  # homology trusts it at the window's edges
+        support = get("support", lambda v: _ints(v, 2, none=True) and v == bounds, f"the {kind} support {bounds}")
         return cls(kind, gens, weight, direction, positions, basis_at, diff_at, *support,
                    tuple(omega) if special else None)
 
@@ -479,10 +492,10 @@ def build_koszul(a: int, b: int, n: int, cap: int | None = None) -> GradedComple
     """
     cap = n if cap is None else cap
     _check_args(a, b, cap, n)
-    top = min(n, a) if b == 0 else n
-    lo = -top if b == 0 else -min(top, cap)
+    support = _SUPPORT["koszul"](a, b, n)
+    lo = support[0] if b == 0 else -min(n, cap)
     gens = GeneratorSet(a, b)
-    return _complex("koszul", gens, n, range(lo, 1), (-top, 0), lambda pos, src, dst: assemble(
+    return _complex("koszul", gens, n, range(lo, 1), support, lambda pos, src, dst: assemble(
         src, dst, contraction_stencil(gens, -pos, contract_euler), _polynomial_times))
 
 
@@ -490,10 +503,10 @@ def build_derham(a: int, b: int, n: int, cap: int | None = None) -> GradedComple
     """Weight-n slice of the exterior-derivative complex, positions 0..top."""
     cap = n if cap is None else cap
     _check_args(a, b, cap, n)
-    top = min(n, a) if b == 0 else min(n, cap)
-    support_max = min(n, a) if b == 0 else n
+    support = _SUPPORT["derham"](a, b, n)
+    top = support[1] if b == 0 else min(n, cap)
     gens = GeneratorSet(a, b)
-    return _complex("derham", gens, n, range(0, top + 1), (0, support_max), lambda pos, src, dst: assemble(
+    return _complex("derham", gens, n, range(0, top + 1), support, lambda pos, src, dst: assemble(
         src, dst, _derivative_stencil(gens, n - pos, exterior_d), _wedge_times))
 
 
@@ -507,15 +520,10 @@ def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:
     positions 0..cap are materialized.
     """
     _check_args(a, b, cap)
-    bounds = []
-    if b == 0:
-        bounds.append(a)
-    if a == 0:
-        bounds.append(max(b - n, 0))
-    support_max = min(bounds) if bounds else None
-    top = cap if support_max is None else min(cap, support_max)
+    support = _SUPPORT["berezinian"](a, b, n)
+    top = cap if support[1] is None else min(cap, support[1])
     gens = GeneratorSet(a, b)
-    return _complex("berezinian", gens, n, range(0, top + 1), (0, support_max), lambda pos, src, dst: assemble(
+    return _complex("berezinian", gens, n, range(0, top + 1), support, lambda pos, src, dst: assemble(
         src, dst, _dual_stencil(contraction_stencil(gens, pos + 1, contract_euler)), _polynomial_times))
 
 
@@ -540,7 +548,7 @@ def specialize_koszul(a: int, b: int, omega: tuple[int, ...], cap: int | None = 
 
     def times(coef, gen):  # x_i becomes the scalar omega_i; t_j becomes 0
         return (omega[gen[1]], coef) if gen[0] == X else None
+    support = _SUPPORT["specialized"](a, b, None)
     lo = -a if b == 0 else -cap
-    support = (lo if b == 0 else None, 0)
     return _complex("specialized", gens, None, range(lo, 1), support, lambda pos, src, dst: assemble(
         src, dst, contraction_stencil(gens, -pos, contract_euler), times), omega)

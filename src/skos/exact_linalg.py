@@ -3,18 +3,20 @@
 All matrices carry arbitrary-precision integer entries; base change to
 Q or F_p happens here, at rank-computation time.  Rank over Q and F_p
 and the Smith normal form over Z share one sparse elimination kernel
-that pivots only on units.  Over Z and Q it first runs on the plain
-integer rows with +-1 as the only units.  Those pivots form a block of
-determinant +-1, so the rows left, the residual core, are its Schur
-complement: an integer matrix with entries bounded by minors of the
-input, whose rank is the rank of the input minus the pivot count.  Over
-Q the core is ranked by the same kernel over ``Fraction``, so no other
-entry ever becomes a fraction.  The product D of that elimination's
-pivots is a nonzero minor of the core, so every invariant factor of the
-core divides D: over Z the core's Smith form is worked modulo D, and no
-entry ever grows past D/2.  Each pivot is taken in the sparsest column
-its row offers, the least on a tie (the column rule of structured
-Gaussian elimination, LaMacchia and Odlyzko, CRYPTO '90).
+that pivots only on units.  Over every base it first runs on the plain
+integer rows with +-1 as the only units, a unit mod every p.  Those
+pivots form a block of determinant +-1, so the rows left, the residual
+core, are its Schur complement: an integer matrix with entries bounded
+by minors of the input, whose rank over any field is the rank of the
+input minus the pivot count.  Over Q the core is ranked by the same
+kernel over ``Fraction``, so no other entry ever becomes a fraction,
+and over F_p by the same kernel on the core's residues mod p.  The
+product D of the core's pivots over Q is a nonzero minor of the core,
+so every invariant factor of the core divides D: over Z the core's
+Smith form is worked modulo D, and no entry ever grows past D/2.  Each
+pivot is taken in the sparsest column its row offers, the least on a
+tie (the column rule of structured Gaussian elimination, LaMacchia and
+Odlyzko, CRYPTO '90).
 
 Homology of a graded complex is reported per parity block: free ranks
 always, and over Z the torsion, read off the invariant factors of the
@@ -24,9 +26,10 @@ of a differential eliminates both its parity blocks: a block's rank is
 its number of pivot rows, and over Z its core is the core rows of its
 parity.  Each differential keeps its unit core, its pivots over Q and
 its pivot rows mod each prime, each computed on first use, so it is
-eliminated once per base field; an entry-free one is never eliminated.
-Every homology call checks d∘d = 0 and, on Koszul and De Rham slices,
-the Cartan homotopy.
+copied and reduced whole once, whatever the bases, and only its core
+once more per base field; an entry-free one is never eliminated.
+Every homology call checks d∘d = 0 and, on Koszul, De Rham and
+specialized complexes, that an integer known to kill the homology does.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ _PRIME_BOUND = 3317044064679887385961981
 @lru_cache(maxsize=32)
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin, once per modulus: ``parse_base`` asks again
-    for every block.  Raises ValueError at or past ``_PRIME_BOUND``."""
+    on every rank.  Raises ValueError at or past ``_PRIME_BOUND``."""
     if p >= _PRIME_BOUND:
         raise ValueError(f"modulus {p} too large: primality is decided below {_PRIME_BOUND} only")
     if p < 2:
@@ -80,24 +83,16 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def parse_base(base) -> tuple[str, int | None]:
+def parse_base(base: str) -> tuple[str, int | None]:
     """Normalize a base-ring descriptor: "Z", "Q" or "Fp:<prime>"."""
-    if isinstance(base, tuple) and len(base) == 2:
-        kind, p = base
-    else:
-        s = str(base).strip()
-        if s in ("Z", "ZZ"):
-            return ("Z", None)
-        if s in ("Q", "QQ"):
-            return ("Q", None)
-        if s.startswith("Fp:"):
-            kind, p = "Fp", int(s[3:])
-        else:
-            raise ValueError(f"unknown base ring {base!r} (expected Z, Q or Fp:<prime>)")
-    if kind in ("Z", "Q"):
-        return (kind, None)
-    if kind != "Fp":
-        raise ValueError(f"unknown base ring {base!r}")
+    s = str(base).strip()
+    if s in ("Z", "ZZ"):
+        return ("Z", None)
+    if s in ("Q", "QQ"):
+        return ("Q", None)
+    if not s.startswith("Fp:"):
+        raise ValueError(f"unknown base ring {base!r} (expected Z, Q or Fp:<prime>)")
+    p = int(s[3:])
     if not is_prime(p):
         raise ValueError(f"composite modulus rejected: {p}")
     return ("Fp", p)
@@ -113,7 +108,7 @@ class ExactMatrix:
     through ``from_triplets``, the one constructor that checks it; the
     builders that produce their entries in range and as ints write ``_d``
     directly: ``skos.complexes.assemble``, ``GradedComplex.from_record``
-    (after checking each entry itself), ``__add__`` and ``__matmul__``.
+    (after checking each entry itself) and ``__matmul__``.
     The elimination kernel relies on it: it pivots on any stored entry
     over a field.
 
@@ -191,16 +186,8 @@ class ExactMatrix:
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
-        out = dict(self._d)
-        for rc, v in other._d.items():
-            s = out.get(rc, 0) + v
-            if s:
-                out[rc] = s
-            else:
-                out.pop(rc, None)
-        m = ExactMatrix(self.rows, self.cols)
-        m._d = out
-        return m
+        return ExactMatrix.from_triplets(self.rows, self.cols, (
+            (r, c, v) for d in (self._d, other._d) for (r, c), v in d.items()))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -235,21 +222,12 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 # elimination
 
-def _rows(M: ExactMatrix, p: int | None = None) -> dict[int, dict]:
+def _rows(M: ExactMatrix) -> dict[int, dict]:
     """Nonzero rows of ``M`` as sparse {column: entry} dicts keyed by row,
-    in the order each row first occurs in ``M._d``.  Entries are copied as
-    they are, or reduced mod ``p`` when it is given, which drops the
-    multiples of ``p``; no other entry can be zero, as ``M`` stores none.
-    """
+    in the order each row first occurs in ``M._d``."""
     grouped: dict[int, dict] = defaultdict(dict)
-    if p is None:
-        for (r, c), v in M._d.items():
-            grouped[r][c] = v
-    else:
-        for (r, c), v in M._d.items():
-            v %= p
-            if v:
-                grouped[r][c] = v
+    for (r, c), v in M._d.items():
+        grouped[r][c] = v
     return grouped
 
 
@@ -269,7 +247,7 @@ def _eliminate(rows: dict[int, dict], inverse, p: int | None = None,
     is None and every stored entry is a unit, as no row stores a zero.
     Entries are reduced mod ``p`` when it is given.  Rows are visited
     sparsest first, and each pivot is taken in the sparsest column its
-    row offers, to keep fill-in down.
+    row offers a unit in, to keep fill-in down, in one pass over the row.
 
     Only rows that share a column are combined, so on a graded map this
     eliminates every graded block at once.
@@ -284,15 +262,15 @@ def _eliminate(rows: dict[int, dict], inverse, p: int | None = None,
         waiting = []
         for i in todo:
             row = rows[i]
-            held = row if units is None else [c for c, v in row.items() if v in units]
-            if not held:
+            pc, least = -1, len(rows) + 1  # the sparsest unit column, the least on a tie
+            for c, v in row.items():
+                if units is None or v in units:
+                    n = len(where[c])
+                    if n < least or n == least and c < pc:
+                        pc, least = c, n
+            if pc < 0:
                 waiting.append(i)
                 continue
-            pc, least = -1, len(rows) + 1  # the sparsest column, the least on a tie
-            for c in held:
-                n = len(where[c])
-                if n < least or n == least and c < pc:
-                    pc, least = c, n
             for c in row:
                 where[c].discard(i)
             pivots.append(i)
@@ -464,10 +442,14 @@ def _rank_fractions(M: ExactMatrix, parities: Sequence[int] | None = None):
 
 
 def _rank_mod_p(M: ExactMatrix, p: int) -> list[int]:
-    """The pivot rows of ``M`` over F_p."""
-    if not M._d:
-        return []
-    return _eliminate(_rows(M, p), lambda v: pow(v, -1, p), p)[0]
+    """The pivot rows of ``M`` over F_p: its unit pivot rows, then the pivot
+    rows of its core reduced mod p, which drops the multiples of p.  The
+    unit core is the one kept in the memo of ``M`` for Z and Q alike."""
+    units, core = _memoized(M, "core", _unit_core, M)
+    rows = {i: {c: v % p for c, v in row.items() if v % p} for i, row in core.items()}
+    if not any(rows.values()):
+        return units
+    return units + _eliminate(rows, lambda v: pow(v, -1, p), p)[0]
 
 
 def rank(M: ExactMatrix, base="Q", parities: Sequence[int] | None = None):
@@ -477,8 +459,8 @@ def rank(M: ExactMatrix, base="Q", parities: Sequence[int] | None = None):
     a free lattice of the complementary rank).  Given the parity (0 or 1)
     of each row of an even map (no entry joins a row and a column of
     different parity), the ranks of its even and odd block as a
-    ``SuperDim``: its pivot rows of each parity.  The elimination is kept
-    in the memo of ``M``, once per base field.
+    ``SuperDim``: its pivot rows of each parity.  Every reduction is kept
+    in the memo of ``M``: the unit core once, its rest once per field.
     """
     kind, p = parse_base(base)
     if kind == "Fp":
@@ -534,15 +516,17 @@ def _block_homology_z(in_m: ExactMatrix, parities: Sequence[int]) -> tuple[tuple
     return tuple(f for f in even if f > 1), tuple(f for f in odd if f > 1)
 
 
-def _check_cartan(C: "GradedComplex", p: int | None, h: HomologySummary) -> None:
-    """On weight n >= 1, i_E d + d i_E = n (``skos.super_poly.exterior_d``),
-    so n kills the homology of every Koszul and De Rham slice: no free part
-    over Q, Z or F_p with p not dividing n, and over Z every invariant
-    factor divides n.  A violation raises ArithmeticError naming it."""
-    n = C.weight
-    if C.kind not in ("koszul", "derham") or not n or p and n % p == 0:
+def _check_homotopy(C: "GradedComplex", p: int | None, h: HomologySummary) -> None:
+    """An integer n kills the homology: the weight of a Koszul or De Rham
+    slice, as i_E d + d i_E = n (``skos.super_poly.exterior_d``), and
+    gcd(omega) on a specialized complex, as dx_i ^ . is a homotopy from
+    omega_i to 0 (Eisenbud, ch. 17).  Unless n = 0 or p divides n, there is
+    no free part over Q, Z or F_p, and over Z every invariant factor
+    divides n.  A violation raises ArithmeticError naming it."""
+    n = C.weight if C.omega is None else math.gcd(*C.omega)
+    if C.kind == "berezinian" or not n or p and n % p == 0:
         return
-    where = f"Cartan homotopy fails at position {h.position} of a weight-{n} {C.kind} slice"
+    where = f"homotopy check fails at position {h.position} of a {C.kind} complex killed by {n}"
     if h.free.total:
         raise ArithmeticError(f"{where}: free rank {h.free} is not zero")
     for f in h.torsion_even + h.torsion_odd:
@@ -557,7 +541,7 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
     provably zero beyond the complex's support); raises WindowError
     otherwise, and ArithmeticError if the differentials leaving and
     entering the position do not compose to zero or the answer breaks
-    the Cartan homotopy (``_check_cartan``).  Over fields the torsion
+    a homotopy that kills it (``_check_homotopy``).  Over fields the torsion
     lists are empty; over Z the invariant factors > 1 of the incoming
     differential are reported.  Each parity block's rank is counted off
     one elimination of its whole differential, kept in its memo.
@@ -573,8 +557,8 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
             )
     here = C.basis_at[position]
     above = C.basis_at[position + 1].parities if out_m._d else ()  # an entry-free rank reads none
-    free = here.dims() - rank(out_m, (kind, p), above) - rank(in_m, (kind, p), here.parities)
+    free = here.dims() - rank(out_m, base, above) - rank(in_m, base, here.parities)
     torsion = _block_homology_z(in_m, here.parities) if kind == "Z" else ((), ())
     h = HomologySummary(position, free, *torsion)
-    _check_cartan(C, p, h)
+    _check_homotopy(C, p, h)
     return h

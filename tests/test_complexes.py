@@ -481,9 +481,10 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "change",
         [
-            {"rank": [40, 0], "weight": 10**9, "positions": [-41]},  # no wedge part, a huge coefficient degree
+            {"rank": [40, 0], "weight": 10**9, "positions": [-41],
+             "support": [-40, 0]},  # no wedge part, a huge coefficient degree
             {"kind": "derham", "direction": 1, "rank": [0, 5], "weight": 10**9 + 6, "positions": [10**9],
-             "support": [0, None]},  # no coefficient part, a huge wedge degree
+             "support": [0, 10**9 + 6]},  # no coefficient part, a huge wedge degree
         ],
     )
     def test_empty_piece_far_out_read_back_at_once(self, change):
@@ -509,6 +510,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"differential from position {pos} has entry \[{r}, {c}, 5\], "
                                              "which joins a row and a column of different parity"):
             GradedComplex.from_record(rec)
+
+    @pytest.mark.parametrize(
+        "make,forged,base,pos",
+        [
+            (lambda: build_berezinian(2, 1, 0, 3), [0, 3], "Q", 3),
+            (lambda: specialize_koszul(2, 1, (2, 3, 0), 3), [-3, 0], "Z", -3),
+            (lambda: build_koszul(1, 1, 5, 1), [-1, 0], "Fp:5", -1),
+        ],
+    )
+    def test_forged_support_rejected(self, make, forged, base, pos):
+        """``homology`` reads zeros past a window's edge only inside the
+        support, so a record whose support ends at the window would report
+        the edge's homology where the true answer is a WindowError."""
+        C = make()
+        with pytest.raises(WindowError):
+            homology(C, base, pos)
+        rec = json.loads(json.dumps(C.to_record()))
+        rec["support"] = forged
+        with pytest.raises(ValueError, match="field 'support'"):
+            GradedComplex.from_record(rec)
+
+    def test_every_builder_record_round_trips(self):
+        for a, b, n in envelope(3, range(4)):
+            omega = tuple(range(1, a + 1)) + (0,) * b
+            for C in (build_koszul(a, b, n, 2), build_derham(a, b, n, 2), build_berezinian(a, b, n - 2, 2),
+                      specialize_koszul(a, b, omega, 2)):
+                rec = C.to_record()
+                assert GradedComplex.from_record(json.loads(json.dumps(rec))).to_record() == rec
 
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object, got list"):

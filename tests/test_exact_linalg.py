@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import skos.exact_linalg
-from skos.complexes import build_derham, build_koszul
+from skos.complexes import build_derham, build_koszul, specialize_koszul
 from skos.exact_linalg import (
     ExactMatrix,
     _rank_fractions,
@@ -510,6 +510,51 @@ def test_each_block_is_reduced_once_per_complex(build, monkeypatch):
     assert not over, f"differentials eliminated more than once: {over}"
 
 
+@pytest.mark.parametrize("build", [build_koszul, build_derham])
+def test_each_differential_is_copied_once_whatever_the_base(build, monkeypatch):
+    """The unit core is the only reduction of a whole differential: Z, Q
+    and every prime finish the one core in its memo, so each differential
+    with entries is copied into rows once in all."""
+    C = build(2, 2, 5)
+    owners = Counter(_content(M) for M in C.diff_at.values() if M.nnz)
+    copies = Counter()
+    copy_rows = skos.exact_linalg._rows
+
+    def counted_rows(M):
+        copies[_content(M)] += 1
+        return copy_rows(M)
+
+    monkeypatch.setattr(skos.exact_linalg, "_rows", counted_rows)
+    for base in ("Z", "Q", "Fp:2", "Fp:3", "Fp:32003"):
+        for pos in C.positions:
+            homology(C, base, pos)
+    assert copies == owners
+
+
+def test_gcd_of_omega_kills_every_specialized_complex():
+    """On the Koszul complex of omega, dx_i ^ . is a homotopy from omega_i
+    to 0, so N = gcd(omega) kills the homology: ``homology`` checks every
+    answer against it and raises ArithmeticError on a wrong rank or
+    invariant factor.  With N = 0 the differentials vanish."""
+    rng = random.Random(23)
+    checked = torsion = 0
+    for _ in range(60):
+        a, b = rng.randint(0, 4), rng.randint(0, 2)
+        omega = tuple(rng.randint(-3, 3) for _ in range(a)) + (0,) * b
+        C = specialize_koszul(a, b, omega, 3)
+        n = math.gcd(*omega)
+        for pos in C.positions if C.support_min is not None else C.positions[1:]:  # the cap's edge has no neighbor
+            for base in ("Z", "Q", "Fp:2", "Fp:3"):
+                h = homology(C, base, pos)
+                if not n:
+                    assert h.free == C.basis_at[pos].dims(), (omega, pos, base)
+                elif base == "Z":
+                    factors = h.torsion_even + h.torsion_odd
+                    assert h.free.total == 0 and all(n % f == 0 for f in factors), (omega, pos)
+                    checked, torsion = checked + 1, torsion + bool(factors)
+    assert (checked, torsion) == (164, 18)
+
+
 def test_cartan_homotopy_kills_every_slice():
     """On weight n, i_E d + d i_E = n, so n kills the homology of every
     Koszul and De Rham slice: it is zero over Q and over F_p for p not
@@ -545,9 +590,9 @@ def test_entry_free_matrices_never_reach_the_kernel(monkeypatch):
     el = skos.exact_linalg
     rows, eliminate, matmul = el._rows, el._eliminate, ExactMatrix.__matmul__
 
-    def guarded_rows(M, p=None):
+    def guarded_rows(M):
         assert M.nnz, "_rows of an entry-free matrix"
-        return rows(M, p)
+        return rows(M)
 
     def guarded_eliminate(rows_in, *args, **kwargs):
         assert any(rows_in.values()), "_eliminate of entry-free rows"
