@@ -24,9 +24,12 @@ block-rotated rows, of T), and it yields det(X) (or det(T)) on the way;
 no block inverse is formed.  Both closed forms are evaluated and
 compared as a built-in self check.
 
-Input is checked where it enters: ``GrassmannElement.make``,
-``SuperMatrix.from_blocks`` and ``SuperMatrix.from_record``.  Results of
-the arithmetic are built without re-checking.
+A supermatrix keeps its (p+q) x (p+q) rows in record order; the blocks
+X, Y, Z and T are views that slice them.  Input is checked where it
+enters: ``GrassmannElement.make`` (``int`` and ``Fraction`` coefficients
+only) and the one checked constructor that ``SuperMatrix.from_blocks``
+and ``SuperMatrix.from_record`` end in.  Results of the arithmetic are
+built without re-checking.
 """
 
 from __future__ import annotations
@@ -112,6 +115,8 @@ class GrassmannElement:
         clean: dict[int, Fraction] = {}
         for thetas, coeff in terms.items():
             mask = _theta_mask(tuple(thetas), gens)
+            if type(coeff) not in (int, Fraction):
+                raise TypeError(f"Grassmann coefficients must be int or Fraction, got {coeff!r}")
             c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
                 clean[mask] = clean[mask] + c if mask in clean else c
@@ -432,42 +437,32 @@ def _schur(rows: Matrix, n: int) -> tuple[GrassmannElement, Matrix]:
     return det, tuple(tuple(r[n:]) for r in A[n:])
 
 
-def _split(p: int, rows: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    return (
-        tuple(r[:p] for r in rows[:p]),
-        tuple(r[p:] for r in rows[:p]),
-        tuple(r[:p] for r in rows[p:]),
-        tuple(r[p:] for r in rows[p:]),
-    )
-
-
 @dataclass(frozen=True)
 class SuperMatrix:
-    """Even block supermatrix (X Y; Z T) over a Grassmann coefficient ring.
+    """Even supermatrix (X Y; Z T) over a Grassmann coefficient ring.
 
-    X is p x p and T is q x q with even entries; Y (p x q) and Z (q x p)
-    have odd entries.
+    ``rows`` is the (p+q) x (p+q) matrix in record order.  X (p x p) and
+    T (q x q) have even entries, Y (p x q) and Z (q x p) odd ones; the
+    four blocks are read-only views that slice ``rows``.
     """
 
     p: int
     q: int
     gens: int
-    X: Matrix
-    Y: Matrix
-    Z: Matrix
-    T: Matrix
+    rows: Matrix
+
+    X = property(lambda self: tuple(r[: self.p] for r in self.rows[: self.p]))
+    Y = property(lambda self: tuple(r[self.p :] for r in self.rows[: self.p]))
+    Z = property(lambda self: tuple(r[: self.p] for r in self.rows[self.p :]))
+    T = property(lambda self: tuple(r[self.p :] for r in self.rows[self.p :]))
 
     @classmethod
-    def from_blocks(cls, p: int, q: int, gens: int, X, Y, Z, T) -> "SuperMatrix":
-        X, Y, Z, T = _as_matrix(X), _as_matrix(Y), _as_matrix(Z), _as_matrix(T)
-        for block, rows, cols, want in (
-            (X, p, p, 0),
-            (Y, p, q, 1),
-            (Z, q, p, 1),
-            (T, q, q, 0),
-        ):
-            if len(block) != rows or any(len(r) != cols for r in block):
-                raise ValueError("block shape mismatch")
+    def _checked(cls, p: int, q: int, gens: int, rows: Matrix) -> "SuperMatrix":
+        """The supermatrix of the (p+q)-square ``rows``, its entries checked
+        block by block (X, Y, Z, T, each row by row): the first bad entry
+        of the earliest block is the one reported."""
+        M = cls(p, q, gens, rows)
+        for block, want in ((M.X, 0), (M.Y, 1), (M.Z, 1), (M.T, 0)):
             for row in block:
                 for e in row:
                     if e.gens != gens:
@@ -479,46 +474,37 @@ class SuperMatrix:
                         )
                     if par is None:
                         raise ValueError(f"inhomogeneous entry: {e}")
-        return cls(p, q, gens, X, Y, Z, T)
+        return M
+
+    @classmethod
+    def from_blocks(cls, p: int, q: int, gens: int, X, Y, Z, T) -> "SuperMatrix":
+        X, Y, Z, T = _as_matrix(X), _as_matrix(Y), _as_matrix(Z), _as_matrix(T)
+        for block, rows, cols in ((X, p, p), (Y, p, q), (Z, q, p), (T, q, q)):
+            if len(block) != rows or any(len(r) != cols for r in block):
+                raise ValueError("block shape mismatch")
+        rows = tuple(x + y for x, y in zip(X, Y)) + tuple(z + t for z, t in zip(Z, T))
+        return cls._checked(p, q, gens, rows)
 
     @classmethod
     def identity(cls, p: int, q: int, gens: int) -> "SuperMatrix":
         one = GrassmannElement.scalar(gens, 1)
         zero = GrassmannElement.zero(gens)
-
-        def eye(n):
-            return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-        def zeros(r, c):
-            return tuple(tuple(zero for _ in range(c)) for _ in range(r))
-
-        return cls(p, q, gens, eye(p), zeros(p, q), zeros(q, p), eye(q))
-
-    def full_rows(self) -> Matrix:
-        top = tuple(self.X[i] + self.Y[i] for i in range(self.p))
-        bottom = tuple(self.Z[i] + self.T[i] for i in range(self.q))
-        return top + bottom
-
-    @classmethod
-    def from_full(cls, p: int, q: int, gens: int, rows) -> "SuperMatrix":
-        rows = _as_matrix(rows)
-        if len(rows) != p + q or any(len(r) != p + q for r in rows):
-            raise ValueError("full matrix shape mismatch")
-        return cls.from_blocks(p, q, gens, *_split(p, rows))
+        n = p + q
+        eye = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return cls(p, q, gens, eye)
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         if (self.p, self.q, self.gens) != (other.p, other.q, other.gens):
             raise ValueError("supermatrix shape mismatch")
-        prod = _matmul(self.full_rows(), other.full_rows(), self.gens)
-        # a product of even supermatrices is even: its blocks need no check
-        return SuperMatrix(self.p, self.q, self.gens, *_split(self.p, prod))
+        # a product of even supermatrices is even: its entries need no check
+        return SuperMatrix(self.p, self.q, self.gens, _matmul(self.rows, other.rows, self.gens))
 
     def to_record(self) -> dict:
         return {
             "p": self.p,
             "q": self.q,
             "grassmann_gens": self.gens,
-            "entries": [e.to_record() for row in self.full_rows() for e in row],
+            "entries": [e.to_record() for row in self.rows for e in row],
         }
 
     @classmethod
@@ -564,8 +550,7 @@ class SuperMatrix:
                 ) from e
             where = f"entries[{k}]" if k >= 0 else field
             raise ValueError(f"supermatrix record field {where!r} is malformed: {e}") from e
-        rows = tuple(tuple(elems[i * n : (i + 1) * n]) for i in range(n))
-        return cls.from_full(p, q, gens, rows)
+        return cls._checked(p, q, gens, tuple(tuple(elems[i * n : (i + 1) * n]) for i in range(n)))
 
 
 def _integer(value) -> int:
@@ -610,14 +595,13 @@ def ber(M: SuperMatrix) -> GrassmannElement:
     also tells whether the body of its diagonal block is invertible; with
     one block empty, the other's elimination alone gives both.
     """
-    if M.q == 0:
-        return _schur(M.X, M.p)[0] if M.p else GrassmannElement.scalar(M.gens, 1)
-    if M.p == 0:
-        return invert_unit(_schur(M.T, M.q)[0])
+    p, rows = M.p, M.rows
+    if not (p and M.q):
+        det = _schur(rows, len(rows))[0] if rows else GrassmannElement.scalar(M.gens, 1)
+        return invert_unit(det) if M.q else det
 
-    p, full = M.p, M.full_rows()
-    det_x, schur_t = _schur(full, p)
-    det_t, schur_x = _schur([r[p:] + r[:p] for r in full[p:] + full[:p]], M.q)
+    det_x, schur_t = _schur(rows, p)
+    det_t, schur_x = _schur([r[p:] + r[:p] for r in rows[p:] + rows[:p]], M.q)
     first = det_even(schur_x) * invert_unit(det_t)
     second = det_x * invert_unit(det_even(schur_t))
     if first != second:
@@ -625,24 +609,25 @@ def ber(M: SuperMatrix) -> GrassmannElement:
     return first
 
 
-def random_grassmann(rng, gens: int, parity: int, bound: int = 3, term_chance: float = 0.5) -> GrassmannElement:
-    """Random homogeneous element with small rational coefficients."""
+def random_grassmann(rng, gens: int, parity: int, bound: int = 3) -> GrassmannElement:
+    """Random homogeneous element with small rational coefficients: each
+    monomial of the parity is kept with chance 1/2."""
     terms: dict[int, Fraction] = {}
     for size in range(parity, gens + 1, 2):
         for subset in combinations(range(gens), size):
-            if rng.random() < term_chance:
+            if rng.random() < 0.5:
                 num = rng.randint(-bound, bound)
                 if num:
                     terms[sum(1 << i for i in subset)] = Fraction(num, rng.randint(1, 2))
     return _from_fractions(gens, terms)
 
 
-def random_invertible_supermatrix(rng, p: int, q: int, gens: int, bound: int = 3) -> SuperMatrix:
+def random_invertible_supermatrix(rng, p: int, q: int, gens: int) -> SuperMatrix:
     """Seeded random even supermatrix with invertible diagonal-block bodies."""
     while True:
         def block(rows, cols, parity):
             return [
-                [random_grassmann(rng, gens, parity, bound) for _ in range(cols)]
+                [random_grassmann(rng, gens, parity) for _ in range(cols)]
                 for _ in range(rows)
             ]
 

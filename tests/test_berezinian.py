@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,31 @@ class TestGrassmannElement:
     def test_rejects_negative_generator_count(self):
         with pytest.raises(ValueError, match="negative Grassmann generator count"):
             GrassmannElement.make(-1, {})
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, "1/3", True, None], ids=repr)
+    def test_inexact_coefficients_rejected(self, value):
+        shown = f"got {value!r}"
+        g = G({(): 1, (1,): 2})
+        for build in (
+            lambda: GrassmannElement.make(2, {(): value}),
+            lambda: GrassmannElement.make(2, {(1,): 1, (1, 2): value}),
+            lambda: GrassmannElement.scalar(2, value),
+            lambda: g + value,
+            lambda: value + g,
+            lambda: g - value,
+        ):
+            with pytest.raises(TypeError, match=re.escape(shown)):
+                build()
+
+    def test_int_and_fraction_coefficients_unchanged(self):
+        third = Fraction(1, 3)
+        e = GrassmannElement.make(4, {(): third, (1, 2): 2, (3, 4): Fraction(4, 2)})
+        assert e.terms == (((), third), ((1, 2), Fraction(2)), ((3, 4), Fraction(2)))
+        assert GrassmannElement.scalar(4, 0) == ZERO
+        assert GrassmannElement.scalar(4, third).body == third
+        assert e + 1 == 1 + e == G({(): Fraction(4, 3), (1, 2): 2, (3, 4): 2})
+        assert e - third == G({(1, 2): 2, (3, 4): 2})
+        assert e * 3 == 3 * e == G({(): 1, (1, 2): 6, (3, 4): 6})
 
 
 class TestInvertUnit:
@@ -401,3 +427,131 @@ class TestRecordFormat:
         rec["entries"][0] = [{"coeff": "1", "thetas": [0]}, {"coeff": "x", "thetas": []}]
         with pytest.raises(ValueError, match=r"'entries\[0\]' is malformed: expected a rational"):
             SuperMatrix.from_record(rec)
+
+
+T1, T2, T12 = G({(1,): 1}), G({(2,): 1}), G({(1, 2): 1})
+WRONG_GENS = GrassmannElement.make(3, {(1,): 1})
+# ({(row, column): entry}, message): of the bad entries of a (2|1) matrix,
+# the first in block order X, Y, Z, T, each row by row, is reported
+BAD_ENTRY = [
+    pytest.param({(0, 2): ONE + T12, (2, 1): ONE + T1},
+                 "entry parity violates even supermatrix structure: 1 + t1*t2", id="Y even, T inhomogeneous"),
+    pytest.param({(2, 0): ONE + T1, (1, 1): T2},
+                 "entry parity violates even supermatrix structure: t2", id="X odd, Z inhomogeneous"),
+    pytest.param({(1, 0): T1 + T12, (0, 2): ONE},
+                 "inhomogeneous entry: t1 + t1*t2", id="X inhomogeneous, Y even"),
+    pytest.param({(1, 0): T1, (0, 1): T1 + T2, (2, 2): ONE + T1},
+                 "entry parity violates even supermatrix structure: t1 + t2", id="X odd twice, row by row"),
+    pytest.param({(2, 1): ONE + T2, (2, 2): T1},
+                 "inhomogeneous entry: 1 + t2", id="Z inhomogeneous, T odd"),
+]
+
+
+def _with(entries):
+    """The (2|1) identity over 4 generators with ``entries`` put in, built
+    unchecked so that its blocks and its record carry the bad entries."""
+    rows = [list(r) for r in SuperMatrix.identity(2, 1, 4).rows]
+    for (i, j), e in entries.items():
+        rows[i][j] = e
+    return SuperMatrix(2, 1, 4, tuple(map(tuple, rows)))
+
+
+def _blocks(M):
+    return M.X, M.Y, M.Z, M.T
+
+
+class TestSuperMatrixLayout:
+    @pytest.mark.parametrize("entries, message", BAD_ENTRY)
+    def test_first_bad_entry_in_block_order_is_reported(self, entries, message):
+        M = _with(entries)
+        with pytest.raises(ValueError) as info:
+            SuperMatrix.from_blocks(2, 1, 4, *_blocks(M))
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            SuperMatrix.from_record(M.to_record())
+        assert str(info.value) == message
+
+    def test_generator_count_checked_in_block_order(self):
+        # Z has a wrong generator count, X an odd entry: X comes first
+        M = _with({(2, 0): WRONG_GENS, (0, 1): T1})
+        with pytest.raises(ValueError, match="entry parity violates even supermatrix structure: t1$"):
+            SuperMatrix.from_blocks(2, 1, 4, *_blocks(M))
+        # Y has a wrong generator count, T an inhomogeneous entry: Y comes first
+        M = _with({(1, 2): WRONG_GENS, (2, 2): ONE + T1})
+        with pytest.raises(ValueError) as info:
+            SuperMatrix.from_blocks(2, 1, 4, *_blocks(M))
+        assert str(info.value) == "mismatched Grassmann generator counts"
+
+    @pytest.mark.parametrize("block", range(4), ids="XYZT")
+    def test_block_shape_mismatch(self, block):
+        blocks = list(_blocks(SuperMatrix.identity(2, 1, 4)))
+        rows = blocks[block]
+        for bad in (rows[:-1], rows + rows[:1], [r[:-1] for r in rows], [r + (ZERO,) for r in rows]):
+            wrong = blocks[:block] + [bad] + blocks[block + 1 :]
+            with pytest.raises(ValueError) as info:
+                SuperMatrix.from_blocks(2, 1, 4, *wrong)
+            assert str(info.value) == "block shape mismatch"
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 2), (2, 0), (0, 2), (0, 0)])
+    def test_views_are_the_blocks_passed_in(self, p, q):
+        rng = random.Random(f"views {p} {q}")
+
+        def block(rows, cols, parity):
+            return [[random_grassmann(rng, 3, parity) for _ in range(cols)] for _ in range(rows)]
+
+        X, Y, Z, T = block(p, p, 0), block(p, q, 1), block(q, p, 1), block(q, q, 0)
+        M = SuperMatrix.from_blocks(p, q, 3, X, Y, Z, T)
+        as_tuples = lambda B: tuple(map(tuple, B))
+        assert (M.X, M.Y, M.Z, M.T) == tuple(map(as_tuples, (X, Y, Z, T)))
+        assert M.rows == tuple(x + y for x, y in zip(M.X, M.Y)) + tuple(z + t for z, t in zip(M.Z, M.T))
+
+    def test_rows_follow_the_record_order(self):
+        p, q, gens = 2, 1, 3
+        n = p + q
+        # entry k of the record is k + 1, times t1 in the odd blocks
+        t1 = GrassmannElement.make(gens, {(1,): 1})
+        flat = [t1 * (k + 1) if (k // n < p) != (k % n < p) else GrassmannElement.scalar(gens, k + 1)
+                for k in range(n * n)]
+        record = {"p": p, "q": q, "grassmann_gens": gens, "entries": [e.to_record() for e in flat]}
+        M = SuperMatrix.from_record(record)
+        assert [e for row in M.rows for e in row] == flat
+        assert M.to_record()["entries"] == [e.to_record() for e in flat]
+        assert M.Y == ((flat[2],), (flat[5],)) and M.Z == ((flat[6], flat[7]),)
+
+    @pytest.mark.parametrize("p, q", [(2, 1), (0, 2), (3, 0)])
+    def test_identity_blocks(self, p, q):
+        M = SuperMatrix.identity(p, q, 4)
+        eye = lambda n: tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+        zeros = lambda r, c: tuple((ZERO,) * c for _ in range(r))
+        assert (M.X, M.Y, M.Z, M.T) == (eye(p), zeros(p, q), zeros(q, p), eye(q))
+        assert M.rows == eye(p + q)
+
+
+def _block_mul(A, B, rows, cols, gens):
+    """rows x cols product of two blocks, summed with ``GrassmannElement``
+    arithmetic; an empty inner dimension gives zeros."""
+    return tuple(
+        tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), GrassmannElement.zero(gens)) for j in range(cols))
+        for i in range(rows)
+    )
+
+
+def _block_add(A, B):
+    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 2), (2, 2), (2, 0), (0, 2)])
+def test_matmul_blocks_follow_the_block_formulas(p, q):
+    rng = random.Random(f"matmul {p} {q}")
+    for gens in (2, 3, 4):
+        M = random_invertible_supermatrix(rng, p, q, gens)
+        N = random_invertible_supermatrix(rng, p, q, gens)
+        P = M @ N
+
+        def mul(A, B, rows, cols):
+            return _block_mul(A, B, rows, cols, gens)
+
+        assert P.X == _block_add(mul(M.X, N.X, p, p), mul(M.Y, N.Z, p, p))
+        assert P.Y == _block_add(mul(M.X, N.Y, p, q), mul(M.Y, N.T, p, q))
+        assert P.Z == _block_add(mul(M.Z, N.X, q, p), mul(M.T, N.Z, q, p))
+        assert P.T == _block_add(mul(M.Z, N.Y, q, q), mul(M.T, N.T, q, q))
