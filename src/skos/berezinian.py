@@ -115,9 +115,7 @@ class GrassmannElement:
         clean: dict[int, Fraction] = {}
         for thetas, coeff in terms.items():
             mask = _theta_mask(tuple(thetas), gens)
-            if type(coeff) not in (int, Fraction):
-                raise TypeError(f"Grassmann coefficients must be int or Fraction, got {coeff!r}")
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            c = _exact(coeff)
             if c:
                 clean[mask] = clean[mask] + c if mask in clean else c
         return _from_fractions(gens, clean)
@@ -182,18 +180,19 @@ class GrassmannElement:
     def __sub__(self, other) -> "GrassmannElement":
         return _add(self, self._operand(other), -1)
 
+    def __rsub__(self, other) -> "GrassmannElement":
+        return _add(self._operand(other), self, -1)
+
     def __neg__(self) -> "GrassmannElement":
         return _element(self.gens, {m: -c for m, c in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "GrassmannElement":
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return _scaled(self, other.numerator, other.denominator)
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        if self.gens != other.gens:
-            raise ValueError("mismatched Grassmann generator counts")
-        return _dot(self.gens, ((self, other),))
+        if isinstance(other, GrassmannElement):
+            if self.gens != other.gens:
+                raise ValueError("mismatched Grassmann generator counts")
+            return _dot(self.gens, ((self, other),))
+        other = _exact(other)
+        return _scaled(self, other.numerator, other.denominator)
 
     __rmul__ = __mul__
 
@@ -215,6 +214,15 @@ class GrassmannElement:
 
     def to_record(self) -> list[dict]:
         return [{"coeff": str(c), "thetas": list(t)} for t, c in self.terms]
+
+
+def _exact(value) -> Fraction:
+    """``value`` as a Fraction: only ``int`` and ``Fraction`` themselves are coefficients."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    raise TypeError(f"Grassmann coefficients must be int or Fraction, got {value!r}")
 
 
 # Internal constructors and arithmetic: operands share ``gens`` and are

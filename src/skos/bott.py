@@ -336,8 +336,9 @@ def bott_table(
     r_max: int,
     method: str = "both",
     base="Q",
+    p_min: int = 0,
 ) -> list[CohomologyTable]:
-    """Batch driver: tables for p = 0..p_max, r = r_min..r_max in that order.
+    """Batch driver: tables for p = p_min..p_max, r = r_min..r_max in that order.
 
     With ``method="both"`` every cell is computed along both paths and a
     disagreement is a hard error.  ``base`` other than Q needs ``method="direct"``.
@@ -348,10 +349,12 @@ def bott_table(
         raise ValueError(f"method {method!r} computes over Q only, not over {base}")
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
+    if not 0 <= p_min <= p_max:
+        raise ValueError(f"p_min must lie in 0..p_max ({p_max}), got {p_min}")
     if r_min > r_max:
         raise ValueError(f"empty twist range: r_min {r_min} > r_max {r_max}")
     tables = []
-    for p in range(p_max + 1):
+    for p in range(p_min, p_max + 1):
         for r in range(r_min, r_max + 1):
             if method == "formula":
                 tables.append(forms_cohomology_formula(m, n, p, r))

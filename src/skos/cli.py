@@ -6,6 +6,9 @@ exhausted), 2 on usage errors.
 Output is byte-deterministic for fixed arguments and seed; JSON is the
 canonical machine format, CSV is available for cohomology tables.
 Dispatch goes through the subparser table: each subcommand binds its handler.
+A known subcommand is parsed by its own parser alone; anything else (no
+arguments, ``-h``, an unknown command) by the full parser.  Messages, exit
+codes and the parsed namespace are the same either way.
 """
 
 from __future__ import annotations
@@ -315,11 +318,7 @@ def _cmd_bott(args, stdout) -> int:
     if args.p < 0:
         raise ValueError(f"--p must be nonnegative, got {args.p}")
     p_hi, r_hi = _upper(args.p, args.p_max, "p"), _upper(args.r, args.r_max, "r")
-    tables = [
-        t
-        for t in bott.bott_table(args.m, args.n, p_hi, args.r, r_hi, args.method, args.base)
-        if t.p >= args.p
-    ]
+    tables = bott.bott_table(args.m, args.n, p_hi, args.r, r_hi, args.method, args.base, p_min=args.p)
     _emit_tables(tables, args.output, stdout)
     return 0
 
@@ -348,13 +347,34 @@ def _emit_tables(tables, output, stdout) -> None:
             )
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass when ``argv[0]`` is a subcommand.
+
+    The full parser's own pass only hands ``argv[1:]`` to that subcommand's
+    parser and copies the namespace it gets back, so this calls the same
+    parser object directly.  Any other ``argv`` goes through the full parser.
+    """
+    parser = build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, rest = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if rest:
+        parser.error("unrecognized arguments: " + " ".join(rest))
+    return args
+
+
 def run(argv, stdout=None, stderr=None) -> int:
-    """Parse and execute one invocation; returns the exit code."""
+    """Parse and execute one invocation; returns the exit code.
+
+    A known subcommand is parsed by its own parser, anything else by the
+    full parser, with identical messages and exit codes (see ``_parse``).
+    """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            args = build_parser().parse_args(argv)
+            args = _parse(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 2
     try:

@@ -82,6 +82,9 @@ class TestGrassmannElement:
             lambda: g + value,
             lambda: value + g,
             lambda: g - value,
+            lambda: value - g,
+            lambda: g * value,
+            lambda: value * g,
         ):
             with pytest.raises(TypeError, match=re.escape(shown)):
                 build()
@@ -95,6 +98,9 @@ class TestGrassmannElement:
         assert e + 1 == 1 + e == G({(): Fraction(4, 3), (1, 2): 2, (3, 4): 2})
         assert e - third == G({(1, 2): 2, (3, 4): 2})
         assert e * 3 == 3 * e == G({(): 1, (1, 2): 6, (3, 4): 6})
+        assert e * third == third * e == G({(): Fraction(1, 9), (1, 2): Fraction(2, 3), (3, 4): Fraction(2, 3)})
+        assert 1 - e == -(e - 1) == G({(): Fraction(2, 3), (1, 2): -2, (3, 4): -2})
+        assert third - e == G({(1, 2): -2, (3, 4): -2})
 
 
 class TestInvertUnit:

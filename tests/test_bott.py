@@ -451,6 +451,13 @@ class TestBottTable:
             bott_table(1, 1, 1, 3, 2, "both")
         with pytest.raises(ValueError, match="p_max must be nonnegative"):
             bott_table(1, 1, -1, 0, 0, "both")
+        for p_min in (-1, 2):
+            with pytest.raises(ValueError, match=rf"p_min must lie in 0\.\.p_max \(1\), got {p_min}"):
+                bott_table(1, 1, 1, 0, 0, "both", p_min=p_min)
+
+    def test_p_min_drops_only_the_lower_tables(self):
+        full = bott_table(2, 1, 3, -2, 2, "both")
+        assert bott_table(2, 1, 3, -2, 2, "both", p_min=2) == [t for t in full if t.p >= 2]
 
     def test_disagreement_raises(self, monkeypatch):
         import skos.bott as bott_mod

@@ -1,6 +1,9 @@
 import argparse
+import contextlib
 import io
 import json
+from pathlib import Path
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -10,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skos import bott
 from skos.berezinian import SuperMatrix
-from skos.cli import build_parser, run
+from skos.cli import _parse, build_parser, run
 from skos.complexes import GradedComplex
 
 
@@ -313,6 +317,33 @@ class TestBottCommands:
         assert (code, out) == (1, "")
         assert err == "skos: error: method 'both' computes over Q only, not over Z\n"
 
+    def test_p_lower_bound_computes_only_printed_cells(self, monkeypatch):
+        cells = []
+        direct = bott.forms_cohomology_direct
+
+        def counting(*args):
+            cells.append(args[:4])
+            return direct(*args)
+
+        monkeypatch.setattr(bott, "forms_cohomology_direct", counting)
+        code, out, err = call(["bott", "--m", "2", "--n", "2", "--p", "6", "--r", "2",
+                               "--method", "direct"])
+        assert (code, err) == (0, "")
+        assert out == "m=2 n=2 p=6 r=2 [direct]: H^0=(0|0)  H^1=(0|0)  H^2=(376|376)\n"
+        assert cells == [(2, 2, 6, 2)]
+
+        cells.clear()
+        code, out, _ = call(["bott", "--m", "1", "--n", "1", "--p", "1", "--p-max", "2",
+                             "--r", "-1", "--r-max", "1", "--method", "both", "--output", "csv"])
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "1,1,1,-1,0,0,0,both", "1,1,1,-1,1,4,4,both", "1,1,1,0,0,0,0,both",
+            "1,1,1,0,1,2,2,both", "1,1,1,1,0,0,0,both", "1,1,1,1,1,0,0,both",
+            "1,1,2,-1,0,0,0,both", "1,1,2,-1,1,6,6,both", "1,1,2,0,0,0,0,both",
+            "1,1,2,0,1,4,4,both", "1,1,2,1,0,0,0,both", "1,1,2,1,1,2,2,both",
+        ]
+        assert len(cells) == (len(out.splitlines()) - 1) // 2 == 6
+
     def test_line_bundle(self):
         code, out, _ = call(["line-bundle", "--m", "1", "--n", "1", "--r", "2",
                              "--output", "csv"])
@@ -408,6 +439,87 @@ class TestCommandTable:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Edge cases of the argument paths: no command, top-level help, an unknown
+# command, a missing option, an extra positional, abbreviated options, a
+# negative value read as an option, "--", --opt=value, subcommand help, an
+# unknown option and a composite base that is not a field.
+PARSE_CORPUS = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["homology", "--kind", "koszul"],
+    ["koszul", "--rank", "0,1", "--weight", "1", "extra"],
+    ["homology", "--kind", "koszul", "--ra", "0,1", "--we", "2"],
+    ["specialize", "--rank", "2,0", "--omega", "-1,2"],
+    ["bott", "--m", "1", "--n", "1", "--p", "0", "--r", "-4"],
+    ["koszul", "--rank", "0,1", "--", "--weight", "1"],
+    ["specialize", "--rank=2,0", "--omega=-1,2"],
+    ["bott", "-h"],
+    ["ber", "--random-check", "3"],
+    ["bott", "--m", "1", "--n", "1", "--p", "0", "--r", "1", "--frob", "2"],
+    ["homology", "--kind", "koszul", "--rank", "0,1", "--base", "Fp:4", "--weight", "1"],
+] + [
+    shlex.split(line)[1:] for line in README.read_text().splitlines() if line.startswith("skos ")
+]
+VALUES = ["0", "1", "2", "-1", "-4", "1,1", "x", "", "Fp:7", "Fp:4"]
+
+
+def _outcome(parse, argv):
+    """``vars`` of the namespace, or (exit code, stdout, stderr) of the usage exit."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(list(argv))), out.getvalue(), err.getvalue()
+    except SystemExit as e:
+        return e.code, out.getvalue(), err.getvalue()
+
+
+def _argvs(name):
+    """argv lists for one subcommand, from its option strings, their
+    prefixes, --opt=value forms, "--", "-h" and a few values."""
+    options = sorted(o for a in _subcommands()[name]._actions for o in a.option_strings)
+    prefixes = sorted({o[:k] for o in options for k in range(3, len(o))})
+    assigned = [f"{o}={v}" for o in options for v in VALUES]
+    token = st.sampled_from(options + prefixes + assigned + ["--", "-h"] + VALUES)
+    pair = st.tuples(st.sampled_from(options + prefixes), st.sampled_from(VALUES)).map(list)
+    parts = st.lists(st.one_of(pair, token.map(lambda t: [t])), max_size=7)
+    return parts.map(lambda ps: [name] + [t for p in ps for t in p])
+
+
+class TestOneParsePass:
+    """``_parse`` (what ``run`` parses with) equals ``build_parser().parse_args``."""
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+    def test_corpus(self, argv):
+        assert _outcome(_parse, argv) == _outcome(build_parser().parse_args, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_subcommands())).flatmap(_argvs))
+    def test_fuzzed_argv(self, argv):
+        assert _outcome(_parse, argv) == _outcome(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize(
+        "argv, passes",
+        [(["koszul", "--rank", "0,1", "--weight", "1"], 0),
+         (["koszul", "--rank", "0,1", "--weight", "1", "extra"], 0),
+         ([], 1),
+         (["bogus"], 1)],
+    )
+    def test_full_parser_runs_only_without_a_known_subcommand(self, monkeypatch, argv, passes):
+        parser, calls = build_parser(), []
+        known = parser.parse_known_args
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return known(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counting)
+        call(argv)
+        assert len(calls) == passes
 
 
 def test_console_entry_point():
