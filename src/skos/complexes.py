@@ -182,7 +182,8 @@ class GradedComplex:
             "positions": list(self.positions),
             "bases": [list(self.basis_at[p].labels) for p in self.positions],
             "differentials": [
-                {"from": p, "rows": M.rows, "cols": M.cols, "entries": [list(t) for t in M.triplets()]}
+                {"from": p, "rows": M.rows, "cols": M.cols,
+                 "entries": sorted([[r, c, v] for r, row in M._r.items() for c, v in row.items()])}
                 for p, M in sorted(self.diff_at.items())
             ],
         }
@@ -241,7 +242,7 @@ class GradedComplex:
                     not _is_int(d.get(k)) or d[k] != v for k, v in shape.items()):
                 raise ValueError(f"{where} must have {shape} and a list of entries")
             M = diff_at[pos] = ExactMatrix.zeros(rows, cols)
-            stored, last, in_order = M._d, (-1, -1), True
+            last, in_order = (-1, -1), True
             row_parity, col_parity = basis_at[pos + 1].parities, basis_at[pos].parities
             for t in d["entries"]:  # checked here, so stored straight into the matrix
                 r, c, v = t if type(t) is list and len(t) == 3 else (None, None, None)
@@ -249,9 +250,13 @@ class GradedComplex:
                     raise ValueError(f"{where} has entry {t!r}")
                 if row_parity[r] != col_parity[c]:
                     raise ValueError(f"{where} has entry {t!r}, which joins a row and a column of different parity")
-                in_order = in_order and v != 0 and (r, c) > last
-                last = (r, c)
-                stored[last] = v
+                rc = (r, c)
+                in_order = in_order and v != 0 and rc > last
+                if r != last[0]:  # sorted, so each row's entries arrive together
+                    row = M._r[r] = {c: v}
+                else:
+                    row[c] = v
+                last = rc
             if not in_order:
                 raise ValueError(f"{where} must list its nonzero entries once, sorted")
         bounds = list(_SUPPORT[kind](a, b, weight))  # homology trusts it at the window's edges
@@ -359,11 +364,12 @@ def assemble(src: FreeBasis, dst: FreeBasis, stencil: dict[tuple, tuple], times)
     once per entry of the other factor; a row is then outer * |inner| +
     inner in the target's factors.  Columns run in basis order and each
     column's terms in stencil order, and each entry is written straight
-    into the matrix's ``_d`` at its first term, the terms of a repeated
+    into its row of the matrix at its first term, the terms of a repeated
     target summed into it and a zero (a zero product, or a sum that
-    cancels) dropped: the entries and their order are those of
-    ``ExactMatrix.from_triplets`` on the same terms, without its checks,
-    as every row and column is in range and every value an ``int``.
+    cancels) dropped, and so is a row it leaves empty: the rows, the
+    entries and their order are those of ``ExactMatrix.from_triplets`` on
+    the same terms, without its checks, as every row and column is in
+    range and every value an ``int``.
     A term whose target is not in ``dst`` raises ``KeyError``.
     """
     if not src:
@@ -404,21 +410,26 @@ def assemble(src: FreeBasis, dst: FreeBasis, stencil: dict[tuple, tuple], times)
     else:
         columns = ((terms, a) for a, terms in product(range(len(acted)), key_terms))
     M = ExactMatrix(len(dst), len(src))
-    d = M._d
-    zeros = []  # entries that held a zero at some term: a zero product or a sum that cancelled
+    out = M._r
+    emptied = []  # rows that dropped an entry: a zero product or a sum that cancelled
     for col, (terms, a) in enumerate(columns):
-        for c, table, row in terms:
+        for c, table, offset in terms:
             hit = table[a]
             if hit is not None:
-                rc, v = (row + hit[1], col), c * hit[0]
-                if rc in d:
-                    v += d[rc]
-                d[rc] = v
-                if not v:
-                    zeros.append(rc)
-    for rc in zeros:  # dropped only now, so a later term of the same entry keeps its place
-        if d.get(rc) == 0:
-            del d[rc]
+                r, v = offset + hit[1], c * hit[0]
+                if r not in out:
+                    row = out[r] = {col: v}
+                else:
+                    row = out[r]
+                    if col in row:
+                        v += row[col]
+                    row[col] = v
+                if not v:  # col is the last column of the row, so a later term adds it back in place
+                    del row[col]
+                    emptied.append(r)
+    for r in emptied:  # dropped only now, so a row keeps the place its first term gave it
+        if r in out and not out[r]:
+            del out[r]
     return M
 
 

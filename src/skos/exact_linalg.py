@@ -102,15 +102,17 @@ def parse_base(base: str) -> tuple[str, int | None]:
 # sparse integer matrices
 
 class ExactMatrix:
-    """Sparse integer matrix in coordinate form; no explicit zeros stored.
+    """Sparse integer matrix stored as its nonzero rows.
 
-    ``_d`` maps (row, col) to a nonzero ``int``.  Input from outside goes
-    through ``from_triplets``, the one constructor that checks it; the
-    builders that produce their entries in range and as ints write ``_d``
-    directly: ``skos.complexes.assemble``, ``GradedComplex.from_record``
-    (after checking each entry itself) and ``__matmul__``.
-    The elimination kernel relies on it: it pivots on any stored entry
-    over a field.
+    ``_r`` maps each row that holds an entry to a ``{col: int}`` dict of
+    its nonzero entries: no empty row and no zero is stored.  ``rows`` and
+    ``cols`` give the shape.  Input from outside goes through
+    ``from_triplets``, the one constructor that checks it; the builders
+    that produce their entries in range and as ints write ``_r`` directly:
+    ``skos.complexes.assemble``, ``GradedComplex.from_record`` (after
+    checking each entry itself) and ``__matmul__``.  The elimination
+    kernel relies on it: it pivots on any stored entry over a field, and
+    takes its one working copy row by row (``_unit_core``).
 
     ``_memo`` holds what the matrix reduces to, each filled on first use
     (``_memoized``): its unit core, the pivot of each core row over Q and
@@ -118,14 +120,14 @@ class ExactMatrix:
     ranked.
     """
 
-    __slots__ = ("rows", "cols", "_d", "_memo")
+    __slots__ = ("rows", "cols", "_r", "_memo")
 
     def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
         self.rows = rows
         self.cols = cols
-        self._d: dict[tuple[int, int], int] = {}
+        self._r: dict[int, dict[int, int]] = {}
         self._memo: dict = {}
 
     @classmethod
@@ -134,21 +136,21 @@ class ExactMatrix:
 
         The one constructor that checks its entries: each must lie inside
         the shape and sum to an ``int``.  ``from_dense``, ``identity`` and
-        callers outside the package build through it; entries keep the
-        order in which each first occurs.
+        callers outside the package build through it; rows keep the order
+        in which each is first named, and a row's entries the order in
+        which each first occurs, as ``assemble`` writes them.
         """
         m = cls(rows, cols)
-        acc: dict[tuple[int, int], int] = defaultdict(int)
         for r, c, v in triplets:
-            acc[(r, c)] += v
-        d = m._d
-        for (r, c), v in acc.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-            if not isinstance(v, int):
-                raise TypeError(f"integer entries required, got {type(v).__name__}")
-            if v:
-                d[(r, c)] = v
+            row = m._r.setdefault(r, {})
+            row[c] = row.get(c, 0) + v
+        for r, row in m._r.items():
+            for c, v in row.items():
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
+                if not isinstance(v, int):
+                    raise TypeError(f"integer entries required, got {type(v).__name__}")
+        m._r = {r: kept for r, row in m._r.items() if (kept := {c: v for c, v in row.items() if v})}
         return m
 
     @classmethod
@@ -169,67 +171,73 @@ class ExactMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self._d)
+        return sum(map(len, self._r.values()))
 
     def is_zero(self) -> bool:
-        return not self._d
+        return not self._r
 
     def to_dense(self) -> list[list[int]]:
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self._d.items():
-            dense[r][c] = v
-        return dense
+        rows = [self._r.get(r, {}) for r in range(self.rows)]
+        return [[row.get(c, 0) for c in range(self.cols)] for row in rows]
 
     def triplets(self) -> list[tuple[int, int, int]]:
-        return sorted((r, c, v) for (r, c), v in self._d.items())
+        return sorted([(r, c, v) for r, row in self._r.items() for c, v in row.items()])
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
-        return ExactMatrix.from_triplets(self.rows, self.cols, (
-            (r, c, v) for d in (self._d, other._d) for (r, c), v in d.items()))
+        return ExactMatrix.from_triplets(self.rows, self.cols, self.triplets() + other.triplets())
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        by_row: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for (k, c), v in other._d.items():
-            by_row[k].append((c, v))
-        sums: dict[int, dict[int, int]] = defaultdict(dict)
-        for (r, k), u in self._d.items():
-            right = by_row.get(k)
-            if right:
-                row = sums[r]
-                for c, v in right:
-                    row[c] = row.get(c, 0) + u * v
         out = ExactMatrix(self.rows, other.cols)
-        d = out._d
-        for r, row in sums.items():
-            for c, v in row.items():
-                if v:
-                    d[r, c] = v
+        right = other._r
+        for r, left in self._r.items():
+            sums: dict[int, int] = {}
+            for k, u in left.items():
+                if k in right:
+                    for c, v in right[k].items():
+                        sums[c] = sums.get(c, 0) + u * v
+            if row := {c: v for c, v in sums.items() if v}:
+                out._r[r] = row
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self._d == other._d
+        return (self.rows, self.cols) == (other.rows, other.cols) and self._r == other._r
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
+    _d = property(lambda self: _EntryView(self))
+
+
+class _EntryView:
+    """A write-through view of a matrix's entries keyed by (row, col), kept
+    only for ``perfbench/test_gate.py``, which forges a bad matrix through
+    it, until a benchmark change moves that gate to a public constructor.
+    Nothing in ``skos`` uses it.  A write goes through ``from_triplets``
+    and clears the matrix's memo, so the next rank sees it."""
+
+    def __init__(self, m: ExactMatrix):
+        self._m = m
+
+    def __iter__(self):
+        return ((r, c) for r, row in self._m._r.items() for c in row)
+
+    def __getitem__(self, rc: tuple[int, int]) -> int:
+        return self._m._r[rc[0]][rc[1]]
+
+    def __setitem__(self, rc: tuple[int, int], v: int) -> None:
+        m = self._m
+        m._r = ExactMatrix.from_triplets(m.rows, m.cols, [t for t in m.triplets() if t[:2] != rc] + [(*rc, v)])._r
+        m._memo.clear()
+
 
 # ---------------------------------------------------------------------------
 # elimination
-
-def _rows(M: ExactMatrix) -> dict[int, dict]:
-    """Nonzero rows of ``M`` as sparse {column: entry} dicts keyed by row,
-    in the order each row first occurs in ``M._d``."""
-    grouped: dict[int, dict] = defaultdict(dict)
-    for (r, c), v in M._d.items():
-        grouped[r][c] = v
-    return grouped
-
 
 def _eliminate(rows: dict[int, dict], inverse, p: int | None = None,
                units: tuple | None = None) -> tuple[list[int], dict[int, dict]]:
@@ -348,12 +356,13 @@ def _unit_core(M: ExactMatrix) -> tuple[list[int], dict[int, dict[int, int]]]:
     The pivots form a block A11 with det A11 = +-1, and every step is
     unimodular, so the core rows, keyed by row, are the Schur complement
     A22 - A21 A11^-1 A12: integer entries, each a minor of ``M`` up to
-    sign, and rank M = pivots + rank(core) over any field.
+    sign, and rank M = pivots + rank(core) over any field.  The kernel
+    works on one copy of the stored rows, taken here; none of an entry-free ``M``.
     """
-    if not M._d:
+    if not M._r:
         return [], {}
     # +-1 is its own inverse, so ``int`` serves as the inverse map
-    return _eliminate(_rows(M), int, units=(1, -1))
+    return _eliminate({i: dict(row) for i, row in M._r.items()}, int, units=(1, -1))
 
 
 def _memoized(M: ExactMatrix, key, compute, *args):
@@ -549,14 +558,14 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
     kind, p = parse_base(base)
     out_m = C.outgoing(position)
     in_m = C.incoming(position)
-    if out_m._d and in_m._d:  # a product with an entry-free factor has no entries
+    if out_m._r and in_m._r:  # a product with an entry-free factor has no entries
         dd = out_m @ in_m
         if not dd.is_zero():
             raise ArithmeticError(
                 f"not a complex at position {position}: d∘d has {dd.nnz} nonzero entries"
             )
     here = C.basis_at[position]
-    above = C.basis_at[position + 1].parities if out_m._d else ()  # an entry-free rank reads none
+    above = C.basis_at[position + 1].parities if out_m._r else ()  # an entry-free rank reads none
     free = here.dims() - rank(out_m, base, above) - rank(in_m, base, here.parities)
     torsion = _block_homology_z(in_m, here.parities) if kind == "Z" else ((), ())
     h = HomologySummary(position, free, *torsion)

@@ -26,6 +26,18 @@ from skos.multilinear import FreeBasis, SuperDim, basis_wedge_sym
 from skos.super_poly import X, GeneratorSet, contract_euler, exterior_d
 
 
+def stored(M):
+    """The entries of ``M`` in the order its rows store them."""
+    return [((r, c), v) for r, row in M._r.items() for c, v in row.items()]
+
+
+def assert_row_layout(M):
+    """``M`` stores only nonzero rows of nonzero ``int`` entries, each inside its shape."""
+    for r, row in M._r.items():
+        assert 0 <= r < M.rows and row, (M, r)
+        assert all(0 <= c < M.cols and type(v) is int and v for c, v in row.items()), (M, r, row)
+
+
 def envelope(total=4, weights=(0, 1, 2, 3, 4, 5)):
     for a in range(total + 1):
         for b in range(total + 1 - a):
@@ -327,8 +339,28 @@ class TestAssemble:
         mats += [skos.bott.laurent_matrix(3, p) for p in range(4)]
         assert sum(M.nnz for M in mats) > 0
         for M in mats:
-            assert all(type(v) is int and v for v in M._d.values())
-            assert all(0 <= r < M.rows and 0 <= c < M.cols for r, c in M._d)
+            assert_row_layout(M)
+
+    def test_every_matrix_is_stored_as_nonzero_rows(self):
+        """Builders, records, ``from_triplets`` (entries that cancel included)
+        and products store no empty row, no zero and no key outside the shape."""
+        import skos.bott
+
+        mats = []
+        for C in (build_koszul(2, 2, 3), build_derham(2, 1, 3), build_berezinian(2, 2, 1, 3),
+                  specialize_koszul(3, 1, (0, 2, 0, 0)), GradedComplex.from_record(build_koszul(1, 2, 2).to_record())):
+            mats += C.diff_at.values()
+        mats += [skos.bott.local_matrix(2, 1, r, p) for r in (-2, 0, 3) for p in range(4)]
+        mats += [skos.bott.laurent_matrix(3, p) for p in range(4)]
+        cancel = ExactMatrix.from_triplets(3, 3, [(0, 0, 2), (1, 1, 1), (0, 0, -2), (2, 0, 3), (1, 1, -1), (0, 2, 0)])
+        assert stored(cancel) == [((2, 0), 3)]
+        mats.append(cancel)
+        mats += [A @ B for A, B in zip(mats, mats[1:]) if A.cols == B.rows]
+        left, right = ExactMatrix.from_dense([[1, 1], [1, 2]]), ExactMatrix.from_dense([[1, 0], [-1, 0]])
+        mats += [left @ right, left @ ExactMatrix.zeros(2, 2)]
+        assert stored(mats[-2]) == [((1, 0), -1)] and mats[-1].is_zero()
+        for M in mats:
+            assert_row_layout(M)
 
     def test_repeated_targets_are_summed_in_first_term_order(self):
         """Terms that land on one entry are summed there, at the place of the
@@ -347,7 +379,7 @@ class TestAssemble:
             stencil = {dx0: tuple(t for c, i in zip(coefficients, gens_used) for t in (c, (X, i), one))}
             M = assemble(src, dst, stencil, _polynomial_times)
             want = ExactMatrix.from_triplets(2, 1, [(row[i], 0, c) for c, i in zip(coefficients, gens_used)])
-            assert list(M._d.items()) == list(want._d.items()) == expected
+            assert stored(M) == stored(want) == expected
 
 
 class TestSerialization:
