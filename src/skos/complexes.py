@@ -182,8 +182,7 @@ class GradedComplex:
             "positions": list(self.positions),
             "bases": [list(self.basis_at[p].labels) for p in self.positions],
             "differentials": [
-                {"from": p, "rows": M.rows, "cols": M.cols,
-                 "entries": sorted([[r, c, v] for r, row in M._r.items() for c, v in row.items()])}
+                {"from": p, "rows": M.rows, "cols": M.cols, "entries": [list(t) for t in M.triplets()]}
                 for p, M in sorted(self.diff_at.items())
             ],
         }
@@ -250,13 +249,11 @@ class GradedComplex:
                     raise ValueError(f"{where} has entry {t!r}")
                 if row_parity[r] != col_parity[c]:
                     raise ValueError(f"{where} has entry {t!r}, which joins a row and a column of different parity")
-                rc = (r, c)
-                in_order = in_order and v != 0 and rc > last
+                in_order = in_order and v != 0 and (r, c) > last
                 if r != last[0]:  # sorted, so each row's entries arrive together
-                    row = M._r[r] = {c: v}
-                else:
-                    row[c] = v
-                last = rc
+                    row = M._r[r] = {}
+                row[c] = v
+                last = (r, c)
             if not in_order:
                 raise ValueError(f"{where} must list its nonzero entries once, sorted")
         bounds = list(_SUPPORT[kind](a, b, weight))  # homology trusts it at the window's edges
@@ -363,14 +360,12 @@ def assemble(src: FreeBasis, dst: FreeBasis, stencil: dict[tuple, tuple], times)
     table of (scalar, target offset), and each stencil key is looked up
     once per entry of the other factor; a row is then outer * |inner| +
     inner in the target's factors.  Columns run in basis order and each
-    column's terms in stencil order, and each entry is written straight
-    into its row of the matrix at its first term, the terms of a repeated
-    target summed into it and a zero (a zero product, or a sum that
-    cancels) dropped, and so is a row it leaves empty: the rows, the
-    entries and their order are those of ``ExactMatrix.from_triplets`` on
-    the same terms, without its checks, as every row and column is in
-    range and every value an ``int``.
-    A term whose target is not in ``dst`` raises ``KeyError``.
+    column's terms in stencil order.  Each term is summed straight into
+    its row of the matrix, and zeros and empty rows are dropped: the rows,
+    the entries and their order are those of ``ExactMatrix.from_triplets``
+    on the same terms, without its checks, as every row and column is in
+    range and every value an ``int``.  A term whose target is not in
+    ``dst`` raises ``KeyError``.
     """
     if not src:
         return ExactMatrix.zeros(len(dst), 0)
@@ -411,25 +406,22 @@ def assemble(src: FreeBasis, dst: FreeBasis, stencil: dict[tuple, tuple], times)
         columns = ((terms, a) for a, terms in product(range(len(acted)), key_terms))
     M = ExactMatrix(len(dst), len(src))
     out = M._r
-    emptied = []  # rows that dropped an entry: a zero product or a sum that cancelled
     for col, (terms, a) in enumerate(columns):
         for c, table, offset in terms:
             hit = table[a]
             if hit is not None:
                 r, v = offset + hit[1], c * hit[0]
                 if r not in out:
-                    row = out[r] = {col: v}
-                else:
-                    row = out[r]
-                    if col in row:
-                        v += row[col]
+                    out[r] = {}
+                row = out[r]
+                if col in row:
+                    v += row[col]
+                if v:  # col is the row's last column, so a later term adds it back in place
                     row[col] = v
-                if not v:  # col is the last column of the row, so a later term adds it back in place
+                elif col in row:
                     del row[col]
-                    emptied.append(r)
-    for r in emptied:  # dropped only now, so a row keeps the place its first term gave it
-        if r in out and not out[r]:
-            del out[r]
+    for r in [r for r, row in out.items() if not row]:  # dropped only now, so no row moves
+        del out[r]
     return M
 
 

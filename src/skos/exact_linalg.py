@@ -102,22 +102,19 @@ def parse_base(base: str) -> tuple[str, int | None]:
 # sparse integer matrices
 
 class ExactMatrix:
-    """Sparse integer matrix stored as its nonzero rows.
+    """Sparse integer matrix of shape ``rows`` x ``cols``, stored as its rows.
 
     ``_r`` maps each row that holds an entry to a ``{col: int}`` dict of
-    its nonzero entries: no empty row and no zero is stored.  ``rows`` and
-    ``cols`` give the shape.  Input from outside goes through
-    ``from_triplets``, the one constructor that checks it; the builders
-    that produce their entries in range and as ints write ``_r`` directly:
-    ``skos.complexes.assemble``, ``GradedComplex.from_record`` (after
-    checking each entry itself) and ``__matmul__``.  The elimination
-    kernel relies on it: it pivots on any stored entry over a field, and
-    takes its one working copy row by row (``_unit_core``).
+    its entries; no empty row and no zero is stored.  Input from outside
+    goes through ``from_triplets``, the one constructor that checks it;
+    the builders that produce their entries in range and as ints write
+    ``_r`` directly: ``skos.complexes.assemble``, ``GradedComplex.from_record``
+    (after checking each entry itself) and ``__matmul__``.  The elimination
+    kernel relies on it: it pivots on any stored entry over a field.
 
     ``_memo`` holds what the matrix reduces to, each filled on first use
     (``_memoized``): its unit core, the pivot of each core row over Q and
-    its pivot rows mod each prime.  So a matrix is read-only once it is
-    ranked.
+    its pivot rows mod each prime, so a matrix is read-only once ranked.
     """
 
     __slots__ = ("rows", "cols", "_r", "_memo")
@@ -134,22 +131,19 @@ class ExactMatrix:
     def from_triplets(cls, rows: int, cols: int, triplets: Iterable[tuple[int, int, int]]) -> "ExactMatrix":
         """Sum the values given for each entry; entries that sum to zero are dropped.
 
-        The one constructor that checks its entries: each must lie inside
-        the shape and sum to an ``int``.  ``from_dense``, ``identity`` and
-        callers outside the package build through it; rows keep the order
-        in which each is first named, and a row's entries the order in
-        which each first occurs, as ``assemble`` writes them.
+        The one constructor that checks its entries: each lies inside the
+        shape and is an ``int``.  ``from_dense``, ``identity`` and callers
+        outside the package build through it.  Rows and entries keep the
+        order in which each is first named, as ``assemble`` writes them.
         """
         m = cls(rows, cols)
         for r, c, v in triplets:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
+            if not isinstance(v, int):
+                raise TypeError(f"integer entries required, got {type(v).__name__}")
             row = m._r.setdefault(r, {})
             row[c] = row.get(c, 0) + v
-        for r, row in m._r.items():
-            for c, v in row.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-                if not isinstance(v, int):
-                    raise TypeError(f"integer entries required, got {type(v).__name__}")
         m._r = {r: kept for r, row in m._r.items() if (kept := {c: v for c, v in row.items() if v})}
         return m
 
@@ -177,8 +171,7 @@ class ExactMatrix:
         return not self._r
 
     def to_dense(self) -> list[list[int]]:
-        rows = [self._r.get(r, {}) for r in range(self.rows)]
-        return [[row.get(c, 0) for c in range(self.cols)] for row in rows]
+        return [[self._r.get(r, {}).get(c, 0) for c in range(self.cols)] for r in range(self.rows)]
 
     def triplets(self) -> list[tuple[int, int, int]]:
         return sorted([(r, c, v) for r, row in self._r.items() for c, v in row.items()])
@@ -192,13 +185,11 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         out = ExactMatrix(self.rows, other.cols)
-        right = other._r
         for r, left in self._r.items():
             sums: dict[int, int] = {}
             for k, u in left.items():
-                if k in right:
-                    for c, v in right[k].items():
-                        sums[c] = sums.get(c, 0) + u * v
+                for c, v in other._r.get(k, {}).items():
+                    sums[c] = sums.get(c, 0) + u * v
             if row := {c: v for c, v in sums.items() if v}:
                 out._r[r] = row
         return out
@@ -215,11 +206,8 @@ class ExactMatrix:
 
 
 class _EntryView:
-    """A write-through view of a matrix's entries keyed by (row, col), kept
-    only for ``perfbench/test_gate.py``, which forges a bad matrix through
-    it, until a benchmark change moves that gate to a public constructor.
-    Nothing in ``skos`` uses it.  A write goes through ``from_triplets``
-    and clears the matrix's memo, so the next rank sees it."""
+    """Entries by (row, col), written through and clearing the memo: only for
+    the benchmark gate that forges a matrix, until it has a public constructor."""
 
     def __init__(self, m: ExactMatrix):
         self._m = m
@@ -357,7 +345,7 @@ def _unit_core(M: ExactMatrix) -> tuple[list[int], dict[int, dict[int, int]]]:
     unimodular, so the core rows, keyed by row, are the Schur complement
     A22 - A21 A11^-1 A12: integer entries, each a minor of ``M`` up to
     sign, and rank M = pivots + rank(core) over any field.  The kernel
-    works on one copy of the stored rows, taken here; none of an entry-free ``M``.
+    works on the one copy of the stored rows taken here.
     """
     if not M._r:
         return [], {}

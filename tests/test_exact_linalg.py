@@ -484,6 +484,10 @@ def _row_content(rows):
     return frozenset((i, frozenset(row.items())) for i, row in rows.items())
 
 
+def _support(rows):
+    return frozenset((i, frozenset(row)) for i, row in rows.items())
+
+
 @pytest.mark.parametrize("build", [build_koszul, build_derham])
 def test_each_block_is_reduced_once_per_complex(build, monkeypatch):
     """A sweep over every position and base ranks the parity blocks of each
@@ -519,26 +523,34 @@ def test_each_block_is_reduced_once_per_complex(build, monkeypatch):
 @pytest.mark.parametrize("build", [build_koszul, build_derham])
 def test_each_differential_is_copied_once_whatever_the_base(build, monkeypatch):
     """The unit core is the only reduction of a whole differential: Z, Q
-    and every prime finish the one core in its memo, so each differential
-    with entries is copied into working rows once in all, and the kernel
-    never works on the rows the matrix stores."""
+    and every prime finish the one core in its memo.  So each differential
+    with entries reaches the kernel whole once in all, as a copy of its
+    stored rows, and every elimination over a field, mod p or over Q, works
+    on rows of a memoized unit core alone."""
     C = build(2, 2, 5)
-    owners = Counter(_row_content(M._r) for M in C.diff_at.values() if M.nnz)
-    stored = {id(row) for M in C.diff_at.values() for row in M._r.values()}
-    copies = Counter()
+    ranked = [M for M in C.diff_at.values() if M.nnz]
+    owners = Counter(_support(M._r) for M in ranked)
+    stored = {id(row) for M in ranked for row in M._r.values()}
+    whole = Counter()
     eliminate = skos.exact_linalg._eliminate
 
+    def within_a_core(rows):
+        cores = [M._memo["core"][1] for M in ranked if "core" in M._memo]
+        return any(all(i in core and row.keys() <= core[i].keys() for i, row in rows.items()) for core in cores)
+
     def counted_eliminate(rows, inverse, p=None, units=None):
-        if units is not None:  # the unit pass, which runs on the copy of a whole matrix
-            assert not stored & {id(row) for row in rows.values()}, "the kernel got a stored row"
-            copies[_row_content(rows)] += 1
+        assert not stored & {id(row) for row in rows.values()}, "the kernel got a stored row"
+        if _support(rows) in owners:  # the rows of a whole differential, whatever their values
+            whole[_support(rows)] += 1
+        if units is None:
+            assert within_a_core(rows), "an elimination over a field got rows outside every unit core"
         return eliminate(rows, inverse, p, units)
 
     monkeypatch.setattr(skos.exact_linalg, "_eliminate", counted_eliminate)
     for base in ("Z", "Q", "Fp:2", "Fp:3", "Fp:32003"):
         for pos in C.positions:
             homology(C, base, pos)
-    assert copies == owners
+    assert whole == owners
 
 
 def test_gcd_of_omega_kills_every_specialized_complex():
