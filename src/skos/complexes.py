@@ -182,7 +182,7 @@ class GradedComplex:
             "positions": list(self.positions),
             "bases": [list(self.basis_at[p].labels) for p in self.positions],
             "differentials": [
-                {"from": p, "rows": M.rows, "cols": M.cols, "entries": [list(t) for t in M.triplets()]}
+                {"from": p, "rows": M.rows, "cols": M.cols, "entries": [[r, c, v] for r, c, v in M.triplets()]}
                 for p, M in sorted(self.diff_at.items())
             ],
         }
@@ -249,11 +249,11 @@ class GradedComplex:
                     raise ValueError(f"{where} has entry {t!r}")
                 if row_parity[r] != col_parity[c]:
                     raise ValueError(f"{where} has entry {t!r}, which joins a row and a column of different parity")
-                in_order = in_order and v != 0 and (r, c) > last
+                rc = (r, c)
+                in_order = in_order and v != 0 and rc > last
                 if r != last[0]:  # sorted, so each row's entries arrive together
                     row = M._r[r] = {}
-                row[c] = v
-                last = (r, c)
+                row[c], last = v, rc
             if not in_order:
                 raise ValueError(f"{where} must list its nonzero entries once, sorted")
         bounds = list(_SUPPORT[kind](a, b, weight))  # homology trusts it at the window's edges
@@ -405,23 +405,24 @@ def assemble(src: FreeBasis, dst: FreeBasis, stencil: dict[tuple, tuple], times)
     else:
         columns = ((terms, a) for a, terms in product(range(len(acted)), key_terms))
     M = ExactMatrix(len(dst), len(src))
-    out = M._r
+    out, emptied = M._r, []
     for col, (terms, a) in enumerate(columns):
         for c, table, offset in terms:
             hit = table[a]
             if hit is not None:
                 r, v = offset + hit[1], c * hit[0]
                 if r not in out:
-                    out[r] = {}
-                row = out[r]
-                if col in row:
-                    v += row[col]
-                if v:  # col is the row's last column, so a later term adds it back in place
+                    row = out[r] = {col: v}
+                elif col in (row := out[r]):
+                    v = row[col] = row[col] + v
+                else:
                     row[col] = v
-                elif col in row:
+                if not v:  # col is the row's last column, so a later term adds it back in place
                     del row[col]
-    for r in [r for r, row in out.items() if not row]:  # dropped only now, so no row moves
-        del out[r]
+                    emptied.append(r)
+    for r in emptied:  # dropped only now, so no row moves
+        if not out.get(r, True):
+            del out[r]
     return M
 
 

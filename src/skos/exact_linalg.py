@@ -122,8 +122,7 @@ class ExactMatrix:
     def __init__(self, rows: int, cols: int):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
-        self.rows = rows
-        self.cols = cols
+        self.rows, self.cols = rows, cols
         self._r: dict[int, dict[int, int]] = {}
         self._memo: dict = {}
 
@@ -174,7 +173,7 @@ class ExactMatrix:
         return [[self._r.get(r, {}).get(c, 0) for c in range(self.cols)] for r in range(self.rows)]
 
     def triplets(self) -> list[tuple[int, int, int]]:
-        return sorted([(r, c, v) for r, row in self._r.items() for c, v in row.items()])
+        return sorted([(r, c, row[c]) for r, row in self._r.items() for c in row])
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
