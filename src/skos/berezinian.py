@@ -617,14 +617,14 @@ def ber(M: SuperMatrix) -> GrassmannElement:
     return first
 
 
-def random_grassmann(rng, gens: int, parity: int, bound: int = 3) -> GrassmannElement:
-    """Random homogeneous element with small rational coefficients: each
-    monomial of the parity is kept with chance 1/2."""
+def random_grassmann(rng, gens: int, parity: int) -> GrassmannElement:
+    """Random homogeneous element with small rational coefficients, -3..3 over
+    1 or 2: each monomial of the parity is kept with chance 1/2."""
     terms: dict[int, Fraction] = {}
     for size in range(parity, gens + 1, 2):
         for subset in combinations(range(gens), size):
             if rng.random() < 0.5:
-                num = rng.randint(-bound, bound)
+                num = rng.randint(-3, 3)
                 if num:
                     terms[sum(1 << i for i in subset)] = Fraction(num, rng.randint(1, 2))
     return _from_fractions(gens, terms)
@@ -641,10 +641,9 @@ def random_invertible_supermatrix(rng, p: int, q: int, gens: int) -> SuperMatrix
 
         X = block(p, p, 0)
         T = block(q, q, 0)
-        for i in range(p):
-            X[i][i] = X[i][i] + GrassmannElement.scalar(gens, rng.choice([1, -1, 2]))
-        for i in range(q):
-            T[i][i] = T[i][i] + GrassmannElement.scalar(gens, rng.choice([1, -1, 2]))
+        for D, size in ((X, p), (T, q)):
+            for i in range(size):
+                D[i][i] = D[i][i] + GrassmannElement.scalar(gens, rng.choice([1, -1, 2]))
         M = SuperMatrix.from_blocks(p, q, gens, X, block(p, q, 1), block(q, p, 1), T)
         if is_invertible(M):
             return M

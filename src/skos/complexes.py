@@ -27,6 +27,7 @@ depend on the matrix alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -61,6 +62,16 @@ _SUPPORT = {
     "derham": lambda a, b, n: (0, min(n, a) if b == 0 else n),
     "berezinian": lambda a, b, n: (0, min([a] * (b == 0) + [max(b - n, 0)] * (a == 0), default=None)),
     "specialized": lambda a, b, n: (-a if b == 0 else None, 0),
+}
+
+
+# kind -> (weight n, omega) -> an integer that kills the homology, or None: n, as i_E d + d i_E = n
+# (``exterior_d``), and gcd(omega), as dx_i ^ . is a homotopy from omega_i to 0 (Eisenbud, ch. 17)
+_KILLED_BY = {
+    "koszul": lambda n, omega: n,
+    "derham": lambda n, omega: n,
+    "berezinian": lambda n, omega: None,
+    "specialized": lambda n, omega: math.gcd(*omega),
 }
 
 
@@ -130,22 +141,23 @@ class GradedComplex:
     """A finite window of free-module bases and integer differentials.
 
     ``diff_at[pos]`` is the matrix of the differential from ``pos`` to
-    ``pos + 1`` (rows = target basis, columns = source basis).  The
-    support bounds record where the full complex provably vanishes
-    (``None`` means unbounded on that side, see ``_SUPPORT``), so edge
-    positions can still report homology.
+    ``pos + 1`` (rows = target basis, columns = source basis).  The fields fix
+    the rest, such as ``killed_by`` and the support (``_SUPPORT``) where the
+    full complex provably vanishes, so edge positions can report homology.
     """
 
     kind: str
     gens: GeneratorSet
     weight: int | None
-    direction: int
-    positions: tuple[int, ...]
     basis_at: dict[int, FreeBasis]
     diff_at: dict[int, ExactMatrix]
-    support_min: int | None
-    support_max: int | None
     omega: tuple[int, ...] | None = None
+
+    positions = property(lambda self: tuple(self.basis_at))
+    direction = property(lambda self: _direction(self.kind))
+    support_min = property(lambda self: _SUPPORT[self.kind](*self.gens, self.weight)[0])
+    support_max = property(lambda self: _SUPPORT[self.kind](*self.gens, self.weight)[1])
+    killed_by = property(lambda self: _KILLED_BY[self.kind](self.weight, self.omega))
 
     def dim(self, pos: int) -> int:
         return len(self.basis_at.get(pos, ()))
@@ -257,17 +269,16 @@ class GradedComplex:
             if not in_order:
                 raise ValueError(f"{where} must list its nonzero entries once, sorted")
         bounds = list(_SUPPORT[kind](a, b, weight))  # homology trusts it at the window's edges
-        support = get("support", lambda v: _ints(v, 2, none=True) and v == bounds, f"the {kind} support {bounds}")
-        return cls(kind, gens, weight, direction, positions, basis_at, diff_at, *support,
-                   tuple(omega) if special else None)
+        get("support", lambda v: _ints(v, 2, none=True) and v == bounds, f"the {kind} support {bounds}")
+        return cls(kind, gens, weight, basis_at, diff_at, tuple(omega) if special else None)
 
 
-def _complex(kind: str, gens: GeneratorSet, n: int | None, positions: range, support: tuple,
+def _complex(kind: str, gens: GeneratorSet, n: int | None, positions: range,
              diff: Callable[[int, FreeBasis, FreeBasis], ExactMatrix], omega: tuple | None = None) -> GradedComplex:
     """The enumerated basis of ``kind`` at each position, and ``diff(pos, source basis, target basis)``."""
     basis_at = {pos: _basis(kind, gens, n, pos) for pos in positions}
     diff_at = {pos: diff(pos, basis_at[pos], basis_at[pos + 1]) for pos in positions[:-1]}
-    return GradedComplex(kind, gens, n, _direction(kind), tuple(positions), basis_at, diff_at, *support, omega)
+    return GradedComplex(kind, gens, n, basis_at, diff_at, omega)
 
 
 # Bound of each stencil cache.  Building every Koszul, De Rham and
@@ -496,10 +507,8 @@ def build_koszul(a: int, b: int, n: int, cap: int | None = None) -> GradedComple
     """
     cap = n if cap is None else cap
     _check_args(a, b, cap, n)
-    support = _SUPPORT["koszul"](a, b, n)
-    lo = support[0] if b == 0 else -min(n, cap)
     gens = GeneratorSet(a, b)
-    return _complex("koszul", gens, n, range(lo, 1), support, lambda pos, src, dst: assemble(
+    return _complex("koszul", gens, n, range(-min(n, a if b == 0 else cap), 1), lambda pos, src, dst: assemble(
         src, dst, contraction_stencil(gens, -pos, contract_euler), _polynomial_times))
 
 
@@ -507,10 +516,8 @@ def build_derham(a: int, b: int, n: int, cap: int | None = None) -> GradedComple
     """Weight-n slice of the exterior-derivative complex, positions 0..top."""
     cap = n if cap is None else cap
     _check_args(a, b, cap, n)
-    support = _SUPPORT["derham"](a, b, n)
-    top = support[1] if b == 0 else min(n, cap)
     gens = GeneratorSet(a, b)
-    return _complex("derham", gens, n, range(0, top + 1), support, lambda pos, src, dst: assemble(
+    return _complex("derham", gens, n, range(0, min(n, a if b == 0 else cap) + 1), lambda pos, src, dst: assemble(
         src, dst, _derivative_stencil(gens, n - pos, exterior_d), _wedge_times))
 
 
@@ -524,10 +531,10 @@ def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:
     positions 0..cap are materialized.
     """
     _check_args(a, b, cap)
-    support = _SUPPORT["berezinian"](a, b, n)
-    top = cap if support[1] is None else min(cap, support[1])
+    top = _SUPPORT["berezinian"](a, b, n)[1]
+    top = cap if top is None else min(cap, top)
     gens = GeneratorSet(a, b)
-    return _complex("berezinian", gens, n, range(0, top + 1), support, lambda pos, src, dst: assemble(
+    return _complex("berezinian", gens, n, range(0, top + 1), lambda pos, src, dst: assemble(
         src, dst, _dual_stencil(contraction_stencil(gens, pos + 1, contract_euler)), _polynomial_times))
 
 
@@ -552,7 +559,5 @@ def specialize_koszul(a: int, b: int, omega: tuple[int, ...], cap: int | None = 
 
     def times(coef, gen):  # x_i becomes the scalar omega_i; t_j becomes 0
         return (omega[gen[1]], coef) if gen[0] == X else None
-    support = _SUPPORT["specialized"](a, b, None)
-    lo = -a if b == 0 else -cap
-    return _complex("specialized", gens, None, range(lo, 1), support, lambda pos, src, dst: assemble(
+    return _complex("specialized", gens, None, range(-a if b == 0 else -cap, 1), lambda pos, src, dst: assemble(
         src, dst, contraction_stencil(gens, -pos, contract_euler), times), omega)

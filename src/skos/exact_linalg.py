@@ -28,8 +28,7 @@ parity.  Each differential keeps its unit core, its pivots over Q and
 its pivot rows mod each prime, each computed on first use, so it is
 copied and reduced whole once, whatever the bases, and only its core
 once more per base field; an entry-free one is never eliminated.
-Every homology call checks d∘d = 0 and, on Koszul, De Rham and
-specialized complexes, that an integer known to kill the homology does.
+Every homology call checks d∘d = 0 and any integer known to kill the homology.
 """
 
 from __future__ import annotations
@@ -247,10 +246,10 @@ def _eliminate(rows: dict[int, dict], inverse, p: int | None = None,
     Only rows that share a column are combined, so on a graded map this
     eliminates every graded block at once.
     """
-    where: dict[int, set[int]] = defaultdict(set)
+    where: dict[int, list[int]] = defaultdict(list)  # counted, walked, appended to, or rid of a row it holds
     for i, row in rows.items():
         for c in row:
-            where[c].add(i)
+            where[c].append(i)
     todo = sorted(rows, key=lambda i: len(rows[i]))
     pivots = []
     while True:
@@ -267,7 +266,7 @@ def _eliminate(rows: dict[int, dict], inverse, p: int | None = None,
                 waiting.append(i)
                 continue
             for c in row:
-                where[c].discard(i)
+                where[c].remove(i)
             pivots.append(i)
             pinv = inverse(row.pop(pc))
             for j in where.pop(pc):
@@ -279,11 +278,11 @@ def _eliminate(rows: dict[int, dict], inverse, p: int | None = None,
                         nv %= p
                     if nv:
                         if c not in other:
-                            where[c].add(j)
+                            where[c].append(j)
                         other[c] = nv
                     elif c in other:
                         del other[c]
-                        where[c].discard(j)
+                        where[c].remove(j)
         if len(waiting) == len(todo):
             return pivots, {i: rows[i] for i in waiting if rows[i]}
         todo = waiting
@@ -513,14 +512,11 @@ def _block_homology_z(in_m: ExactMatrix, parities: Sequence[int]) -> tuple[tuple
 
 
 def _check_homotopy(C: "GradedComplex", p: int | None, h: HomologySummary) -> None:
-    """An integer n kills the homology: the weight of a Koszul or De Rham
-    slice, as i_E d + d i_E = n (``skos.super_poly.exterior_d``), and
-    gcd(omega) on a specialized complex, as dx_i ^ . is a homotopy from
-    omega_i to 0 (Eisenbud, ch. 17).  Unless n = 0 or p divides n, there is
-    no free part over Q, Z or F_p, and over Z every invariant factor
+    """If ``C.killed_by`` is an integer n other than 0 and p does not divide n,
+    there is no free part over Q, Z or F_p, and over Z every invariant factor
     divides n.  A violation raises ArithmeticError naming it."""
-    n = C.weight if C.omega is None else math.gcd(*C.omega)
-    if C.kind == "berezinian" or not n or p and n % p == 0:
+    n = C.killed_by
+    if not n or p and n % p == 0:
         return
     where = f"homotopy check fails at position {h.position} of a {C.kind} complex killed by {n}"
     if h.free.total:

@@ -290,6 +290,22 @@ class TestBer:
             N = random_invertible_supermatrix(rng, 0, 2, 3)
             assert ber(N) == invert_unit(det_even(N.T))
 
+    def test_disagreeing_closed_forms_raise(self, monkeypatch):
+        """``ber`` compares its two closed forms: with one determinant off by 1,
+        the first form no longer equals the second."""
+        M = random_invertible_supermatrix(random.Random(21), 2, 2, 4)
+        ber(M)
+        real, calls = skos.berezinian.det_even, []
+
+        def first_off_by_one(rows):
+            calls.append(rows)
+            return real(rows) + (1 if len(calls) == 1 else 0)
+
+        monkeypatch.setattr(skos.berezinian, "det_even", first_off_by_one)
+        with pytest.raises(ArithmeticError, match="the two Berezin determinant forms disagree"):
+            ber(M)
+        assert len(calls) == 2
+
     def test_non_invertible_rejected(self):
         M = SuperMatrix.from_blocks(1, 1, 2, [[ZERO_2 := GrassmannElement.zero(2)]],
                                     [[ZERO_2]], [[ZERO_2]], [[GrassmannElement.scalar(2, 1)]])
@@ -349,14 +365,15 @@ class TestBerBlockElimination:
             ber(singular)
 
     def test_verdict_comes_from_the_two_block_eliminations(self, monkeypatch):
-        # bodies in {-1, 0, 1} are often singular; for every shape ber
-        # rejects exactly the matrices is_invertible rejects, without asking it
+        # each even entry's body is 0 with chance 4/7, so bodies are often singular
+        # (78 of these 108); for every shape ber rejects exactly the matrices
+        # is_invertible rejects, without asking it
         rng = random.Random(11)
         verdicts = []
         for p, q in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 0), (2, 0), (0, 1), (0, 2)):
             for _ in range(12):
                 def block(rows, cols, parity):
-                    return [[random_grassmann(rng, 3, parity, bound=1) for _ in range(cols)] for _ in range(rows)]
+                    return [[random_grassmann(rng, 3, parity) for _ in range(cols)] for _ in range(rows)]
 
                 M = SuperMatrix.from_blocks(p, q, 3, block(p, p, 0), block(p, q, 1), block(q, p, 1), block(q, q, 0))
                 invertible = is_invertible(M)

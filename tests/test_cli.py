@@ -69,6 +69,13 @@ class TestHomologyCommand:
         assert code == 1
         assert "window" in err
 
+    @pytest.mark.parametrize("kind, rank, message", [
+        ("koszul", "1,1", "--weight is required for this complex kind"),
+        ("specialize", "2,0", "--omega is required for the specialized complex"),
+    ])
+    def test_missing_option_of_the_kind_is_exit_1(self, kind, rank, message):
+        assert call(["homology", "--kind", kind, "--rank", rank]) == (1, "", f"skos: error: {message}\n")
+
     def test_large_prime_modulus(self):
         # 10**18 + 3 has no factor below 10**9, out of reach of trial division
         argv = ["homology", "--kind", "koszul", "--rank", "1,0", "--weight", "1", "--base"]

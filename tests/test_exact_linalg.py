@@ -597,6 +597,23 @@ def test_cartan_homotopy_kills_every_slice():
     assert (positions, torsion) == (462, 84)
 
 
+def test_homotopy_check_refuses_an_answer_the_homotopy_forbids():
+    """``homology`` raises when its answer breaks the integer that kills the
+    homology: a differential scaled by 2 gives an invariant factor the
+    weight does not divide, and a zeroed one leaves a free part."""
+    C = build_koszul(0, 1, 3, 3)
+    d = C.diff_at[-3]
+    C.diff_at[-3] = ExactMatrix.from_triplets(d.rows, d.cols, [(r, c, 2 * v) for r, c, v in d.triplets()])
+    with pytest.raises(ArithmeticError, match=r"position -2 .*: invariant factor 6 does not divide 3$"):
+        homology(C, "Z", -2)
+    C = build_koszul(1, 0, 1)
+    C.diff_at[-1] = ExactMatrix.zeros(C.diff_at[-1].rows, C.diff_at[-1].cols)
+    for base in ("Q", "Fp:2"):
+        for pos in (-1, 0):
+            with pytest.raises(ArithmeticError, match=rf"position {pos} .*: free rank \(1\|0\) is not zero$"):
+                homology(C, base, pos)
+
+
 def test_only_exact_linalg_owns_a_matrix_memo():
     """Every matrix memo is read and filled in ``skos.exact_linalg`` alone,
     so no other module keeps a second copy of a split or a reduction."""
