@@ -18,6 +18,7 @@ import contextlib
 import functools
 from itertools import chain
 import json
+import os
 import random
 import sys
 
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_flag(sp, ("text", "json", "csv"))
 
     sp = sub.add_parser("line-bundle", help="cohomology of a twisted line bundle")
-    sp.set_defaults(handler=_cmd_line_bundle)
+    sp.set_defaults(handler=_cmd_bott, p=0, p_max=None, method="formula", base="Q")  # the p = 0 tables
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
@@ -204,13 +205,18 @@ def _build_complex(args, position=None):
     return complexes.build_berezinian(a, b, args.weight, cap)
 
 
-def _complex_text(C, stdout) -> None:
-    head = f"{C.kind} complex, rank ({C.gens.even}|{C.gens.odd})"
+def _head(what: str, C) -> str:
+    """``what``, then the rank, weight and omega that ``C`` has: a text output's first line."""
+    head = f"{what}, rank ({C.gens.even}|{C.gens.odd})"
     if C.weight is not None:
         head += f", weight {C.weight}"
     if C.omega is not None:
         head += f", omega {list(C.omega)}"
-    stdout.write(head + "\n")
+    return head
+
+
+def _complex_text(C, stdout) -> None:
+    stdout.write(_head(f"{C.kind} complex", C) + "\n")
     for pos in C.positions:
         dims = C.basis_at[pos].dims()
         line = f"  position {pos}: dim {dims}"
@@ -254,10 +260,7 @@ def _cmd_homology(args, stdout) -> int:
         }
         _emit_json(record, stdout)
     else:
-        head = f"homology of {C.kind}, rank ({C.gens.even}|{C.gens.odd})"
-        if C.weight is not None:
-            head += f", weight {C.weight}"
-        stdout.write(head + f", base {args.base}\n")
+        stdout.write(_head(f"homology of {C.kind}", C) + f", base {args.base}\n")
         for s in summaries:
             stdout.write("  " + str(s) + "\n")
     return 0
@@ -323,13 +326,6 @@ def _cmd_bott(args, stdout) -> int:
     return 0
 
 
-def _cmd_line_bundle(args, stdout) -> int:
-    r_hi = _upper(args.r, args.r_max, "r")
-    tables = [bott.line_bundle_cohomology(args.m, args.n, r) for r in range(args.r, r_hi + 1)]
-    _emit_tables(tables, args.output, stdout)
-    return 0
-
-
 def _emit_tables(tables, output, stdout) -> None:
     if output == "json":
         _emit_json({"format": "skos.tables/1", "tables": [t.to_record() for t in tables]}, stdout)
@@ -379,6 +375,8 @@ def run(argv, stdout=None, stderr=None) -> int:
         return int(e.code) if e.code is not None else 2
     try:
         return args.handler(args, stdout)
+    except BrokenPipeError:  # the reader closed stdout: it has what it wanted, and nothing failed
+        return 0
     except (ValueError, ArithmeticError, OSError) as e:
         stderr.write(f"skos: error: {e}\n")
         return 1
@@ -388,7 +386,12 @@ def run(argv, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # so the flush at shutdown writes the rest to devnull, not a warning to stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -225,8 +225,8 @@ class GradedComplex:
         weight = get("weight", lambda v: v is None if special else _is_int(v),
                      "null" if special else "an integer")
         get("direction", lambda v: _is_int(v) and v == direction, str(direction))
-        omega = get("omega", lambda v: _ints(v, a + b) if special else v is None,
-                    f"{a + b} integers" if special else "null")
+        omega = get("omega", lambda v: _ints(v, a + b) and not any(v[a:]) if special else v is None,
+                    f"{a + b} integers, the last {b} zero" if special else "null")
         positions = tuple(get("positions", lambda v: _ints(v) and v[:1] and v == list(range(v[0], v[0] + len(v))),
                               "consecutive integers"))
         bases = get("bases", lambda v: type(v) is list and len(v) == len(positions), f"{len(positions)} bases")
@@ -305,7 +305,8 @@ def contraction_stencil(gens: GeneratorSet, degree: int,
     weight-1 generator ``(X, i)`` or ``(THETA, j)`` in front of the wedge
     part, laid end to end in one flat tuple (see :func:`_terms`).  ``op``
     must be linear over the coefficient part and trade one wedge generator
-    per term for its weight-1 partner, as the Euler contraction does.
+    per term for its weight-1 partner, as the Euler contraction does: each
+    term removes a different one, so the terms of a key name distinct parts.
     Built once per (gens, degree, op) and shared by every caller, so it
     must not be changed.
     """
@@ -329,8 +330,9 @@ def _derivative_stencil(gens: GeneratorSet, degree: int,
 
     The mirror of :func:`contraction_stencil`, as d(s*w) = ds*w for a wedge
     part w: maps ``(x_pow, thetas)`` to the terms ``coefficient, (DX, i) or
-    (DTHETA, j), coefficient part`` of its image, flat.  Cached and shared
-    the same way.
+    (DTHETA, j), coefficient part`` of its image, flat.  Each term removes
+    a different coefficient generator, so the parts of a key are distinct.
+    Cached and shared the same way.
     """
     a, b = gens
     pool: dict[tuple, tuple] = {}
@@ -365,18 +367,17 @@ def assemble(src: FreeBasis, dst: FreeBasis, stencil: dict[tuple, tuple], times)
     part, and the stencil is keyed on the wedge part (the contraction
     builders); dx_i and dt_j multiply the wedge part, and the stencil is
     keyed on the coefficient part (De Rham).  ``times(s, gen)`` returns
-    ``(scalar, s*gen)``, or ``None`` when it vanishes.
+    ``(scalar, s*gen)`` with a nonzero scalar, or ``None`` when it vanishes.
 
     ``times`` runs once per generator and entry of its factor, into a
     table of (scalar, target offset), and each stencil key is looked up
     once per entry of the other factor; a row is then outer * |inner| +
     inner in the target's factors.  Columns run in basis order and each
-    column's terms in stencil order.  Each term is summed straight into
-    its row of the matrix, and zeros and empty rows are dropped: the rows,
-    the entries and their order are those of ``ExactMatrix.from_triplets``
-    on the same terms, without its checks, as every row and column is in
-    range and every value an ``int``.  A term whose target is not in
-    ``dst`` raises ``KeyError``.
+    column's terms in stencil order.  The terms of one key name distinct
+    parts (each stencil builder says why), so no column names a row twice,
+    and no coefficient or scalar is zero: each term is one entry, written
+    straight into its row, as ``ExactMatrix.from_triplets`` would store it.
+    A term whose target is not in ``dst`` raises ``KeyError``.
     """
     if not src:
         return ExactMatrix.zeros(len(dst), 0)
@@ -416,24 +417,16 @@ def assemble(src: FreeBasis, dst: FreeBasis, stencil: dict[tuple, tuple], times)
     else:
         columns = ((terms, a) for a, terms in product(range(len(acted)), key_terms))
     M = ExactMatrix(len(dst), len(src))
-    out, emptied = M._r, []
+    out = M._r
     for col, (terms, a) in enumerate(columns):
         for c, table, offset in terms:
             hit = table[a]
-            if hit is not None:
-                r, v = offset + hit[1], c * hit[0]
-                if r not in out:
-                    row = out[r] = {col: v}
-                elif col in (row := out[r]):
-                    v = row[col] = row[col] + v
+            if hit is not None:  # the key's parts are distinct, so each term has a row of its own
+                r = offset + hit[1]
+                if r in out:
+                    out[r][col] = c * hit[0]
                 else:
-                    row[col] = v
-                if not v:  # col is the row's last column, so a later term adds it back in place
-                    del row[col]
-                    emptied.append(r)
-    for r in emptied:  # dropped only now, so no row moves
-        if not out.get(r, True):
-            del out[r]
+                    out[r] = {col: c * hit[0]}
     return M
 
 
@@ -478,7 +471,8 @@ def _dual_stencil(stencil: dict[tuple, tuple]) -> dict[tuple, list]:
 
     The dual element phi_v maps to the sum over the wedge monomials u
     whose image holds ``c * w * v`` of ``c * w * phi_u``, with the sign of
-    moving w across phi_v folded into ``c``.
+    moving w across phi_v folded into ``c``.  Each such u adds a different
+    wedge generator to v, so the parts of a key are distinct.
     """
     dual: dict[tuple, list] = {}
     for u, terms in stencil.items():
@@ -557,7 +551,7 @@ def specialize_koszul(a: int, b: int, omega: tuple[int, ...], cap: int | None = 
         raise ValueError("nonzero odd slot rejected: base rings here have no odd part")
     gens = GeneratorSet(a, b)
 
-    def times(coef, gen):  # x_i becomes the scalar omega_i; t_j becomes 0
-        return (omega[gen[1]], coef) if gen[0] == X else None
+    def times(coef, gen):  # x_i becomes the scalar omega_i; t_j and a zero omega_i vanish
+        return (omega[gen[1]], coef) if gen[0] == X and omega[gen[1]] else None
     return _complex("specialized", gens, None, range(-a if b == 0 else -cap, 1), lambda pos, src, dst: assemble(
         src, dst, contraction_stencil(gens, -pos, contract_euler), times), omega)

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 import shlex
 import subprocess
@@ -60,6 +61,18 @@ class TestHomologyCommand:
         )
         rec = json.loads(out)
         assert all(s["even_rank"] == 0 and not s["torsion_even"] for s in rec["summaries"])
+
+    def test_text_head_names_omega(self):
+        """Two omegas give two headers, as ``skos specialize`` prints them."""
+        heads = []
+        for omega in ("2,3", "4,6"):
+            code, out, err = call(["homology", "--kind", "specialize", "--rank", "2,0", "--omega", omega])
+            assert (code, err) == (0, "")
+            heads.append(out.splitlines()[0])
+        assert heads == ["homology of specialized, rank (2|0), omega [2, 3], base Z",
+                         "homology of specialized, rank (2|0), omega [4, 6], base Z"]
+        assert call(["specialize", "--rank", "2,0", "--omega", "2,3"])[1].startswith(
+            "specialized complex, rank (2|0), omega [2, 3]\n")
 
     def test_window_violation_is_exit_1(self):
         code, out, err = call(
@@ -211,6 +224,13 @@ class TestBerCommand:
         code, _, err = call(["ber"])
         assert code == 1
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_input_is_exit_1(self, tmp_path, name):
+        path = tmp_path / name
+        code, out, err = call(["ber", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("skos: error: [Errno ") and err.endswith(f"{str(path)!r}\n")
+
     def test_random_check_negative_size_is_exit_1(self):
         code, _, err = call(["ber", "--random-check", "1", "--gens", "-1"])
         assert code == 1
@@ -355,6 +375,17 @@ class TestBottCommands:
         code, out, _ = call(["line-bundle", "--m", "1", "--n", "1", "--r", "2",
                              "--output", "csv"])
         assert "1,1,0,2,0,3,2,formula" in out
+
+    @pytest.mark.parametrize("tail", [
+        ["--output", "text"], ["--output", "json"], ["--output", "csv"], ["--r-max", "1"],
+    ])
+    def test_line_bundle_is_the_p_zero_formula_table(self, tail):
+        """``line-bundle`` prints what ``bott --p 0 --method formula`` prints,
+        byte for byte, its range error included."""
+        common = ["--m", "2", "--n", "1", "--r", "-2"] + (tail if "--r-max" in tail else ["--r-max", "3"] + tail)
+        line_bundle = call(["line-bundle"] + common)
+        assert line_bundle == call(["bott", "--p", "0", "--method", "formula"] + common)
+        assert line_bundle[1] or line_bundle[2].startswith("skos: error: --r-max 1 ")
 
     @pytest.mark.parametrize(
         "argv, option",
@@ -538,6 +569,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "torsion_odd=[3]" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["koszul", "--rank", "3,3", "--weight", "6", "--output", "json"], 1),  # 785 KB, past the pipe's buffer
+    (["koszul", "--rank", "1,1", "--weight", "1"], 0),  # one short write, flushed at exit
+], ids=["after-first-line", "before-any"])
+def test_closed_stdout_is_not_an_error(argv, lines):
+    """A reader that stops early ends the run with exit 0 and nothing on
+    stderr, whether the closed pipe meets a write or the flush at exit.
+    stdout is block-buffered, as in a shell pipeline."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "skos", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert [proc.stdout.readline() for _ in range(lines)] == [b"{\n"] * lines
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 _JSON = st.recursive(

@@ -12,7 +12,9 @@ from skos.complexes import (
     GradedComplex,
     WindowError,
     _derivative_stencil,
+    _dual_stencil,
     _polynomial_times,
+    _terms,
     _wedge_times,
     assemble,
     build_berezinian,
@@ -321,8 +323,8 @@ class TestAssemble:
 
     def test_builders_write_entries_without_from_triplets(self, monkeypatch):
         """Every builder writes its matrix entries once, straight into the
-        matrix, and stores no zero, however the terms cancel or vanish: a zero
-        omega slot makes zero products.  ``from_triplets`` is for outside input."""
+        matrix, and stores no zero: a zero omega slot writes no entry.
+        ``from_triplets`` is for outside input."""
         import skos.bott
 
         def refuse(*args):
@@ -362,24 +364,35 @@ class TestAssemble:
         for M in mats:
             assert_row_layout(M)
 
-    def test_repeated_targets_are_summed_in_first_term_order(self):
-        """Terms that land on one entry are summed there, at the place of the
-        first, and a zero product or a sum that cancels is dropped, as
-        ``from_triplets`` does with the same terms."""
-        gens = GeneratorSet(2, 0)
-        dx0, one = ((0,), ()), ((), ())
-        src, dst = FreeBasis(gens, (dx0,), (((0, 0), ()),)), basis_wedge_sym(2, 0, 0, 1)
-        row = {0: 1, 1: 0}  # x0 * 1 is the second entry of dst, x1 * 1 the first
-        for coefficients, expected in [
-            ((2, 3, -1), [((1, 0), 1), ((0, 0), 3)]),
-            ((2, 5, -2), [((0, 0), 5)]),
-            ((0, 4, 7), [((1, 0), 7), ((0, 0), 4)]),
-        ]:
-            gens_used = (0, 1, 0)
-            stencil = {dx0: tuple(t for c, i in zip(coefficients, gens_used) for t in (c, (X, i), one))}
-            M = assemble(src, dst, stencil, _polynomial_times)
-            want = ExactMatrix.from_triplets(2, 1, [(row[i], 0, c) for c, i in zip(coefficients, gens_used)])
-            assert stored(M) == stored(want) == expected
+    def test_each_stencil_key_names_each_part_once(self):
+        """``assemble`` writes each term as one entry and sums nothing, which
+        holds as the terms of one key name distinct parts: every key of every
+        contraction, derivative and dual stencil with a + b <= 6 and degree
+        <= 6 is checked.  A zero omega slot writes no entry either: each
+        specialized matrix is ``from_triplets`` on its nonzero terms."""
+        keys = 0
+        for a in range(7):
+            for b in range(7 - a):
+                gens = GeneratorSet(a, b)
+                for degree in range(7):
+                    contraction = contraction_stencil.__wrapped__(gens, degree, contract_euler)
+                    derivative = _derivative_stencil.__wrapped__(gens, degree, exterior_d)
+                    for stencil in (contraction, derivative, _dual_stencil(contraction)):
+                        for key, terms in stencil.items():
+                            parts = [part for _, _, part in _terms(terms)]
+                            assert len(set(parts)) == len(parts), (a, b, degree, key, terms)
+                            keys += 1
+        assert keys == 13006
+        omega = (0, 2, 0, 0)
+        C = specialize_koszul(3, 1, omega)
+        for pos, M in C.diff_at.items():
+            row_of = {w: i for i, w in enumerate(C.basis_at[pos + 1].wedges)}
+            triplets = [(row_of[w], col, c * omega[gen[1]])
+                        for col, u in enumerate(C.basis_at[pos].wedges)
+                        for c, gen, w in _terms(contraction_stencil(C.gens, -pos, contract_euler)[u])
+                        if gen[0] == X and omega[gen[1]]]
+            assert stored(M) == stored(ExactMatrix.from_triplets(M.rows, M.cols, triplets)), pos
+        assert sum(M.nnz for M in C.diff_at.values()) > 0
 
 
 class TestSerialization:
@@ -451,6 +464,16 @@ class TestSerialization:
         else:
             rec[key] = value
         with pytest.raises(ValueError, match=named):
+            GradedComplex.from_record(rec)
+
+    def test_nonzero_odd_omega_slot_rejected(self):
+        """``specialize_koszul`` refuses such an omega, so a record that
+        holds one is refused too, naming the field, before ``killed_by``
+        and the homology read it."""
+        rec = specialize_koszul(1, 1, (0, 0), 3).to_record()
+        assert GradedComplex.from_record(rec).killed_by == 0
+        rec["omega"] = [0, 3]
+        with pytest.raises(ValueError, match=r"field 'omega' must be 2 integers, the last 1 zero, got \[0, 3\]"):
             GradedComplex.from_record(rec)
 
     @pytest.mark.parametrize(
