@@ -26,10 +26,12 @@ compared as a built-in self check.
 
 A supermatrix keeps its (p+q) x (p+q) rows in record order; the blocks
 X, Y, Z and T are views that slice them.  Input is checked where it
-enters: ``GrassmannElement.make`` (``int`` and ``Fraction`` coefficients
-only) and the one checked constructor that ``SuperMatrix.from_blocks``
-and ``SuperMatrix.from_record`` end in.  Results of the arithmetic are
-built without re-checking.
+enters: one term reader takes the (thetas, coefficient) pairs of
+``GrassmannElement.make`` (``int`` and ``Fraction`` only) and of each
+record entry (rational strings), and ``SuperMatrix.from_blocks`` and
+``from_record`` end in one checked constructor.  Results of the
+arithmetic are not re-checked, except that ``ber`` hands its Schur
+complements to the public ``det_even``, which checks every entry.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+
+from skos.super_poly import format_terms
 
 
 @lru_cache(maxsize=4096)
@@ -112,13 +116,7 @@ class GrassmannElement:
     def make(cls, gens: int, terms: dict[tuple[int, ...], Fraction | int]) -> "GrassmannElement":
         if gens < 0:
             raise ValueError(f"negative Grassmann generator count: {gens}")
-        clean: dict[int, Fraction] = {}
-        for thetas, coeff in terms.items():
-            mask = _theta_mask(tuple(thetas), gens)
-            c = _exact(coeff)
-            if c:
-                clean[mask] = clean[mask] + c if mask in clean else c
-        return _from_fractions(gens, clean)
+        return _read_terms(gens, terms.items(), _exact)
 
     @classmethod
     def scalar(cls, gens: int, value: Fraction | int) -> "GrassmannElement":
@@ -126,7 +124,7 @@ class GrassmannElement:
 
     @classmethod
     def zero(cls, gens: int) -> "GrassmannElement":
-        return _element(gens, {}, 1)
+        return cls.make(gens, {})
 
     @property
     def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
@@ -197,23 +195,30 @@ class GrassmannElement:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self._num:
-            return "0"
-        parts = []
-        for thetas, coeff in self._sorted_terms(True):
-            mono = "*".join(f"t{i}" for i in thetas)
-            if not mono:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(mono)
-            elif coeff == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{coeff}*{mono}")
-        return " + ".join(parts)
+        return format_terms(("*".join(f"t{i}" for i in t) or "1", c) for t, c in self._sorted_terms(True))
 
     def to_record(self) -> list[dict]:
         return [{"coeff": str(c), "thetas": list(t)} for t, c in self.terms]
+
+
+def _read_terms(gens: int, pairs, coefficient) -> GrassmannElement:
+    """The element on ``gens`` generators of the (thetas, value) ``pairs``,
+    each value read by ``coefficient``; terms on one mask are summed.  A bad
+    theta index is raised once every value has been read, so a bad
+    coefficient anywhere in the element is reported ahead of it."""
+    fracs: dict[int, Fraction] = {}
+    bad = None
+    for thetas, value in pairs:
+        try:
+            mask = _theta_mask(tuple(thetas), gens)
+        except ValueError as e:
+            bad = bad or e
+        c = coefficient(value)
+        if c and bad is None:
+            fracs[mask] = fracs[mask] + c if mask in fracs else c
+    if bad is not None:
+        raise bad
+    return _from_fractions(gens, fracs)
 
 
 def _exact(value) -> Fraction:
@@ -495,6 +500,9 @@ class SuperMatrix:
 
     @classmethod
     def identity(cls, p: int, q: int, gens: int) -> "SuperMatrix":
+        for name, size in (("p", p), ("q", q)):
+            if size < 0:
+                raise ValueError(f"negative supermatrix size {name} = {size}")
         one = GrassmannElement.scalar(gens, 1)
         zero = GrassmannElement.zero(gens)
         n = p + q
@@ -534,20 +542,8 @@ class SuperMatrix:
             if len(flat) != n * n:
                 raise ValueError(f"expected {n * n} entries, got {len(flat)}")
             elems = []
-            for k, entry in enumerate(flat):
-                fracs: dict[int, Fraction] = {}
-                bad = None  # a bad index is reported after the entry's coefficients
-                for t in entry:
-                    try:
-                        mask = _theta_mask(tuple(t["thetas"]), gens)
-                    except ValueError as e:
-                        bad = bad or e
-                    c = _coeff(t["coeff"])
-                    if c and bad is None:
-                        fracs[mask] = fracs[mask] + c if mask in fracs else c
-                if bad is not None:
-                    raise bad
-                elems.append(_from_fractions(gens, fracs))
+            for k, entry in enumerate(flat):  # ``_coeff`` reads a term's "coeff" once its thetas are read
+                elems.append(_read_terms(gens, ((t["thetas"], t) for t in entry), _coeff))
         except KeyError as e:
             where = f" in a term of entries[{k}]" if k >= 0 else ""
             raise ValueError(f"supermatrix record has no {e.args[0]!r} key{where}") from e
@@ -571,7 +567,9 @@ def _integer(value) -> int:
 _parse_coeff = lru_cache(maxsize=1024)(Fraction)
 
 
-def _coeff(value) -> Fraction:
+def _coeff(term: dict) -> Fraction:
+    """The coefficient of a record term: the rational string under "coeff"."""
+    value = term["coeff"]
     if type(value) is not str:
         raise TypeError(f"expected a rational string, got {type(value).__name__}")
     try:

@@ -222,23 +222,28 @@ class SuperPolynomial:
         )
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            ms = str(mono)
-            if ms == "1":
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(ms)
-            elif coeff == -1:
-                parts.append(f"-{ms}")
-            else:
-                parts.append(f"{coeff}*{ms}")
-        return " + ".join(parts)
+        return format_terms((str(m), c) for m, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"SuperPolynomial({self.gens.even},{self.gens.odd}: {self})"
+
+
+def format_terms(terms: Iterable[tuple[str, Coeff]]) -> str:
+    """The (monomial string, coefficient) pairs ``terms``, in order, as one
+    sum that ``parse_poly`` reads back: the coefficient alone on the monomial
+    "1", the monomial alone for 1, "-monomial" for -1 and "coefficient*monomial"
+    otherwise; "0" for no terms."""
+    parts = []
+    for mono, coeff in terms:
+        if mono == "1":
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(mono)
+        elif coeff == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{coeff}*{mono}")
+    return " + ".join(parts) or "0"
 
 
 def unit_monomial(gens: GeneratorSet) -> SuperMonomial:

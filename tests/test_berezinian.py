@@ -19,6 +19,7 @@ from skos.berezinian import (
 from skos.complexes import build_berezinian
 from skos.exact_linalg import homology
 from skos.multilinear import SuperDim
+from skos.super_poly import GeneratorSet, parse_poly
 
 
 def G(terms, gens=4):
@@ -70,6 +71,21 @@ class TestGrassmannElement:
     def test_rejects_negative_generator_count(self):
         with pytest.raises(ValueError, match="negative Grassmann generator count"):
             GrassmannElement.make(-1, {})
+        with pytest.raises(ValueError, match="negative Grassmann generator count: -1"):
+            GrassmannElement.zero(-1)
+
+    @pytest.mark.parametrize("gens", range(7))
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_text_reads_back_as_a_super_polynomial(self, gens, parity):
+        """A Grassmann element prints as a polynomial in the odd generators
+        t1..tg, which ``parse_poly`` over (0|g) reads back term by term."""
+        rng = random.Random(f"text {gens} {parity}")
+        for _ in range(20):
+            e = random_grassmann(rng, gens, parity)
+            back = parse_poly(GeneratorSet(0, gens), str(e))
+            assert all(not m.dxs and not any(m.dt_pow) for m in back.terms)
+            assert sorted((m.thetas, c) for m, c in back.terms.items()) == list(e.terms)
+            assert str(back) == str(e)
 
     @pytest.mark.parametrize("value", [0.1, 0.5, "1/3", True, None], ids=repr)
     def test_inexact_coefficients_rejected(self, value):
@@ -451,6 +467,36 @@ class TestRecordFormat:
         with pytest.raises(ValueError, match=r"'entries\[0\]' is malformed: expected a rational"):
             SuperMatrix.from_record(rec)
 
+    @pytest.mark.parametrize(
+        "terms, blamed",
+        [
+            ([((0,), True)], "theta index out of range in (0,)"),
+            ([((2, 1), True), ((1,), True)], "theta indices must be strictly increasing: (2, 1)"),
+            ([((1,), False)], None),
+            ([((0,), False)], None),
+            ([((3,), True), ((), False)], None),
+            ([((), False), ((1, 1), True)], None),
+        ],
+        ids=["index", "order", "coefficient", "both-in-one-term", "index-then-coefficient",
+             "coefficient-then-index"],
+    )
+    def test_make_and_record_blame_the_same_part(self, terms, blamed):
+        """One reader serves both: a bad coefficient (a float for ``make``, a
+        non-rational string in a record) outranks a bad theta index anywhere
+        in the element, and a bad index alone gives one message to both."""
+        rec = SuperMatrix.identity(1, 0, 2).to_record()
+        rec["entries"][0] = [{"coeff": "1" if ok else "0.5x", "thetas": list(t)} for t, ok in terms]
+        with pytest.raises((TypeError, ValueError)) as made:
+            GrassmannElement.make(2, {t: 1 if ok else 0.5 for t, ok in terms})
+        with pytest.raises(ValueError) as read:
+            SuperMatrix.from_record(rec)
+        if blamed is None:
+            assert (made.type, str(made.value)) == (TypeError, "Grassmann coefficients must be int or Fraction, got 0.5")
+            assert str(read.value) == ("supermatrix record field 'entries[0]' is malformed: "
+                                       "expected a rational string, got '0.5x'")
+        else:
+            assert (made.type, str(made.value), str(read.value)) == (ValueError, blamed, blamed)
+
 
 T1, T2, T12 = G({(1,): 1}), G({(2,): 1}), G({(1, 2): 1})
 WRONG_GENS = GrassmannElement.make(3, {(1,): 1})
@@ -540,6 +586,13 @@ class TestSuperMatrixLayout:
         assert [e for row in M.rows for e in row] == flat
         assert M.to_record()["entries"] == [e.to_record() for e in flat]
         assert M.Y == ((flat[2],), (flat[5],)) and M.Z == ((flat[6], flat[7]),)
+
+    @pytest.mark.parametrize("p, q, message", [(-1, 0, "negative supermatrix size p = -1"),
+                                                (0, -2, "negative supermatrix size q = -2")])
+    def test_identity_refuses_a_negative_size(self, p, q, message):
+        with pytest.raises(ValueError) as info:
+            SuperMatrix.identity(p, q, 2)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("p, q", [(2, 1), (0, 2), (3, 0)])
     def test_identity_blocks(self, p, q):

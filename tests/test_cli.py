@@ -82,6 +82,23 @@ class TestHomologyCommand:
         assert code == 1
         assert "window" in err
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["--kind", "specialize", "--rank", "1,1", "--omega", "2,0", "--cap", "2"], [-1, 0]),
+        (["--kind", "berezinian", "--rank", "1,1", "--weight", "0"], [0, 1, 2, 3, 4, 5]),
+        (["--kind", "koszul", "--rank", "0,1", "--weight", "5", "--cap", "2"], [-1, 0]),
+    ], ids=["specialized", "berezinian", "koszul"])
+    def test_window_edges_are_left_out_after_one_ask(self, argv, shown):
+        """Without --position each position of the window is read once, by
+        ``homology``; one on the window's edge raises WindowError there and
+        is left out of the output."""
+        asked = []
+        outgoing = GradedComplex.outgoing
+        with mock.patch.object(GradedComplex, "outgoing", lambda C, pos: asked.append(pos) or outgoing(C, pos)):
+            code, out, err = call(["homology", *argv, "--output", "json"])
+        assert (code, err) == (0, "")
+        assert [s["position"] for s in json.loads(out)["summaries"]] == shown
+        assert len(asked) == len(set(asked)) == len(shown) + 1
+
     @pytest.mark.parametrize("kind, rank, message", [
         ("koszul", "1,1", "--weight is required for this complex kind"),
         ("specialize", "2,0", "--omega is required for the specialized complex"),
@@ -232,10 +249,12 @@ class TestBerCommand:
         assert err.startswith("skos: error: [Errno ") and err.endswith(f"{str(path)!r}\n")
 
     def test_random_check_negative_size_is_exit_1(self):
-        code, _, err = call(["ber", "--random-check", "1", "--gens", "-1"])
-        assert code == 1
-        assert err == ("skos: error: --random-check COUNT must be positive "
-                       "and --p, --q and --gens nonnegative\n")
+        # a negative --p or --q meets this check ahead of the one in SuperMatrix.identity
+        for size in (["--gens", "-1"], ["--p", "-1"], ["--q", "-2"]):
+            code, _, err = call(["ber", "--random-check", "1", *size])
+            assert code == 1
+            assert err == ("skos: error: --random-check COUNT must be positive "
+                           "and --p, --q and --gens nonnegative\n")
 
     @pytest.mark.parametrize(
         "record,named",
