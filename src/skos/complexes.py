@@ -20,9 +20,11 @@ All structure constants are integers regardless of the eventual base
 ring; base change happens in :mod:`skos.exact_linalg`.  Every
 differential is an even map (a record that is not is refused).  Built
 complexes are never changed after construction and are safe to share
-between threads; each differential keeps its own eliminations
-(``skos.exact_linalg.rank``), filled on first use with values that
-depend on the matrix alone.
+between threads.  Each differential is named by what fixes it, (kind,
+gens, weight, omega, position, operator) (``_complex``), so every build
+of a slice shares its eliminations (``skos.exact_linalg.named``), filled
+on first use with values that depend on the matrix alone: a rebuilt
+slice is assembled again but not reduced again.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from itertools import product
 from typing import Callable, Iterator
 
 import skos.multilinear as multilinear
-from skos.exact_linalg import ExactMatrix
+from skos.exact_linalg import ExactMatrix, named
 from skos.multilinear import FreeBasis, iter_sym_monomials, iter_wedge_monomials
 from skos.super_poly import (
     DTHETA, DX, THETA, X, GeneratorSet, SuperMonomial, SuperPolynomial, contract_euler, exterior_d,
@@ -273,11 +275,20 @@ class GradedComplex:
         return cls(kind, gens, weight, basis_at, diff_at, tuple(omega) if special else None)
 
 
-def _complex(kind: str, gens: GeneratorSet, n: int | None, positions: range,
-             diff: Callable[[int, FreeBasis, FreeBasis], ExactMatrix], omega: tuple | None = None) -> GradedComplex:
-    """The enumerated basis of ``kind`` at each position, and ``diff(pos, source basis, target basis)``."""
+def _complex(kind: str, gens: GeneratorSet, n: int | None, positions: range, op: Callable,
+             stencil: Callable[[int, Callable], dict], times, omega: tuple | None = None) -> GradedComplex:
+    """The enumerated basis of ``kind`` at each position, and the ``assemble``d
+    matrix of ``stencil(pos, op)`` and ``times`` leaving each but the last.
+
+    Each matrix is named ``(kind, gens, n, omega, pos, op)``: these fix it,
+    so a rebuild shares the first build's reductions.  The operator object
+    is part of the name, as it is of the stencil caches' keys, so a traced
+    or patched operator never meets another operator's memo.  The window
+    (``cap``) is not: it picks the positions, not the matrix at one.
+    """
     basis_at = {pos: _basis(kind, gens, n, pos) for pos in positions}
-    diff_at = {pos: diff(pos, basis_at[pos], basis_at[pos + 1]) for pos in positions[:-1]}
+    diff_at = {pos: named(assemble(basis_at[pos], basis_at[pos + 1], stencil(pos, op), times),
+                          (kind, gens, n, omega, pos, op)) for pos in positions[:-1]}
     return GradedComplex(kind, gens, n, basis_at, diff_at, omega)
 
 
@@ -502,8 +513,8 @@ def build_koszul(a: int, b: int, n: int, cap: int | None = None) -> GradedComple
     cap = n if cap is None else cap
     _check_args(a, b, cap, n)
     gens = GeneratorSet(a, b)
-    return _complex("koszul", gens, n, range(-min(n, a if b == 0 else cap), 1), lambda pos, src, dst: assemble(
-        src, dst, contraction_stencil(gens, -pos, contract_euler), _polynomial_times))
+    return _complex("koszul", gens, n, range(-min(n, a if b == 0 else cap), 1), contract_euler,
+                    lambda pos, op: contraction_stencil(gens, -pos, op), _polynomial_times)
 
 
 def build_derham(a: int, b: int, n: int, cap: int | None = None) -> GradedComplex:
@@ -511,8 +522,8 @@ def build_derham(a: int, b: int, n: int, cap: int | None = None) -> GradedComple
     cap = n if cap is None else cap
     _check_args(a, b, cap, n)
     gens = GeneratorSet(a, b)
-    return _complex("derham", gens, n, range(0, min(n, a if b == 0 else cap) + 1), lambda pos, src, dst: assemble(
-        src, dst, _derivative_stencil(gens, n - pos, exterior_d), _wedge_times))
+    return _complex("derham", gens, n, range(0, min(n, a if b == 0 else cap) + 1), exterior_d,
+                    lambda pos, op: _derivative_stencil(gens, n - pos, op), _wedge_times)
 
 
 def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:
@@ -528,8 +539,8 @@ def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:
     top = _SUPPORT["berezinian"](a, b, n)[1]
     top = cap if top is None else min(cap, top)
     gens = GeneratorSet(a, b)
-    return _complex("berezinian", gens, n, range(0, top + 1), lambda pos, src, dst: assemble(
-        src, dst, _dual_stencil(contraction_stencil(gens, pos + 1, contract_euler)), _polynomial_times))
+    return _complex("berezinian", gens, n, range(0, top + 1), contract_euler,
+                    lambda pos, op: _dual_stencil(contraction_stencil(gens, pos + 1, op)), _polynomial_times)
 
 
 def specialize_koszul(a: int, b: int, omega: tuple[int, ...], cap: int | None = None) -> GradedComplex:
@@ -553,5 +564,5 @@ def specialize_koszul(a: int, b: int, omega: tuple[int, ...], cap: int | None = 
 
     def times(coef, gen):  # x_i becomes the scalar omega_i; t_j and a zero omega_i vanish
         return (omega[gen[1]], coef) if gen[0] == X and omega[gen[1]] else None
-    return _complex("specialized", gens, None, range(-a if b == 0 else -cap, 1), lambda pos, src, dst: assemble(
-        src, dst, contraction_stencil(gens, -pos, contract_euler), times), omega)
+    return _complex("specialized", gens, None, range(-a if b == 0 else -cap, 1), contract_euler,
+                    lambda pos, op: contraction_stencil(gens, -pos, op), times, omega)

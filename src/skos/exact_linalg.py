@@ -28,13 +28,18 @@ parity.  Each differential keeps its unit core, its pivots over Q and
 its pivot rows mod each prime, each computed on first use, so it is
 copied and reduced whole once, whatever the bases, and only its core
 once more per base field; an entry-free one is never eliminated.
-Every homology call checks d∘d = 0 and any integer known to kill the homology.
+A builder that can name what fixes a matrix gives it a name (``named``):
+every matrix of one name shares one memo, so a rebuilt differential finds
+the reductions of the first build, in a table bounded by count.  Every
+homology call checks any integer known to kill the homology, and d∘d = 0
+unless the outgoing memo records a check against the incoming memo.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+import threading
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -114,6 +119,9 @@ class ExactMatrix:
     ``_memo`` holds what the matrix reduces to, each filled on first use
     (``_memoized``): its unit core, the pivot of each core row over Q and
     its pivot rows mod each prime, so a matrix is read-only once ranked.
+    A named matrix (``named``) shares its memo with every matrix of its
+    name, and ``homology`` records there the incoming memo it checked
+    d∘d = 0 against; a write through ``_d`` detaches the memo.
     """
 
     __slots__ = ("rows", "cols", "_r", "_memo")
@@ -204,8 +212,9 @@ class ExactMatrix:
 
 
 class _EntryView:
-    """Entries by (row, col), written through and clearing the memo: only for
-    the benchmark gate that forges a matrix, until it has a public constructor."""
+    """Entries by (row, col), written through and detaching the memo: only for
+    the benchmark gate that forges a matrix, until it has a public constructor.
+    A named memo stays with the other matrices of its name, unchanged."""
 
     def __init__(self, m: ExactMatrix):
         self._m = m
@@ -219,7 +228,7 @@ class _EntryView:
     def __setitem__(self, rc: tuple[int, int], v: int) -> None:
         m = self._m
         m._r = ExactMatrix.from_triplets(m.rows, m.cols, [t for t in m.triplets() if t[:2] != rc] + [(*rc, v)])._r
-        m._memo.clear()
+        m._memo = {}
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +364,41 @@ def _memoized(M: ExactMatrix, key, compute, *args):
     """``compute(*args)``, kept in the memo of ``M`` under ``key``.
 
     Every value is a function of the matrix alone, so two threads that
-    fill the same key at once store equal values.
+    fill the same key at once store equal values, as do two matrices of
+    one name (``named``).
     """
     memo = M._memo
     if key not in memo:
         memo[key] = compute(*args)
     return memo[key]
+
+
+# Bound of the table of named memos, least recently named dropped first.
+# The seed-1 homology_sweep requests (every Koszul and De Rham slice with
+# a + b <= 4 and weight <= 5 over Z, Q and F_32003, and two weight-6
+# slices over Z) name 392 differentials, whose memos hold 0.51 MB once
+# ranked (tracemalloc, Python 3.11); build_koszul(0, 6, 8) names 8, which
+# hold 0.90 MB once ranked over the same three bases.  A name keeps its
+# memo alive, not its matrix.
+_NAMED_BOUND = 512
+_named: OrderedDict = OrderedDict()
+_named_lock = threading.Lock()
+
+
+def named(M: ExactMatrix, name) -> ExactMatrix:
+    """Give ``M`` the memo registered under ``name``, or register its own there.
+
+    Every matrix given one name must have the same rows, so what one of
+    them reduced, the next finds done.  Two threads that name one slice at
+    once get one memo, and fill it as ``_memoized`` says.  Returns ``M``.
+    """
+    with _named_lock:
+        memo = _named.setdefault(name, M._memo)
+        _named.move_to_end(name)
+        if len(_named) > _NAMED_BOUND:
+            _named.popitem(last=False)
+    M._memo = memo
+    return M
 
 
 def _pivots(M: ExactMatrix) -> tuple[list[int], dict[int, dict[int, int]], dict[int, Fraction]]:
@@ -536,17 +574,22 @@ def homology(C: "GradedComplex", base, position: int) -> HomologySummary:
     a homotopy that kills it (``_check_homotopy``).  Over fields the torsion
     lists are empty; over Z the invariant factors > 1 of the incoming
     differential are reported.  Each parity block's rank is counted off
-    one elimination of its whole differential, kept in its memo.
+    one elimination of its whole differential, kept in its memo.  The
+    memo of the outgoing differential keeps the memo of the incoming one
+    it was checked against: a memo is shared only by equal matrices, and
+    a write detaches it, so the same pair of memos is not checked again.
     """
     kind, p = parse_base(base)
     out_m = C.outgoing(position)
     in_m = C.incoming(position)
-    if out_m._r and in_m._r:  # a product with an entry-free factor has no entries
+    # a product with an entry-free factor has no entries, and a pair of memos is checked once
+    if out_m._r and in_m._r and out_m._memo.get("dd") is not in_m._memo:
         dd = out_m @ in_m
         if not dd.is_zero():
             raise ArithmeticError(
                 f"not a complex at position {position}: d∘d has {dd.nnz} nonzero entries"
             )
+        out_m._memo["dd"] = in_m._memo
     here = C.basis_at[position]
     above = C.basis_at[position + 1].parities if out_m._r else ()  # an entry-free rank reads none
     free = here.dims() - rank(out_m, base, above) - rank(in_m, base, here.parities)

@@ -202,11 +202,13 @@ class TestLaurentMemo:
         with pytest.raises(AssertionError, match="eliminated again"):
             forms_cohomology_direct(0, 4, 2, 3)
 
-    def test_each_cached_matrix_is_eliminated_once_per_base(self, monkeypatch):
+    def test_each_cached_matrix_is_eliminated_once_per_base(self, monkeypatch, cold_table):
         """Every kernel and homology of the direct path ranks its matrix
         whole, from the eliminations its memo keeps: over two bases and
         seven twists, each differential of a cached Koszul slice and each
-        cached Laurent matrix is eliminated once at most per base field."""
+        cached Laurent matrix is eliminated once at most per base field.
+        The table of named memos starts empty, so no slice an earlier test
+        built has been reduced already."""
         import skos.bott
         import skos.exact_linalg
 

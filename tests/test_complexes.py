@@ -2,6 +2,8 @@ import copy
 import json
 import subprocess
 import sys
+from collections import Counter, OrderedDict
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,9 @@ from skos.complexes import (
     contraction_stencil,
     specialize_koszul,
 )
-from skos.exact_linalg import ExactMatrix, homology
+import skos.complexes
+import skos.exact_linalg
+from skos.exact_linalg import ExactMatrix, homology, rank, smith_normal_form
 from skos.multilinear import FreeBasis, SuperDim, basis_wedge_sym
 from skos.super_poly import X, GeneratorSet, contract_euler, exterior_d
 
@@ -597,6 +601,122 @@ class TestSerialization:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object, got list"):
             GradedComplex.from_record([])
+
+
+BASES = ("Z", "Q", "Fp:2", "Fp:3")
+
+
+def sweep(C):
+    """The homology of ``C`` at each position over each base, "window" where
+    the position's neighbor lies outside the window."""
+    out = {}
+    for pos in C.positions:
+        for base in BASES:
+            try:
+                out[pos, base] = homology(C, base, pos)
+            except WindowError:
+                out[pos, base] = "window"
+    return out
+
+
+def cold_sweep(build):
+    """``sweep(build())`` on an empty table of named memos; the table in use comes back after."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(skos.exact_linalg, "_named", OrderedDict())
+        return sweep(build())
+
+
+def forgeable(C):
+    """A position whose differential, with one entry changed, breaks d∘d with the
+    next one, and that entry: in a row the next differential reads, and not -1."""
+    pos = next(p for p in C.diff_at if p + 1 in C.diff_at and C.diff_at[p].nnz and C.diff_at[p + 1].nnz)
+    read = {c for _, c in C.diff_at[pos + 1]._d}
+    return pos, next(rc for rc in C.diff_at[pos]._d if rc[0] in read and C.diff_at[pos]._d[rc] != -1)
+
+
+ONE_OF_EACH_KIND = {
+    "koszul": partial(build_koszul, 1, 2, 3),
+    "derham": partial(build_derham, 2, 1, 3),
+    "berezinian": partial(build_berezinian, 1, 1, 2, 3),
+    "specialized": partial(specialize_koszul, 3, 1, (2, -1, 3, 0), 3),
+}
+
+
+class TestRebuiltSlices:
+    """Every build of a slice names its differentials alike, so a rebuild
+    shares the memos of the first build (``skos.exact_linalg.named``)."""
+
+    @pytest.mark.parametrize("kind", sorted(ONE_OF_EACH_KIND))
+    def test_rebuild_reduces_nothing_again(self, kind, monkeypatch, cold_table):
+        """A rebuilt slice is not copied into a unit core, not ranked mod p and
+        not checked for d∘d = 0 again, over Z, Q and F_p, and answers alike."""
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(M, *args):
+                calls[name] += bool(M.nnz)  # an edge's entry-free matrix is made anew per call
+                return f(M, *args)
+            return wrapper
+
+        for name in ("_unit_core", "_rank_mod_p"):
+            monkeypatch.setattr(skos.exact_linalg, name, counted(name, getattr(skos.exact_linalg, name)))
+        monkeypatch.setattr(ExactMatrix, "__matmul__", counted("@", ExactMatrix.__matmul__))
+        first = sweep(ONE_OF_EACH_KIND[kind]())
+        assert all(calls[name] for name in ("_unit_core", "_rank_mod_p", "@"))
+        calls.clear()
+        assert sweep(ONE_OF_EACH_KIND[kind]()) == first
+        assert not any(calls.values()), calls
+
+    @pytest.mark.parametrize("builds", [
+        [partial(specialize_koszul, 2, 1, omega, 2) for omega in ((1, 2, 0), (2, 2, 0), (0, 3, 0), (0, 0, 0))],
+        [partial(build, 1, 1, 3, 3) for build in (build_koszul, build_derham, build_berezinian)],
+        [partial(build_koszul, 1, 1, n, 2) for n in (1, 2, 3)],
+    ], ids=["omega", "kind", "weight"])
+    def test_slices_that_differ_in_one_field_answer_as_cold_builds(self, builds, cold_table):
+        """Slices one after another that differ only in omega, in kind (at one
+        rank, weight and window) or in weight answer as each does alone.  The
+        De Rham and Berezinian slices share their positions, so their names
+        differ in kind and operator only."""
+        cold = [cold_sweep(build) for build in builds]
+        assert [sweep(build()) for build in builds] == cold
+        assert len({str(answers) for answers in cold}) == len(builds)
+
+    def test_patched_operator_meets_no_other_operators_memo(self, monkeypatch, cold_table):
+        """The operator is part of each name: a slice built while
+        ``contract_euler`` is patched to twice itself is ranked from its own
+        rows, not from the memo of the slice built before the patch."""
+        positions = list(build_koszul(1, 1, 3, 3).diff_at)
+        ranked = [rank(build_koszul(1, 1, 3, 3).diff_at[pos], "Fp:2") for pos in positions]
+        monkeypatch.setattr(skos.complexes, "contract_euler", lambda f: contract_euler(f).scale(2))
+        assert any(ranked)
+        assert [rank(build_koszul(1, 1, 3, 3).diff_at[pos], "Fp:2") for pos in positions] == [0] * len(positions)
+
+    def test_forged_matrix_leaves_the_shared_memo(self, cold_table):
+        """A write through ``_d`` gives the forged matrix a memo of its own:
+        what it reduces is its own, and a later build of the slice answers
+        as the clean one did, at every position and base."""
+        clean = sweep(build_koszul(1, 1, 3, 3))
+        C = build_koszul(1, 1, 3, 3)
+        pos, entry = forgeable(C)
+        M = C.diff_at[pos]
+        M._d[entry] += 1
+        with pytest.raises(ArithmeticError, match="not a complex"):
+            homology(C, "Q", pos + 1)
+        assert [rank(M, base) for base in BASES] == [2, 2, 1, 1] and smith_normal_form(M) == ((1, 6), 2)
+        assert sweep(build_koszul(1, 1, 3, 3)) == clean
+
+    def test_changed_record_is_not_a_complex_after_a_clean_check(self, cold_table):
+        """A record with one entry changed reads back as a complex whose
+        d∘d is checked afresh, though a clean build of the slice was checked."""
+        C = build_koszul(1, 1, 3, 3)
+        sweep(C)
+        pos, entry = forgeable(C)
+        record = C.to_record()
+        (d,) = (d for d in record["differentials"] if d["from"] == pos)
+        (t,) = (t for t in d["entries"] if tuple(t[:2]) == entry)
+        t[2] += 1
+        with pytest.raises(ArithmeticError, match=f"not a complex at position {pos + 1}"):
+            homology(GradedComplex.from_record(record), "Q", pos + 1)
 
 
 # One valid record of each kind; the fuzz below mutates one of them at one place.

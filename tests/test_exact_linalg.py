@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from skos.exact_linalg import (
     is_prime,
     kernel_rank,
     homology,
+    named,
     parse_base,
     rank,
     smith_normal_form,
@@ -489,7 +491,7 @@ def _support(rows):
 
 
 @pytest.mark.parametrize("build", [build_koszul, build_derham])
-def test_each_block_is_reduced_once_per_complex(build, monkeypatch):
+def test_each_block_is_reduced_once_per_complex(build, monkeypatch, cold_table):
     """A sweep over every position and base ranks the parity blocks of each
     differential off one elimination of the whole differential, at most
     once per base field: one unit core, shared by Z and Q, and one
@@ -521,7 +523,7 @@ def test_each_block_is_reduced_once_per_complex(build, monkeypatch):
 
 
 @pytest.mark.parametrize("build", [build_koszul, build_derham])
-def test_each_differential_is_copied_once_whatever_the_base(build, monkeypatch):
+def test_each_differential_is_copied_once_whatever_the_base(build, monkeypatch, cold_table):
     """The unit core is the only reduction of a whole differential: Z, Q
     and every prime finish the one core in its memo.  So each differential
     with entries reaches the kernel whole once in all, as a copy of its
@@ -655,6 +657,52 @@ def test_entry_view_writes_through_and_clears_the_memo():
     assert not S._memo and rank(S, "Q") == 2 and smith_normal_form(S) == ((1, 1), 2)
     S._d[(1, 0)] = S._d[(1, 1)] = 0
     assert S._r == {0: {0: 2, 1: 1}} and S == ExactMatrix.from_dense([[2, 1], [0, 0]])
+
+
+def test_named_memos_are_shared_and_the_table_is_bounded(cold_table):
+    """A matrix named as an earlier one takes that one's memo; the table
+    keeps a finite number of names and drops the least recently named."""
+    bound, table = skos.exact_linalg._NAMED_BOUND, skos.exact_linalg._named
+    assert type(bound) is int and 0 < bound < 2**16
+    first = named(ExactMatrix.from_dense([[1, 1], [1, 1]]), "first")
+    second = named(ExactMatrix(1, 1), "second")
+    assert rank(first, "Q") == 1 and first._memo
+    assert named(ExactMatrix.from_dense([[1, 1], [1, 1]]), "first")._memo is first._memo
+    for i in range(bound - 1):  # "second" is now the least recently named
+        named(ExactMatrix(1, 1), i)
+    assert len(table) == bound and "first" in table and "second" not in table
+    assert named(ExactMatrix(1, 1), "second")._memo is not second._memo
+
+
+def test_threads_that_name_at_once_keep_the_table_whole(monkeypatch, cold_table):
+    """Eight threads name and reduce matrices of six names at once, through
+    a table of four names and with a short switch interval: every rank and
+    Smith form is right, no naming fails, and the table keeps its bound."""
+    monkeypatch.setattr(skos.exact_linalg, "_NAMED_BOUND", 4)
+    failures = []
+
+    def work(k):
+        try:
+            for i in range(300):
+                n = (i + k) % 6  # [[n + 1, 1], [1, 1]] has determinant n
+                M = named(ExactMatrix.from_dense([[n + 1, 1], [1, 1]]), n)
+                assert rank(M, "Fp:2") == 1 + n % 2
+                assert smith_normal_form(M) == (((1, n), 2) if n else ((1,), 1))
+        except Exception as e:  # reported below, with the thread's number
+            failures.append((k, repr(e)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not failures, failures
+    assert len(skos.exact_linalg._named) <= 4
 
 
 def test_entry_free_matrices_never_reach_the_kernel(monkeypatch):
