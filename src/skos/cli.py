@@ -281,11 +281,26 @@ def _cmd_ber(args, stdout) -> int:
     return 0
 
 
+# Each (M, N) pair of ``ber --random-check`` draws (p+q)^2 * 2^gens
+# monomials, every one of them a term kept with chance 1/2.  The largest
+# accepted sizes, such as --p 0 --q 1 --gens 13 or --p 45 --q 45
+# --gens 0, take 2-4 s for one check on a 2-core Xeon under Python 3.11,
+# and --p 1 --q 1 --gens 12, twice the bound, already takes 6 s.
+_RANDOM_CHECK_MONOMIALS = 1 << 13
+
+
 def _ber_random_check(args, stdout) -> int:
     count = args.random_check
     if count <= 0 or args.p < 0 or args.q < 0 or args.gens < 0:
         raise ValueError("--random-check COUNT must be positive and "
                          "--p, --q and --gens nonnegative")
+    size = args.p + args.q
+    # the first test refuses a huge gens before 2^gens is formed
+    if size and (args.gens > _RANDOM_CHECK_MONOMIALS.bit_length()
+                 or size * size << args.gens > _RANDOM_CHECK_MONOMIALS):
+        raise ValueError(f"--random-check draws (p+q)^2 * 2^gens monomials per check, at most "
+                         f"{_RANDOM_CHECK_MONOMIALS}: p={args.p}, q={args.q}, gens={args.gens} "
+                         f"is too large")
     ident = berezinian.SuperMatrix.identity(args.p, args.q, args.gens)
     if berezinian.ber(ident) != berezinian.GrassmannElement.scalar(args.gens, 1):
         raise ArithmeticError("identity check failed")

@@ -258,6 +258,26 @@ class TestBerCommand:
             assert err == ("skos: error: --random-check COUNT must be positive "
                            "and --p, --q and --gens nonnegative\n")
 
+    @pytest.mark.parametrize("p,q,gens", [(1, 1, 40), (1, 1, 12), (4, 4, 8), (46, 45, 0),
+                                          (10**12, 0, 0), (0, 1, 2**40)])
+    def test_random_check_too_large_is_exit_1_at_once(self, p, q, gens):
+        # (p+q)^2 * 2^gens monomials past the bound are refused before the first draw
+        proc = subprocess.run(
+            [sys.executable, "-m", "skos", "ber", "--random-check", "1",
+             "--p", str(p), "--q", str(q), "--gens", str(gens)],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("skos: error: --random-check draws (p+q)^2 * 2^gens monomials "
+                               f"per check, at most 8192: p={p}, q={q}, gens={gens} is too large\n")
+
+    @pytest.mark.parametrize("p,q,gens", [(4, 4, 7), (0, 0, 40)])
+    def test_random_check_at_the_bound_runs(self, p, q, gens):
+        code, out, err = call(["ber", "--random-check", "1",
+                               "--p", str(p), "--q", str(q), "--gens", str(gens)])
+        assert (code, err) == (0, "")
+        assert out.startswith(f"ok: 1 seeded supermatrices (p={p}, q={q}, gens={gens}")
+
     @pytest.mark.parametrize(
         "record,named",
         [

@@ -3,9 +3,11 @@
 Products are compared with an oracle on sorted theta tuples with
 ``Fraction`` coefficients, the representation the bitmask kernel
 replaced, and supermatrix records must parse to what ``make`` builds.
-The same file checks that large generator counts cost nothing up front:
-signs come from the terms themselves, memoized per mask, not from a
-table sized by ``gens``.
+The same file checks the product plans: each lists every disjoint
+mask pair with the oracle's sign, is built once per generator count and
+only up to ``_PLAN_GENS`` generators, so large generator counts cost
+nothing up front: their signs come from the terms themselves, memoized
+per mask, not from a table sized by ``gens``.
 """
 
 import os
@@ -205,17 +207,94 @@ def test_record_parse_matches_make(even, odd):
     assert M.Y[0][0] == M.Z[0][0] == _make(odd)
 
 
+def _counted_plans(monkeypatch):
+    """An empty plan table for this test, and the list of the generator
+    counts whose plan is built while it runs."""
+    builds, build = [], berezinian._build_plan
+    monkeypatch.setattr(berezinian, "_PLANS", {})
+    monkeypatch.setattr(berezinian, "_build_plan", lambda gens: builds.append(gens) or build(gens))
+    return builds
+
+
 def test_prefix_parity_once_per_mask_on_the_ber_benchmark(monkeypatch):
     """One pass over the seed-1 ber_check records evaluates P(b) once per
-    distinct mask: every miss of the bounded cache is still cached."""
+    distinct mask, every miss of the bounded cache still cached, and
+    builds the product plan of each generator count once."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
 
     records = [r.payload for r in workloads.build_requests("ber_check", 1)]
     gens = max(rec["grassmann_gens"] for rec in records)
+    assert gens <= berezinian._PLAN_GENS
+    builds = _counted_plans(monkeypatch)
     berezinian._prefix_parity.cache_clear()
     for rec in records:
         ber(SuperMatrix.from_record(rec))
     info = berezinian._prefix_parity.cache_info()
     assert info.misses == info.currsize <= 2**gens
-    assert info.hits > 80_000
+    assert sorted(builds) == sorted({rec["grassmann_gens"] for rec in records})
+
+
+def _mask_thetas(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("gens", range(berezinian._PLAN_GENS + 1))
+def test_plan_lists_every_disjoint_mask_with_the_oracle_sign(gens):
+    plan = berezinian._plan(gens)
+    full = (1 << gens) - 1
+    for parity in (0, 1):
+        assert len(plan[parity]) == 1 << gens
+        for a, row in enumerate(plan[parity]):
+            free = full & ~a
+            assert sorted(b for b, _, _ in row) == [
+                b for b in range(1 << gens) if b & free == b and b.bit_count() % 2 == parity
+            ]
+            for b, m, odd in row:
+                sign, thetas = _merge_sign(_mask_thetas(a), _mask_thetas(b))
+                assert (m, (-1) ** odd) == (a | b, sign) and _mask_thetas(m) == thetas
+
+
+def test_plan_is_built_once_only_when_walked_and_only_up_to_six_generators(monkeypatch):
+    builds = _counted_plans(monkeypatch)
+    y = GrassmannElement.make(6, {(3,): 1, (4, 5, 6): -1})
+    sparse = GrassmannElement.make(6, {(1,): 1, (2, 6): 2})
+    # plan lists of 16 and 8 masks against a two-term y: no term walks
+    assert sparse * y == oracle_mul(sparse, y) and builds == []
+    tracemalloc.start()
+    try:
+        for gens in (6, 6, 7, 8):
+            # the second term of x leaves out t3 and t4, so its plan list
+            # holds two masks, no more than y has terms
+            x = GrassmannElement.make(gens, {(1,): 1, tuple(i for i in range(1, gens + 1) if i not in (3, 4)): 2})
+            y = GrassmannElement.make(gens, {(3,): 1, (4, 5, 6): -1})
+            assert x * y == oracle_mul(x, y) and y * x == oracle_mul(y, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert builds == [6] and list(berezinian._PLANS) == [6]
+    assert sum(len(row) for rows in berezinian._PLANS[6] for row in rows) == 3**6
+    assert peak < 100_000  # bytes: the 6-generator plan is about 48 KB
+
+
+PLAN_EDGE_GENS = (0, 1, 5, 6, 7, 8)
+
+
+@st.composite
+def _edge_operand(draw, gens):
+    """An element on ``gens`` generators: one or two terms, or up to 64
+    (dense), of one parity or of both."""
+    parity = draw(st.sampled_from([0, 1, None]))
+    monos = [m for m in range(1 << gens) if parity is None or m.bit_count() % 2 == parity]
+    size = min(len(monos), 64 if draw(st.booleans()) else draw(st.integers(1, 2)))
+    picked = draw(st.randoms(use_true_random=False)).sample(monos, size)
+    coeffs = draw(st.lists(COEFFS.filter(bool), min_size=size, max_size=size))
+    return GrassmannElement.make(gens, {_mask_thetas(m): c for m, c in zip(picked, coeffs)})
+
+
+@LAWS
+@given(st.sampled_from(PLAN_EDGE_GENS).flatmap(lambda g: st.tuples(_edge_operand(g), _edge_operand(g))))
+def test_product_matches_oracle_on_both_sides_of_the_plan_bound(pair):
+    x, y = pair
+    assert x * y == oracle_mul(x, y)
+    assert y * x == oracle_mul(y, x)
