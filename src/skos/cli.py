@@ -47,11 +47,12 @@ def _int_vector(text: str) -> tuple[int, ...]:
 
 
 def _base(text: str) -> str:
+    """The canonical spelling of a base ring, the one every output prints."""
     try:
-        parse_base(text)
+        kind, p = parse_base(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
-    return text
+    return kind if p is None else f"Fp:{p}"
 
 
 @functools.cache

@@ -24,9 +24,9 @@ incoming differential alone.  Every differential is an even map, and
 the kernel only combines rows that share a column, so one elimination
 of a differential eliminates both its parity blocks: a block's rank is
 its number of pivot rows, and over Z its core is the core rows of its
-parity.  Each differential keeps its unit core, its pivots over Q and
-its pivot rows mod each prime, each computed on first use, so it is
-copied and reduced whole once, whatever the bases, and only its core
+parity.  Each differential keeps its unit core and the pivot rows of
+that core over Q and mod each prime, each computed on first use, so it
+is copied and reduced whole once, whatever the bases, and only its core
 once more per base field; an entry-free one is never eliminated.
 A builder that can name what fixes a matrix asks for it by name
 (``named``): the first request builds it and keeps a byte snapshot of its
@@ -91,12 +91,12 @@ def is_prime(p: int) -> bool:
 
 
 def parse_base(base: str) -> tuple[str, int | None]:
-    """Normalize a base-ring descriptor: "Z", "Q" or "Fp:<prime>"."""
+    """Read a base ring, "Z", "Q" or "Fp:<prime>" (blanks around it allowed,
+    the prime read by ``int``: "Fp:03" is "Fp:3"), as ("Z", None), ("Q", None)
+    or ("Fp", prime).  No other spelling is read."""
     s = str(base).strip()
-    if s in ("Z", "ZZ"):
-        return ("Z", None)
-    if s in ("Q", "QQ"):
-        return ("Q", None)
+    if s in ("Z", "Q"):
+        return (s, None)
     if not s.startswith("Fp:"):
         raise ValueError(f"unknown base ring {base!r} (expected Z, Q or Fp:<prime>)")
     p = int(s[3:])
@@ -121,8 +121,8 @@ class ExactMatrix:
     kernel relies on it: it pivots on any stored entry over a field.
 
     ``_memo`` holds what the matrix reduces to, each filled on first use
-    (``_memoized``): its unit core, the pivot of each core row over Q and
-    its pivot rows mod each prime, so a matrix is read-only once ranked.
+    (``_memoized``): its unit core and the pivots of that core over Q and
+    mod each prime, so a matrix is read-only once ranked.
     A named matrix (``named``) shares its memo with every matrix of its
     name, each of which has rows of its own, revived from one snapshot,
     and ``homology`` records there the incoming memo it checked d∘d = 0
@@ -492,14 +492,14 @@ def smith_normal_form(M: ExactMatrix | list[list[int]]) -> tuple[tuple[int, ...]
 # ---------------------------------------------------------------------------
 # ranks over fields
 
-def _count(pivots: Iterable[Sequence[int]], parities: Sequence[int] | None):
-    """How many pivot rows there are, or how many of each parity."""
-    total = odd = 0
-    for rows in pivots:
-        total += len(rows)
-        if parities is not None:
-            odd += sum(map(parities.__getitem__, rows))
-    return total if parities is None else SuperDim(total - odd, odd)
+def _count(units: Sequence[int], pivots: Iterable[int], parities: Sequence[int] | None):
+    """How many pivot rows there are, the unit pivot rows and the core's pivot
+    rows over one field together, or how many of each parity."""
+    rows = (*units, *pivots)
+    if parities is None:
+        return len(rows)
+    odd = sum(map(parities.__getitem__, rows))
+    return SuperDim(len(rows) - odd, odd)
 
 
 def _rank_fractions(M: ExactMatrix, parities: Sequence[int] | None = None):
@@ -507,18 +507,16 @@ def _rank_fractions(M: ExactMatrix, parities: Sequence[int] | None = None):
     entries, then the core over Q, exact by the Schur-complement argument
     of ``_unit_core``.  Only the core's entries become ``Fraction``s."""
     units, _, pivots = _pivots(M)
-    return _count((units, pivots), parities)
+    return _count(units, pivots, parities)
 
 
 def _rank_mod_p(M: ExactMatrix, p: int) -> list[int]:
-    """The pivot rows of ``M`` over F_p: its unit pivot rows, then the pivot
-    rows of its core reduced mod p, which drops the multiples of p.  The
+    """The pivot rows over F_p of the core of ``M`` reduced mod p, which drops
+    the multiples of p: with the unit pivot rows, those of ``M`` itself.  The
     unit core is the one kept in the memo of ``M`` for Z and Q alike."""
-    units, core = _memoized(M, "core", _unit_core, M)
-    rows = {i: {c: v % p for c, v in row.items() if v % p} for i, row in core.items()}
-    if not any(rows.values()):
-        return units
-    return units + _eliminate(rows, lambda v: pow(v, -1, p), p)[0]
+    core = _memoized(M, "core", _unit_core, M)[1]
+    rows = {i: left for i, row in core.items() if (left := {c: v % p for c, v in row.items() if v % p})}
+    return _eliminate(rows, lambda v: pow(v, -1, p), p)[0] if rows else []
 
 
 def rank(M: ExactMatrix, base="Q", parities: Sequence[int] | None = None):
@@ -528,12 +526,13 @@ def rank(M: ExactMatrix, base="Q", parities: Sequence[int] | None = None):
     a free lattice of the complementary rank).  Given the parity (0 or 1)
     of each row of an even map (no entry joins a row and a column of
     different parity), the ranks of its even and odd block as a
-    ``SuperDim``: its pivot rows of each parity.  Every reduction is kept
-    in the memo of ``M``: the unit core once, its rest once per field.
+    ``SuperDim``: its unit and core pivot rows of each parity.  Every reduction
+    is kept in the memo of ``M``: the unit core once, its pivots once per field.
     """
     kind, p = parse_base(base)
     if kind == "Fp":
-        return _count((_memoized(M, p, _rank_mod_p, M, p),), parities)
+        units = _memoized(M, "core", _unit_core, M)[0]
+        return _count(units, _memoized(M, p, _rank_mod_p, M, p), parities)
     return _rank_fractions(M, parities)
 
 

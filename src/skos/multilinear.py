@@ -9,7 +9,7 @@ A basis is the product of a sorted list of wedge parts and a sorted list
 of coefficient parts (``FreeBasis``), so only the two factors are ever
 enumerated and sorted.  Each piece's basis is built once per process and
 kept in a bounded cache (``basis_wedge_sym``), and each basis computes
-its entries, their labels and their parities once, on first use.
+the labels and the parities of its entries once, on first use.
 Cached bases are shared by every complex and record that names the
 piece, so they must not be changed.
 """
@@ -63,10 +63,10 @@ class FreeBasis:
     the entries run in the lexicographic order on (dxs, dt_pow, x_pow,
     thetas) (``SuperMonomial.sort_key``) without the product being sorted,
     and all differential matrices are reproducible bit for bit.  The
-    entries, their ``labels`` and their ``parities`` are computed from the
-    two factors on first use and kept, and ``dims`` is counted off the two
-    factors; a basis may be shared through a cache, so neither it nor its
-    memos may be changed.
+    basis is the two factors alone: the ``labels`` and ``parities`` of its
+    entries are computed from them on first use and kept, and ``dims`` is
+    counted off them; a basis may be shared through a cache, so neither
+    it nor its memos may be changed.
     """
 
     gens: GeneratorSet
@@ -75,14 +75,6 @@ class FreeBasis:
 
     def __len__(self) -> int:
         return len(self.wedges) * len(self.coefs)
-
-    def __iter__(self) -> Iterator[SuperMonomial]:
-        return iter(self.entries)
-
-    @cached_property
-    def entries(self) -> tuple[SuperMonomial, ...]:
-        return tuple(SuperMonomial(x_pow, thetas, dxs, dt_pow)
-                     for dxs, dt_pow in self.wedges for x_pow, thetas in self.coefs)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -144,10 +136,10 @@ def iter_wedge_monomials(a: int, b: int, p: int) -> Iterator[tuple[tuple[int, ..
 
 
 # Bound of the basis cache.  A cached basis retains its two factors, about
-# 64 bytes per entry of their product, 89 more once its labels and
-# parities are read and 90 more once its entries are (CPython 3.11,
-# 64-bit).  Every piece with a + b <= 5 and p + q <= 5 fits: 441 bases of
-# 14633 entries in all, 0.9 MB, or 2.2 MB with their labels and parities.
+# 64 bytes per entry of their product, and 89 more once its labels and
+# parities are read (CPython 3.11, 64-bit).  Every piece with a + b <= 5
+# and p + q <= 5 fits: 441 bases of 14633 entries in all, 0.9 MB, or
+# 2.2 MB with their labels and parities.
 _BASES = 512
 
 

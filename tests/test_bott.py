@@ -22,7 +22,8 @@ from skos.bott import (
     twisted_form_rank,
 )
 from skos.exact_linalg import ExactMatrix, rank
-from skos.multilinear import SuperDim, sym_rank
+from skos.multilinear import SuperDim, iter_sym_monomials, iter_wedge_monomials, sym_rank
+from skos.super_poly import SuperMonomial
 
 
 def enumerate_sections(m, n, r):
@@ -143,9 +144,9 @@ class TestLocalModel:
         for m in range(1, 3):
             for n in range(0, 3):
                 for r in range(-5, 3):
-                    entries = local_basis(m, n, 0, r)
-                    odd = sum(e.parity for e in entries)
-                    assert SuperDim(len(entries) - odd, odd) == enumerate_local(m, n, r)
+                    basis = local_basis(m, n, 0, r)
+                    odd = sum(basis.parities)
+                    assert SuperDim(len(basis) - odd, odd) == enumerate_local(m, n, r)
 
     def test_matrix_squares_to_zero(self):
         for m in range(1, 3):
@@ -167,9 +168,13 @@ class TestLocalModel:
         src = local_basis(1, 0, 1, -2)
         dst = local_basis(1, 0, 0, -2)
         assert len(src) == 4 and len(dst) == 1
+        # columns x^(-alpha-1) * dx_E, E and alpha each of degree 1 over (2|0), wedge part first
+        monos = [SuperMonomial(alpha, (), dxs, ()) for dxs, _ in sorted(iter_wedge_monomials(2, 0, 1))
+                 for alpha, _ in sorted(iter_sym_monomials(2, 0, 1))]
+        assert src.labels == tuple(map(str, monos))
         survivors = {
             col
-            for col, mono in enumerate(src)
+            for col, mono in enumerate(monos)
             if all(mono.x_pow[i] > 0 for i in mono.dxs)
         }
         assert {c for _, c, _ in mat.triplets()} == survivors

@@ -120,6 +120,22 @@ class TestHomologyCommand:
         assert code == 2
         assert "primality is decided below 3317044064679887385961981 only" in err
 
+    @pytest.mark.parametrize("spelling, canonical", [("Fp:03", "Fp:3"), ("Fp:+3", "Fp:3"), ("Fp:1_1", "Fp:11"),
+                                                     (" Z", "Z")])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_each_base_prints_its_canonical_spelling(self, spelling, canonical, output):
+        argv = ["homology", "--kind", "koszul", "--rank", "1,1", "--weight", "3", "--output", output, "--base"]
+        code, out, err = call(argv + [spelling])
+        assert (code, err) == (0, "")
+        assert out == call(argv + [canonical])[1]
+        assert canonical in out
+
+    @pytest.mark.parametrize("alias", ["ZZ", "QQ"])
+    def test_ring_aliases_are_exit_2(self, alias):
+        code, out, err = call(["homology", "--kind", "koszul", "--rank", "1,1", "--weight", "3", "--base", alias])
+        assert (code, out) == (2, "")
+        assert f"unknown base ring {alias!r}" in err
+
     def test_berezinian_kind(self):
         code, out, _ = call(
             ["homology", "--kind", "berezinian", "--rank", "1,1", "--weight", "0",

@@ -27,8 +27,8 @@ from skos.complexes import (
 import skos.complexes
 import skos.exact_linalg
 from skos.exact_linalg import ExactMatrix, homology, rank, smith_normal_form
-from skos.multilinear import FreeBasis, SuperDim, basis_wedge_sym
-from skos.super_poly import X, GeneratorSet, contract_euler, exterior_d
+from skos.multilinear import FreeBasis, SuperDim, basis_wedge_sym, iter_sym_monomials, iter_wedge_monomials
+from skos.super_poly import X, GeneratorSet, SuperMonomial, contract_euler, exterior_d
 
 
 def stored(M):
@@ -54,20 +54,20 @@ class TestKoszulBuilder:
     def test_rank_one_even_line(self):
         C = build_koszul(1, 0, 4)
         assert C.positions == (-1, 0)
-        assert [str(m) for m in C.basis_at[-1].entries] == ["x0^3*dx0"]
+        assert C.basis_at[-1].labels == ("x0^3*dx0",)
         assert C.diff_at[-1].to_dense() == [[1]]
 
     def test_odd_line_weight_three(self):
         C = build_koszul(0, 1, 3, 3)
         assert [C.dim(p) for p in C.positions] == [1, 1, 0, 0]
-        assert [str(m) for m in C.basis_at[-3].entries] == ["dt1^3"]
-        assert [str(m) for m in C.basis_at[-2].entries] == ["t1*dt1^2"]
+        assert C.basis_at[-3].labels == ("dt1^3",)
+        assert C.basis_at[-2].labels == ("t1*dt1^2",)
         assert C.diff_at[-3].to_dense() == [[3]]
 
     def test_weight_zero(self):
         C = build_koszul(2, 2, 0)
         assert C.positions == (0,)
-        assert [str(m) for m in C.basis_at[0].entries] == ["1"]
+        assert C.basis_at[0].labels == ("1",)
         assert C.diff_at == {}
 
     def test_cap_truncates_window(self):
@@ -96,6 +96,12 @@ class TestDeRhamBuilder:
         assert C.diff_at[1].to_dense() == [[1]]
 
 
+def _piece_monomials(a, b, p, q):
+    """The monomials of one piece in basis order, from the two enumerators alone."""
+    return sorted((SuperMonomial(*c, *w) for w in iter_wedge_monomials(a, b, p) for c in iter_sym_monomials(a, b, q)),
+                  key=SuperMonomial.sort_key)
+
+
 def _crossings(M, src, dst):
     """The entries of ``M`` that join a row and a column of different parity."""
     return [(r, c, v) for r, c, v in M.triplets() if dst.parities[r] != src.parities[c]]
@@ -107,13 +113,16 @@ class TestStructuralInvariants:
         assembled matrix of any kind joins a row and a column of different
         parity: the parity blocks of each are ranked off one elimination."""
         for a, b, n in envelope():
-            for C in (build_koszul(a, b, n, n), build_derham(a, b, n, n)):
+            # position -p of the Koszul slice and position p of the De Rham slice carry the piece (p, n - p)
+            for C, wedge in ((build_koszul(a, b, n, n), lambda pos: -pos), (build_derham(a, b, n, n), lambda pos: pos)):
                 for pos in C.positions[:-1]:
                     if pos + 1 in C.diff_at:
                         assert (C.diff_at[pos + 1] @ C.diff_at[pos]).is_zero()
                     M = C.diff_at[pos]
-                    src = C.basis_at[pos].entries
-                    dst = C.basis_at[pos + 1].entries
+                    src = _piece_monomials(a, b, wedge(pos), n - wedge(pos))
+                    dst = _piece_monomials(a, b, wedge(pos + 1), n - wedge(pos + 1))
+                    assert C.basis_at[pos].labels == tuple(map(str, src))
+                    assert C.basis_at[pos + 1].labels == tuple(map(str, dst))
                     for (r, c, v) in M.triplets():
                         assert dst[r].parity == src[c].parity
                         assert dst[r].weight == src[c].weight

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import math
@@ -352,6 +353,13 @@ class TestRanks:
             parse_base("R")
         assert is_prime(2) and is_prime(97) and not is_prime(1) and not is_prime(91)
 
+    def test_each_ring_has_one_spelling(self):
+        for alias in ("ZZ", "QQ", "z", "q", "Fp3", "fp:3"):
+            with pytest.raises(ValueError):
+                parse_base(alias)
+        assert parse_base(" Fp:03 ") == parse_base("Fp:+3") == ("Fp", 3)
+        assert parse_base("Fp:1_1") == ("Fp", 11)
+
     def test_primality_of_large_moduli(self):
         # neither has a factor below 10**9, out of reach of trial division
         assert is_prime(10**18 + 3)
@@ -554,6 +562,36 @@ def test_each_differential_is_copied_once_whatever_the_base(build, monkeypatch, 
         for pos in C.positions:
             homology(C, base, pos)
     assert whole == owners
+
+
+# sha256 of the F_p homology at every position of build_koszul(2, 2, 5) and
+# build_derham(2, 2, 5), then the rank of each differential by parity, over
+# F_2, F_3, F_5 and F_32003: one line each, as
+# test_each_prime_memo_holds_only_the_pivot_rows_it_found writes them.  Recorded
+# while each prime's memo still held a copy of the unit pivot rows.
+_FP_ANSWERS = "91ee6d94d911370b1769c6b4144e12fa05a2a673d6427ae6364cea521f762375"
+
+
+def test_each_prime_memo_holds_only_the_pivot_rows_it_found(cold_table):
+    """The unit pivot rows are kept once, in the unit core: a prime's memo
+    holds the pivot rows of the core mod p alone, and ``rank`` counts the
+    two together, to the answers the F_p ranks have always given."""
+    lines, units = [], 0
+    for build in (build_koszul, build_derham):
+        C = build(2, 2, 5)
+        for base in ("Fp:2", "Fp:3", "Fp:5", "Fp:32003"):
+            for pos in C.positions:
+                lines.append(f"{build.__name__} {base} {homology(C, base, pos)}")
+            for pos, M in sorted(C.diff_at.items()):
+                lines.append(f"{build.__name__} {base} rank at {pos} {rank(M, base, C.basis_at[pos + 1].parities)}")
+        for M in C.diff_at.values():
+            core = M._memo["core"]
+            units += len(core[0])
+            for p in (2, 3, 5, 32003):
+                assert not set(core[0]) & set(M._memo[p]), (M, p)
+                assert set(M._memo[p]) <= core[1].keys(), (M, p)
+    assert units > 100
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _FP_ANSWERS
 
 
 def test_gcd_of_omega_kills_every_specialized_complex():

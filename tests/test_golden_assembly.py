@@ -33,7 +33,7 @@ def _complex_lines():
 
 
 def _model_line(mat, src, dst):
-    parities = ([e.parity for e in src], [e.parity for e in dst])
+    parities = (list(src.parities), list(dst.parities))
     return repr((mat.rows, mat.cols, mat.triplets(), parities))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -18,13 +19,22 @@ from skos.multilinear import (
 from skos.super_poly import GeneratorSet, SuperMonomial
 
 
+def piece_monomials(a, b, p, q):
+    """Every monomial of the wedge-degree-p, symmetric-degree-q piece over
+    (a|b), in ``SuperMonomial.sort_key`` order: built from the two
+    enumerators alone, independent of ``FreeBasis``."""
+    return sorted((SuperMonomial(*c, *w) for w in iter_wedge_monomials(a, b, p) for c in iter_sym_monomials(a, b, q)),
+                  key=SuperMonomial.sort_key)
+
+
 def assert_product_of_sorted_factors(basis, wedges, coefs):
     """``basis`` has the factors ``sorted(wedges)`` and ``sorted(coefs)``, and
-    its entries are their products, in ``SuperMonomial.sort_key`` order."""
+    entry ``i * len(coefs) + j``, ``coefs[j] * wedges[i]``, is the product
+    of the factors in ``SuperMonomial.sort_key`` order."""
     assert basis.wedges == tuple(sorted(set(wedges))) and len(basis.wedges) == len(wedges)
     assert basis.coefs == tuple(sorted(set(coefs))) and len(basis.coefs) == len(coefs)
     flat = sorted((SuperMonomial(*c, *w) for w in wedges for c in coefs), key=SuperMonomial.sort_key)
-    assert list(basis.entries) == flat
+    assert [SuperMonomial(*c, *w) for w in basis.wedges for c in basis.coefs] == flat
     assert len(basis) == len(basis.wedges) * len(basis.coefs) == len(flat)
     assert basis.labels == tuple(map(str, flat))
     assert basis.parities == tuple(m.parity for m in flat)
@@ -33,22 +43,26 @@ def assert_product_of_sorted_factors(basis, wedges, coefs):
 class TestBasisEnumeration:
     def test_shape_2_1_degree_2(self):
         basis = basis_wedge_sym(2, 1, 2, 0)
-        names = [str(m) for m in basis.entries]
+        names = [str(m) for m in piece_monomials(2, 1, 2, 0)]
         assert sorted(names) == sorted(["dx0*dx1", "dt1^2", "dx0*dt1", "dx1*dt1"])
+        assert basis.labels == tuple(names)
         assert basis.dims() == SuperDim(2, 2)
 
     def test_unit_basis(self):
         basis = basis_wedge_sym(3, 2, 0, 0)
-        assert [str(m) for m in basis.entries] == ["1"]
+        assert [str(m) for m in piece_monomials(3, 2, 0, 0)] == ["1"]
+        assert basis.labels == ("1",)
 
     def test_square_zero_truncation(self):
         assert len(basis_wedge_sym(1, 0, 2, 0)) == 0
 
     def test_order_is_deterministic_lexicographic(self):
         basis = basis_wedge_sym(2, 1, 2, 1)
-        keys = [m.sort_key() for m in basis.entries]
+        entries = [SuperMonomial(*c, *w) for w in basis.wedges for c in basis.coefs]
+        keys = [m.sort_key() for m in entries]
         assert keys == sorted(keys)
-        assert len(set(basis.entries)) == len(basis.entries)
+        assert len(set(entries)) == len(entries) == len(basis)
+        assert entries == piece_monomials(2, 1, 2, 1)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -61,9 +75,9 @@ class TestBasisEnumeration:
         for a, b, p, q in itertools.product(range(5), range(5), range(6), range(6)):
             if a + b > 4 or p + q > 5:
                 continue
-            basis = basis_wedge_sym(a, b, p, q)
-            assert basis.labels == tuple(map(str, basis.entries))
-            assert basis.parities == tuple(m.parity for m in basis.entries)
+            basis, entries = basis_wedge_sym(a, b, p, q), piece_monomials(a, b, p, q)
+            assert basis.labels == tuple(map(str, entries))
+            assert basis.parities == tuple(m.parity for m in entries)
             assert basis_wedge_sym(a, b, p, q) is basis
             assert basis.labels is basis.labels and basis.parities is basis.parities
 
@@ -81,7 +95,7 @@ class TestProductBases:
             if wedges and coefs:
                 assert_product_of_sorted_factors(basis, wedges, coefs)
             else:
-                assert len(basis) == 0 and basis.entries == basis.labels == basis.parities == ()
+                assert len(basis) == 0 and basis.labels == basis.parities == ()
 
     def test_bott_models_over_the_bott_cross_cells(self):
         for m, n in ((2, 2), (0, 4), (3, 1), (1, 2)):
@@ -101,16 +115,25 @@ class TestProductBases:
                     if coefs:
                         assert_product_of_sorted_factors(basis, wedges, coefs)
                     else:
-                        assert len(basis) == 0 and basis.entries == ()
+                        assert len(basis) == 0 and basis.labels == basis.parities == ()
 
     def test_empty_basis(self):
         basis = FreeBasis(GeneratorSet(2, 1))
         assert len(basis) == 0 and not basis
-        assert basis.entries == basis.labels == basis.parities == ()
-        assert basis.dims() == SuperDim(0, 0) and list(basis) == []
+        assert basis.wedges == basis.coefs == basis.labels == basis.parities == ()
+        assert basis.dims() == SuperDim(0, 0)
         for empty in (basis_wedge_sym(1, 0, 2, 0), basis_wedge_sym(0, 1, 0, 2), local_basis(1, 1, -1, 0),
                       laurent_basis(2, -1)):
-            assert len(empty) == 0 and empty.entries == empty.labels == empty.parities == ()
+            assert len(empty) == 0 and empty.labels == empty.parities == ()
+
+    def test_a_basis_is_its_two_factors(self):
+        """A basis keeps no second form of its entries: it is neither a
+        sequence of monomials nor iterable, and its fields are the two factors."""
+        basis = basis_wedge_sym(2, 1, 2, 1)
+        assert [f.name for f in dataclasses.fields(basis)] == ["gens", "wedges", "coefs"]
+        assert not hasattr(basis, "entries")
+        with pytest.raises(TypeError):
+            iter(basis)
 
 
 class TestRankFormulas:

@@ -236,6 +236,35 @@ class TestTextFormat:
             parse_poly(G21, "x0*2/0")
 
 
+# Texts for the parse_poly fuzz: generator tokens of G21 for the most part,
+# and some out of its range, rational coefficients (zero denominators too),
+# joined by "*" and "+" for the most part, and by blanks, a "-" or a stray
+# character otherwise.
+_GENERATOR_TOKENS = [f"{k}{i}" for k, n in (("x", 4), ("t", 4), ("dx", 3), ("dt", 4)) for i in range(n)]
+_GENERATOR_TOKENS += ["x0", "x1", "t1", "t2", "dx0", "dx1", "dt1", "dt2"] * 3
+_FACTOR_TEXTS = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(_GENERATOR_TOKENS), st.sampled_from(["", "", "^0", "^1", "^2", "^3"])),
+    st.builds("{}/{}".format, st.integers(-5, 5), st.integers(0, 4)),
+    st.integers(-5, 5).map(str),
+)
+_JOINS = st.sampled_from(["*"] * 20 + [" * "] * 4 + ["+"] * 10 + [" + "] * 4 + ["+-"] * 2
+                         + ["++", "**", "", " ", "-", "/", "^", "y", "(", ".", "\t", "\u0663"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.lists(st.tuples(_FACTOR_TEXTS, _JOINS), max_size=8))
+def test_parse_poly_returns_a_polynomial_that_round_trips_or_raises_value_error(minus, pieces):
+    """Any text gives a ``SuperPolynomial`` or a ``ValueError``, nothing else,
+    and a polynomial read back from its own ``str`` is the same polynomial."""
+    text = "-" * minus + "".join(factor + join for factor, join in pieces)[:-1]
+    try:
+        f = parse_poly(G21, text)
+    except ValueError:
+        return
+    assert isinstance(f, SuperPolynomial) and f.gens == G21
+    assert parse_poly(G21, str(f)) == f
+
+
 word_strategy = st.lists(
     st.tuples(st.sampled_from(["x", "t", "dx", "dt"]), st.integers(0, 1), st.integers(1, 2)),
     max_size=5,
