@@ -8,10 +8,10 @@ together, so equal elements have equal fields.  On at most 6
 generators, a product walks a plan of the masks disjoint from each
 left mask, split by parity and each with its sign, and looks them up in
 a homogeneous right operand: a plan holds 3^gens triples (48 KB at 6
-generators) and is built once per generator count, by the first product
-that walks it.  A product on more generators or with a mixed-parity
-right operand tests every term pair instead, signed with the prefix
-parity P(b) of each right mask, computed once per product.
+generators), is built by the first product that walks it and is kept
+in an ``lru_cache``, one per generator count.  A product on more
+generators or with a mixed-parity right operand tests every term pair
+instead, signed with the prefix parity P(b) of each right mask.
 
 The even elements form a commutative local ring whose units are the
 elements with a nonzero body, so determinants of even matrices come
@@ -284,26 +284,18 @@ def _add(x: GrassmannElement, y: GrassmannElement, sign: int) -> GrassmannElemen
 # mask pairs.  A plan holds 3^gens triples: 81 and 729 at 4 and 6
 # generators, which tracemalloc measures at 4.7 and 48 KB (built in 0.1
 # and 0.5 ms on a 2-core Xeon under Python 3.11).  All seven plans for
-# 0..6 generators hold 1093 triples, under 70 KB; no plan is built for
-# more generators, so no table grows past that.  The bound is the
-# largest generator count that the ber_check benchmark multiplies on.
+# 0..6 generators hold 1093 triples, under 70 KB, and the cache of
+# ``_plan`` holds at most those seven.  The bound is the largest
+# generator count that the ber_check benchmark multiplies on.
 _PLAN_GENS = 6
-_PLANS: dict[int, tuple] = {}
 
 
+@lru_cache(maxsize=_PLAN_GENS + 1)
 def _plan(gens: int) -> tuple:
-    """The product plan on ``gens <= _PLAN_GENS`` generators, built on first
-    use and published with ``setdefault``, so no thread sees part of one."""
-    plan = _PLANS.get(gens)
-    if plan is None:
-        plan = _PLANS.setdefault(gens, _build_plan(gens))
-    return plan
-
-
-def _build_plan(gens: int) -> tuple:
-    """``plan[parity][a]`` lists, for the left mask a, every mask b of that
-    parity disjoint from a as a triple (b, a | b, sign bit), where
-    t_a * t_b = (-1)^(sign bit) t_(a|b)."""
+    """The product plan on ``gens <= _PLAN_GENS`` generators, cached only
+    once whole: ``plan[parity][a]`` lists, for the left mask a, every mask
+    b of that parity disjoint from a as a triple (b, a | b, sign bit),
+    where t_a * t_b = (-1)^(sign bit) t_(a|b)."""
     full = (1 << gens) - 1
     plan = ([], [])
     for a in range(1 << gens):
@@ -327,10 +319,7 @@ def _dot(gens: int, pairs, start: GrassmannElement | None = None) -> GrassmannEl
     walked and each one looked up in y.  Any other product tests every
     term pair of x and y.
     """
-    if start is None:
-        out, den = {}, 1
-    else:
-        out, den = dict(start._num), start._den
+    out, den = ({}, 1) if start is None else (dict(start._num), start._den)
     get = out.get
     for x, y in pairs:
         ynum = y._num

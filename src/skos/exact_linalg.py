@@ -132,6 +132,8 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_r", "_memo")
 
     def __init__(self, rows: int, cols: int):
+        if type(rows) is not int or type(cols) is not int:
+            raise TypeError(f"matrix shape must be of type int, got {rows!r} x {cols!r}")
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
         self.rows, self.cols = rows, cols
@@ -142,13 +144,15 @@ class ExactMatrix:
     def from_triplets(cls, rows: int, cols: int, triplets: Iterable[tuple[int, int, int]]) -> "ExactMatrix":
         """Sum the values given for each entry; entries that sum to zero are dropped.
 
-        The one constructor that checks its entries: each lies inside the
-        shape and is an ``int``.  ``from_dense``, ``identity`` and callers
-        outside the package build through it.  Rows and entries keep the
-        order in which each is first named, as ``assemble`` writes them.
+        The one constructor that checks its entries, each an ``int`` value
+        at ``int`` indices inside the shape; ``from_dense``, ``identity``
+        and callers outside the package build through it.  Rows and entries
+        keep the order in which each is first named, as ``assemble`` does.
         """
         m = cls(rows, cols)
         for r, c, v in triplets:
+            if type(r) is not int or type(c) is not int:
+                raise TypeError(f"entry indices must be of type int, got ({r!r}, {c!r})")
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
             if not isinstance(v, int):
@@ -240,23 +244,24 @@ class _EntryView:
 # ---------------------------------------------------------------------------
 # elimination
 
-def _eliminate(rows: dict[int, dict], inverse, p: int | None = None,
-               units: tuple | None = None) -> tuple[list[int], dict[int, dict]]:
-    """Pivot on unit entries until no row holds one; return (pivot rows, rows left).
+def _eliminate(rows: dict[int, dict], p: int | None = None,
+               units: tuple | None = None) -> tuple[list[int], list, dict[int, dict]]:
+    """Pivot on unit entries until no row holds one: (pivot rows, pivot values, rows left).
 
-    ``rows`` maps each row to its entries.  Each pivot clears its column
-    from the other rows that hold it, found through a column -> rows
-    index, and then drops its own row: column operations on the pivot
-    would clear the rest of that row without touching any other row.  So
-    the rows left are the matrix with every pivot row and column deleted,
-    and each keeps its key.  Over a field every nonzero entry is a unit
-    and no row is left.  Over Z only +-1 are units, every step is
-    unimodular, and the Smith form is (1,...,1) + the Smith form of the
-    rows left.  ``units`` holds the unit values over Z; over a field it
-    is None and every stored entry is a unit, as no row stores a zero.
-    Entries are reduced mod ``p`` when it is given.  Rows are visited
-    sparsest first, and each pivot is taken in the sparsest column its
-    row offers a unit in, to keep fill-in down, in one pass over the row.
+    ``rows`` maps each row to its entries; pivot rows and values come in
+    pivot order.  Each pivot clears its column from the other rows that
+    hold it, found through a column -> rows index, and then drops its own
+    row: column operations on the pivot would clear the rest of that row
+    without touching any other row.  So the rows left are the matrix with
+    every pivot row and column deleted, and each keeps its key.  Over a
+    field every nonzero entry is a unit and no row is left.  Over Z only
+    +-1 are units, every step is unimodular, and the Smith form is
+    (1,...,1) + the Smith form of the rows left.  ``units`` holds the
+    units over Z, each its own inverse; over a field it is None and every
+    stored entry, no zero being stored, is a unit, inverted mod ``p``
+    (which reduces every entry) when it is given and as a ``Fraction``
+    ``1 / v`` otherwise.  Rows are visited sparsest first, and each pivot
+    is taken in its row's sparsest unit column, to keep fill-in down.
 
     Only rows that share a column are combined, so on a graded map this
     eliminates every graded block at once.
@@ -266,7 +271,7 @@ def _eliminate(rows: dict[int, dict], inverse, p: int | None = None,
         for c in row:
             where[c].append(i)
     todo = sorted(rows, key=lambda i: len(rows[i]))
-    pivots = []
+    pivots, values = [], []
     while True:
         waiting = []
         for i in todo:
@@ -283,7 +288,8 @@ def _eliminate(rows: dict[int, dict], inverse, p: int | None = None,
             for c in row:
                 where[c].remove(i)
             pivots.append(i)
-            pinv = inverse(row.pop(pc))
+            values.append(v := row.pop(pc))
+            pinv = v if units else pow(v, -1, p) if p else 1 / v
             for j in where.pop(pc):
                 other = rows[j]
                 f = other.pop(pc) * pinv
@@ -299,7 +305,7 @@ def _eliminate(rows: dict[int, dict], inverse, p: int | None = None,
                         del other[c]
                         where[c].remove(j)
         if len(waiting) == len(todo):
-            return pivots, {i: rows[i] for i in waiting if rows[i]}
+            return pivots, values, {i: rows[i] for i in waiting if rows[i]}
         todo = waiting
 
 
@@ -358,12 +364,13 @@ def _unit_core(M: ExactMatrix) -> tuple[list[int], dict[int, dict[int, int]]]:
     unimodular, so the core rows, keyed by row, are the Schur complement
     A22 - A21 A11^-1 A12: integer entries, each a minor of ``M`` up to
     sign, and rank M = pivots + rank(core) over any field.  The kernel
-    works on the one copy of the stored rows taken here.
+    works on the one copy of the stored rows taken here; the +-1 pivot
+    values it returns are dropped.
     """
     if not M._r:
         return [], {}
-    # +-1 is its own inverse, so ``int`` serves as the inverse map
-    return _eliminate({i: dict(row) for i, row in M._r.items()}, int, units=(1, -1))
+    units, _, core = _eliminate({i: dict(row) for i, row in M._r.items()}, units=(1, -1))
+    return units, core
 
 
 def _memoized(M: ExactMatrix, key, compute, *args):
@@ -446,35 +453,28 @@ def _pivots(M: ExactMatrix) -> tuple[list[int], dict[int, dict[int, int]], dict[
 
 
 def _core_pivots(core: dict[int, dict[int, int]]) -> dict[int, Fraction]:
-    """The pivot of each core row that pivots over Q, keyed by row.  The
-    product of the pivots of rows combined with no other row (one parity
-    block's) is a nonzero minor of those rows: Gaussian steps keep it."""
+    """The pivot value over Q, as the kernel returns it, of each core row
+    that pivots.  The product of the pivots of rows combined with no other
+    row (one parity block's) is a nonzero minor of them: Gaussian steps keep it."""
     if not core:
         return {}
-    pivots = []
-
-    def inverse(v):
-        pivots.append(v)
-        return 1 / v
-
-    fractions = {i: {c: Fraction(v) for c, v in row.items()} for i, row in core.items()}
-    return dict(zip(_eliminate(fractions, inverse)[0], pivots))
+    pivots, values, _ = _eliminate({i: {c: Fraction(v) for c, v in row.items()} for i, row in core.items()})
+    return dict(zip(pivots, values))
 
 
 def _block_factors(M: ExactMatrix, parities: Sequence[int]) -> list[tuple[int, ...]]:
     """Invariant factors of the even and of the odd block of the even map
     ``M``, whose row r has parity ``parities[r]``: a block's core is the
-    core rows of its parity, worked modulo the product of their pivots."""
+    core rows of its parity, worked modulo the product of their pivots,
+    its unit and Q pivot rows of each parity counted as ``rank`` counts."""
     units, core, pivots = _pivots(M)
-    odd = sum(map(parities.__getitem__, units))
-    groups, minors, ranks = ([], []), [1, 1], [0, 0]
+    groups, minors = ([], []), [1, 1]
     for i, row in core.items():
         groups[parities[i]].append(row)
     for i, v in pivots.items():
         minors[parities[i]] *= v
-        ranks[parities[i]] += 1
-    return [(1,) * n + _smith_mod(groups[e], abs(int(minors[e])), ranks[e])
-            for e, n in ((0, len(units) - odd), (1, odd))]
+    return [(1,) * n + _smith_mod(groups[e], abs(int(minors[e])), r)
+            for e, (n, r) in enumerate(zip(_count(units, (), parities), _count((), pivots, parities)))]
 
 
 def smith_normal_form(M: ExactMatrix | list[list[int]]) -> tuple[tuple[int, ...], int]:
@@ -516,7 +516,7 @@ def _rank_mod_p(M: ExactMatrix, p: int) -> list[int]:
     unit core is the one kept in the memo of ``M`` for Z and Q alike."""
     core = _memoized(M, "core", _unit_core, M)[1]
     rows = {i: left for i, row in core.items() if (left := {c: v % p for c, v in row.items() if v % p})}
-    return _eliminate(rows, lambda v: pow(v, -1, p), p)[0] if rows else []
+    return _eliminate(rows, p)[0] if rows else []
 
 
 def rank(M: ExactMatrix, base="Q", parities: Sequence[int] | None = None):

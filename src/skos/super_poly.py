@@ -398,33 +398,34 @@ def weight_component(f: SuperPolynomial, weight: int, wedge_degree: int) -> Supe
 
 
 _FACTOR_RE = re.compile(r"^(x|t|dx|dt)(\d+)(?:\^(\d+))?$")
-_NUM_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_NUM_RE = re.compile(r"^\d+(?:/\d+)?$")
 
 
 def parse_poly(gens: GeneratorSet, text: str) -> SuperPolynomial:
     """Parse the textual polynomial format.
 
     Terms are joined by ``+``; each term is a ``*``-separated product of
-    an optional rational coefficient and generator powers, e.g.
-    ``-3*x0^2*t1*dx0*dt2^3``.  Generators may appear in any order; the
-    result is normalized.
+    unsigned rational numbers and generator powers, each after at most one
+    ``-`` (blanks may follow it), e.g. ``-3*x0^2*t1*dx0*dt2^3`` or ``3*-x0``.
+    Generators may appear in any order; the result is normalized.
     """
     gens = GeneratorSet(*gens)
     text = text.strip()
     if text == "0" or not text:
         return SuperPolynomial.zero(gens)
     total = SuperPolynomial.zero(gens)
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
+    for term in text.split("+"):
+        term = term.strip()
+        if not term:
             raise ValueError(f"empty term in {text!r}")
         coeff: Coeff = 1
-        if chunk.startswith("-") and not _NUM_RE.match(chunk.split("*", 1)[0]):
-            coeff = -1
-            chunk = chunk[1:].strip()
         word = []
-        for factor in chunk.split("*"):
+        for factor in term.split("*"):
             factor = factor.strip()
+            if factor.startswith("-"):
+                coeff, factor = -coeff, factor[1:].lstrip()
+            if not factor:
+                raise ValueError(f"empty factor in term {term!r}")
             if _NUM_RE.match(factor):
                 try:
                     q = Fraction(factor)
@@ -435,7 +436,6 @@ def parse_poly(gens: GeneratorSet, text: str) -> SuperPolynomial:
             m = _FACTOR_RE.match(factor)
             if not m:
                 raise ValueError(f"cannot parse factor {factor!r}")
-            kind, idx, exp = m.group(1), int(m.group(2)), int(m.group(3) or 1)
-            word.append((kind, idx, exp))
+            word.append((m.group(1), int(m.group(2)), int(m.group(3) or 1)))
         total = total + normalize(gens, word, coeff)
     return total

@@ -428,6 +428,19 @@ class TestMatrixOps:
         with pytest.raises(error):
             ExactMatrix.from_triplets(2, 2, [(0, 1, 3), triplet])
 
+    @pytest.mark.parametrize("shape, index", [
+        ((2.5, 3), None), ((3, 2.0), None), ((True, 2), None), ((2, "3"), None), ((Fraction(2), 2), None),
+        ((2, 2), (0.5, 0)), ((2, 2), (1, True)), ((2, 2), (False, 1)), ((2, 2), (0, 1.0)), ((2, 2), (Fraction(1), 0)),
+    ])
+    def test_shape_and_indices_must_be_of_type_int(self, shape, index):
+        """A float or bool shape or index is refused, not stored as a key that
+        ``to_dense`` never reads while ``rank`` counts it."""
+        with pytest.raises(TypeError, match="of type int"):
+            ExactMatrix.from_triplets(*shape, [(0, 1, 3)] + ([(*index, 1)] if index else []))
+        if index is None:
+            with pytest.raises(TypeError, match="of type int"):
+                ExactMatrix(*shape)
+
 
 class TestHomology:
     def test_odd_line_torsion(self):
@@ -549,13 +562,13 @@ def test_each_differential_is_copied_once_whatever_the_base(build, monkeypatch, 
         cores = [M._memo["core"][1] for M in ranked if "core" in M._memo]
         return any(all(i in core and row.keys() <= core[i].keys() for i, row in rows.items()) for core in cores)
 
-    def counted_eliminate(rows, inverse, p=None, units=None):
+    def counted_eliminate(rows, p=None, units=None):
         assert not stored & {id(row) for row in rows.values()}, "the kernel got a stored row"
         if _support(rows) in owners:  # the rows of a whole differential, whatever their values
             whole[_support(rows)] += 1
         if units is None:
             assert within_a_core(rows), "an elimination over a field got rows outside every unit core"
-        return eliminate(rows, inverse, p, units)
+        return eliminate(rows, p, units)
 
     monkeypatch.setattr(skos.exact_linalg, "_eliminate", counted_eliminate)
     for base in ("Z", "Q", "Fp:2", "Fp:3", "Fp:32003"):
@@ -800,12 +813,14 @@ def test_entry_free_matrices_never_reach_the_kernel(monkeypatch):
 
 def _eliminate_by_min(rows, inverse, p=None, units=None):
     """The elimination kernel as it chose pivots before: by ``min`` over the
-    held columns with a key function, kept here as an oracle of the rule."""
+    held columns with a key function, kept here as an oracle of the rule.
+    Returns (pivot count, pivot values in pivot order, rows left)."""
     where = defaultdict(set)
     for i, row in enumerate(rows):
         for c in row:
             where[c].add(i)
     todo = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+    values = []
     while True:
         waiting = []
         for i in todo:
@@ -817,6 +832,7 @@ def _eliminate_by_min(rows, inverse, p=None, units=None):
             pc = min(held, key=lambda c: (len(where[c]), c))
             for c in row:
                 where[c].discard(i)
+            values.append(row[pc])
             pinv = inverse(row.pop(pc))
             for j in where.pop(pc):
                 other = rows[j]
@@ -833,13 +849,13 @@ def _eliminate_by_min(rows, inverse, p=None, units=None):
                         del other[c]
                         where[c].discard(j)
         if len(waiting) == len(todo):
-            return len(rows) - len(waiting), [rows[i] for i in waiting if rows[i]]
+            return len(rows) - len(waiting), values, [rows[i] for i in waiting if rows[i]]
         todo = waiting
 
 
 _PIVOT_P = 5
 _KERNELS = {
-    # base: (entry of a row, inverse, p, units)
+    # base: (entry of a row, the oracle's inverse, p, units); the kernel takes the inverse from its ring
     "Z": (int, int, None, (1, -1)),
     "Q": (Fraction, lambda v: 1 / v, None, None),
     "Fp": (lambda v: v % _PIVOT_P, lambda v: pow(v, -1, _PIVOT_P), _PIVOT_P, None),
@@ -857,15 +873,19 @@ _KERNELS = {
              max_size=8),
 )
 def test_pivot_rule_matches_min_oracle(base, dense_rows):
+    """The kernel takes the pivots the oracle takes, in its order, over Z,
+    Q and F_5: the same pivot count, the same pivot values and the same
+    rows left."""
     entry, inverse, p, units = _KERNELS[base]
 
     def copy():
         return [{c: entry(v) for c, v in row.items() if entry(v)} for row in dense_rows]
 
     want = _eliminate_by_min(copy(), inverse, p, units)
-    got = skos.exact_linalg._eliminate(dict(enumerate(copy())), inverse, p, units)
-    assert len(got[0]) == want[0]
-    assert [list(row.items()) for row in got[1].values()] == [list(row.items()) for row in want[1]]
+    got = skos.exact_linalg._eliminate(dict(enumerate(copy())), p, units)
+    assert len(got[0]) == len(got[1]) == want[0]
+    assert got[1] == want[1] and [type(v) for v in got[1]] == [type(v) for v in want[1]]
+    assert [list(row.items()) for row in got[2].values()] == [list(row.items()) for row in want[2]]
 
 
 def test_z_homology_of_the_large_koszul_slice_stays_fast():

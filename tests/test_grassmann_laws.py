@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -209,12 +210,12 @@ def test_record_parse_matches_make(even, odd):
 
 
 def _counted_plans(monkeypatch):
-    """An empty plan table for this test, and the list of the generator
-    counts whose plan is built while it runs."""
-    builds, build = [], berezinian._build_plan
-    monkeypatch.setattr(berezinian, "_PLANS", {})
-    monkeypatch.setattr(berezinian, "_build_plan", lambda gens: builds.append(gens) or build(gens))
-    return builds
+    """An empty plan cache for this test, a fresh ``lru_cache`` over the plan
+    builder, and the list of the generator counts whose plan it builds."""
+    builds, build = [], berezinian._plan.__wrapped__
+    plan = lru_cache(maxsize=berezinian._PLAN_GENS + 1)(lambda gens: builds.append(gens) or build(gens))
+    monkeypatch.setattr(berezinian, "_plan", plan)
+    return builds, plan
 
 
 def test_plan_built_once_per_generator_count_on_the_ber_benchmark(monkeypatch):
@@ -226,7 +227,7 @@ def test_plan_built_once_per_generator_count_on_the_ber_benchmark(monkeypatch):
 
     records = [r.payload for r in workloads.build_requests("ber_check", 1)]
     assert max(rec["grassmann_gens"] for rec in records) <= berezinian._PLAN_GENS
-    builds = _counted_plans(monkeypatch)
+    builds, _ = _counted_plans(monkeypatch)
     calls, prefix_parity = [], berezinian._prefix_parity
     monkeypatch.setattr(berezinian, "_prefix_parity", lambda mask: calls.append(mask) or prefix_parity(mask))
     for rec in records:
@@ -256,7 +257,7 @@ def test_plan_lists_every_disjoint_mask_with_the_oracle_sign(gens):
 
 
 def test_plan_is_built_once_only_when_walked_and_only_up_to_six_generators(monkeypatch):
-    builds = _counted_plans(monkeypatch)
+    builds, plan = _counted_plans(monkeypatch)
     tracemalloc.start()
     try:
         for gens in (6, 6, 7, 8):
@@ -266,8 +267,8 @@ def test_plan_is_built_once_only_when_walked_and_only_up_to_six_generators(monke
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert builds == [6] and list(berezinian._PLANS) == [6]
-    assert sum(len(row) for rows in berezinian._PLANS[6] for row in rows) == 3**6
+    assert builds == [6] and plan.cache_info().currsize == 1
+    assert sum(len(row) for rows in plan(6) for row in rows) == 3**6 and builds == [6]
     assert peak < 100_000  # bytes: the 6-generator plan is about 48 KB
 
 

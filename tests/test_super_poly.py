@@ -225,6 +225,29 @@ class TestTextFormat:
         p = parse_poly(G21, "1/2*x0 + -5/3*t1")
         assert parse_poly(G21, str(p)) == p
 
+    @pytest.mark.parametrize("text, want", [
+        ("3*-x0", "-3*x0"),
+        ("-x0*-2", "2*x0"),
+        ("- 3*x0", "-3*x0"),
+        ("1/2*t1 + 2*- t2*x1", "1/2*t1 + -2*x1*t2"),
+        ("--3/2*t1", ValueError("cannot parse factor '-3/2'")),
+        ("- -x0", ValueError("cannot parse factor '-x0'")),
+        ("-+3", ValueError("empty factor in term '-'")),
+        ("x0*+2", ValueError("empty factor in term 'x0*'")),
+        ("x0**2", ValueError("empty factor in term 'x0**2'")),
+        ("x0 + + x1", ValueError("empty term in 'x0 + + x1'")),
+    ])
+    def test_each_factor_takes_at_most_one_sign(self, text, want):
+        """A factor is an unsigned number or a generator power after at most
+        one ``-``; an empty factor or term is refused with its text quoted."""
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError) as e:
+                parse_poly(G21, text)
+            assert str(e.value) == str(want)
+        else:
+            f = parse_poly(G21, text)
+            assert str(f) == want and parse_poly(G21, want) == f
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_poly(G21, "x0**2")
