@@ -401,11 +401,12 @@ def _eliminate(A: list[list[GrassmannElement]], n: int) -> tuple[GrassmannElemen
     """Unit-pivot elimination of the first ``n`` columns of the rows ``A``, in place.
 
     Column k pivots on the first row among k..n-1 whose entry has a
-    nonzero body (a unit of the even subring) and clears that column
-    from every row below the pivot, the rows past ``n`` included.  The
-    multiplier stays on the left of the pivot row, so for
+    nonzero body (a unit of the even subring) and eliminates that column
+    from every row below the pivot, the rows past ``n`` included: each
+    is rewritten in place from column k + 1 on, as no later step reads
+    column k.  The multiplier stays on the left of the pivot row, so for
     A = [[D, C], [B, E]] with an n x n block D and odd B, C the rows
-    past ``n`` end as [0 | E - B D^-1 C].  Returns (d, k): k is the
+    past ``n`` end as [* | E - B D^-1 C].  Returns (d, k): k is the
     first column with no unit pivot (n when every column has one) and
     det(D) = d * det(rows k..n-1, columns k..n-1).
     """
@@ -424,16 +425,13 @@ def _eliminate(A: list[list[GrassmannElement]], n: int) -> tuple[GrassmannElemen
         if k + 1 < len(A):
             inv = _inverse_unit(row[k])
         tail = [(j, e) for j, e in enumerate(row[k + 1 :], k + 1) if e._num]
-        for r in range(k + 1, len(A)):
-            lead = A[r][k]
+        for below in A[k + 1 :]:
+            lead = below[k]
             if not lead._num:
                 continue
             factor = -_dot(gens, ((lead, inv),))
-            new = A[r][:]
-            new[k] = _element(gens, {}, 1)
             for j, e in tail:
-                new[j] = _dot(gens, ((factor, e),), new[j])
-            A[r] = new
+                below[j] = _dot(gens, ((factor, e),), below[j])
     det = _element(gens, {0: sign}, 1)
     for p in pivots:
         det = _dot(gens, ((det, p),))

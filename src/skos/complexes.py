@@ -172,7 +172,7 @@ class GradedComplex:
         if pos + 1 in self.basis_at:
             return self.diff_at[pos]
         if self.support_max is not None and pos + 1 > self.support_max:
-            return ExactMatrix.zeros(0, self.dim(pos))
+            return ExactMatrix(0, self.dim(pos))
         raise WindowError(f"position {pos + 1} is outside the materialized window")
 
     def incoming(self, pos: int) -> ExactMatrix:
@@ -182,7 +182,7 @@ class GradedComplex:
         if pos - 1 in self.basis_at:
             return self.diff_at[pos - 1]
         if self.support_min is not None and pos - 1 < self.support_min:
-            return ExactMatrix.zeros(self.dim(pos), 0)
+            return ExactMatrix(self.dim(pos), 0)
         raise WindowError(f"position {pos - 1} is outside the materialized window")
 
     def to_record(self) -> dict:
@@ -255,7 +255,7 @@ class GradedComplex:
             if type(d) is not dict or type(d.get("entries")) is not list or any(
                     not _is_int(d.get(k)) or d[k] != v for k, v in shape.items()):
                 raise ValueError(f"{where} must have {shape} and a list of entries")
-            M = diff_at[pos] = ExactMatrix.zeros(rows, cols)
+            M = diff_at[pos] = ExactMatrix(rows, cols)
             last, in_order = (-1, -1), True
             row_parity, col_parity = basis_at[pos + 1].parities, basis_at[pos].parities
             for t in d["entries"]:  # checked here, so stored straight into the matrix
@@ -380,16 +380,14 @@ def assemble(src: FreeBasis, dst: FreeBasis, stencil: dict[tuple, tuple], times)
     parts (each stencil builder says why), so no column names a row twice,
     and no coefficient or scalar is zero: each term is one entry, written
     straight into its row, as ``ExactMatrix.from_triplets`` would store it.
-    A term whose target is not in ``dst`` raises ``KeyError``.
+    A term whose target is not in ``dst`` raises ``KeyError``.  An empty
+    factor or a stencil with no term writes no entry.
     """
-    if not src:
-        return ExactMatrix.zeros(len(dst), 0)
+    on_coefs = True
     for terms in stencil.values():
         if terms:
             on_coefs = terms[0][1][0] in (X, THETA)  # the first generator's kind
             break
-    else:
-        return ExactMatrix.zeros(len(dst), len(src))
     inner = len(dst.coefs)
     if on_coefs:
         keys, acted, key_at, acted_at = src.wedges, src.coefs, dst.wedges, dst.coefs

@@ -171,10 +171,6 @@ class ExactMatrix:
         return cls.from_triplets(rows, cols, ((r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row)))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n: int, scale: int = 1) -> "ExactMatrix":
         return cls.from_triplets(n, n, ((i, i, scale) for i in range(n)))
 

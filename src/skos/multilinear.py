@@ -107,13 +107,11 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
     Stars and bars without recursion, so any number of slots works: the
     ``slots - 1`` cut points 0 <= c_1 <= ... <= c_(slots-1) <= total, taken
     in lexicographic order, give the parts c_1, c_2 - c_1, ..., total - c_(slots-1).
+    One slot has no cut point and gives ``(total,)``.
     """
     if slots == 0:
         if total == 0:
             yield ()
-        return
-    if slots == 1:
-        yield (total,)
         return
     for cuts in combinations_with_replacement(range(total + 1), slots - 1):
         yield tuple(map(sub, cuts + (total,), (0,) + cuts))

@@ -397,8 +397,8 @@ def weight_component(f: SuperPolynomial, weight: int, wedge_degree: int) -> Supe
     )
 
 
-_FACTOR_RE = re.compile(r"^(x|t|dx|dt)(\d+)(?:\^(\d+))?$")
-_NUM_RE = re.compile(r"^\d+(?:/\d+)?$")
+_FACTOR_RE = re.compile(r"^(x|t|dx|dt)(\d+)(?:\^(\d+))?$", re.ASCII)
+_NUM_RE = re.compile(r"^\d+(?:/\d+)?$", re.ASCII)
 
 
 def parse_poly(gens: GeneratorSet, text: str) -> SuperPolynomial:
@@ -406,7 +406,8 @@ def parse_poly(gens: GeneratorSet, text: str) -> SuperPolynomial:
 
     Terms are joined by ``+``; each term is a ``*``-separated product of
     unsigned rational numbers and generator powers, each after at most one
-    ``-`` (blanks may follow it), e.g. ``-3*x0^2*t1*dx0*dt2^3`` or ``3*-x0``.
+    ``-`` (blanks may follow it), e.g. ``-3*x0^2*t1*dx0*dt2^3`` or ``3*-x0``;
+    every digit is an ASCII digit 0-9.
     Generators may appear in any order; the result is normalized.
     """
     gens = GeneratorSet(*gens)

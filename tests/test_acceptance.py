@@ -54,12 +54,12 @@ def test_c01_cartan_identity_as_exact_matrices():
                 t1 = (
                     K.diff_at[-(lam + 1)] @ D.diff_at[lam]
                     if lam in D.diff_at and -(lam + 1) in K.diff_at
-                    else ExactMatrix.zeros(dim, dim)
+                    else ExactMatrix(dim, dim)
                 )
                 t2 = (
                     D.diff_at[lam - 1] @ K.diff_at[-lam]
                     if -lam in K.diff_at and lam - 1 in D.diff_at
-                    else ExactMatrix.zeros(dim, dim)
+                    else ExactMatrix(dim, dim)
                 )
                 assert t1 + t2 == ExactMatrix.identity(dim, n), (a, b, n, lam)
     print("ACCEPTANCE 01 cartan-identity: PASS")

@@ -150,12 +150,12 @@ class TestStructuralInvariants:
                 term1 = (
                     K.diff_at[-(lam + 1)] @ D.diff_at[lam]
                     if lam in D.diff_at and -(lam + 1) in K.diff_at
-                    else ExactMatrix.zeros(dim, dim)
+                    else ExactMatrix(dim, dim)
                 )
                 term2 = (
                     D.diff_at[lam - 1] @ K.diff_at[-lam]
                     if -lam in K.diff_at and lam - 1 in D.diff_at
-                    else ExactMatrix.zeros(dim, dim)
+                    else ExactMatrix(dim, dim)
                 )
                 assert term1 + term2 == ExactMatrix.identity(dim, n)
 
@@ -332,6 +332,19 @@ class TestAssemble:
         M = assemble(FreeBasis(dst.gens), dst, contraction_stencil(dst.gens, 2, contract_euler), _polynomial_times)
         assert (M.rows, M.cols, M.nnz) == (len(dst), 0, 0)
 
+    @pytest.mark.parametrize("stencil, times, src, dst", [
+        (contraction_stencil(GeneratorSet(2, 1), 0, contract_euler), _polynomial_times, (0, 2), (0, 3)),
+        (_derivative_stencil(GeneratorSet(2, 1), 0, exterior_d), _wedge_times, (0, 2), (0, 3)),
+        (_derivative_stencil(GeneratorSet(2, 1), 0, exterior_d), _wedge_times, (2, 0), (3, 0)),
+    ])
+    def test_stencil_with_no_term_gives_zero_matrix(self, stencil, times, src, dst):
+        """A stencil whose keys all map to no term (the contraction of a
+        wedge-degree-0 part, d of a constant) writes no entry."""
+        assert not any(stencil.values())
+        src, dst = basis_wedge_sym(2, 1, *src), basis_wedge_sym(2, 1, *dst)
+        M = assemble(src, dst, stencil, times)
+        assert (M.rows, M.cols, M.nnz) == (len(dst), len(src), 0) and len(src) and len(dst)
+
 
     def test_builders_write_entries_without_from_triplets(self, monkeypatch):
         """Every builder writes its matrix entries once, straight into the
@@ -371,7 +384,7 @@ class TestAssemble:
         mats.append(cancel)
         mats += [A @ B for A, B in zip(mats, mats[1:]) if A.cols == B.rows]
         left, right = ExactMatrix.from_dense([[1, 1], [1, 2]]), ExactMatrix.from_dense([[1, 0], [-1, 0]])
-        mats += [left @ right, left @ ExactMatrix.zeros(2, 2)]
+        mats += [left @ right, left @ ExactMatrix(2, 2)]
         assert stored(mats[-2]) == [((1, 0), -1)] and mats[-1].is_zero()
         for M in mats:
             assert_row_layout(M)

@@ -248,6 +248,18 @@ class TestTextFormat:
             f = parse_poly(G21, text)
             assert str(f) == want and parse_poly(G21, want) == f
 
+    @pytest.mark.parametrize("text, factor", [
+        ("٣*x0", "٣"),  # Arabic-Indic digits, which str.isdecimal accepts
+        ("x٠", "x٠"),
+        ("t١*dt٢^٣", "t١"),
+        ("٣/٤*x1", "٣/٤"),
+    ])
+    def test_digits_are_ascii(self, text, factor):
+        """Numbers, indices and exponents are read in ASCII digits only."""
+        with pytest.raises(ValueError) as e:
+            parse_poly(G21, text)
+        assert str(e.value) == f"cannot parse factor {factor!r}"
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_poly(G21, "x0**2")
