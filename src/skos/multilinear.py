@@ -107,11 +107,17 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
     Stars and bars without recursion, so any number of slots works: the
     ``slots - 1`` cut points 0 <= c_1 <= ... <= c_(slots-1) <= total, taken
     in lexicographic order, give the parts c_1, c_2 - c_1, ..., total - c_(slots-1).
-    One slot has no cut point and gives ``(total,)``.
+    One slot is answered without the cut points' pool, which
+    ``combinations_with_replacement`` would build as a tuple of
+    ``total + 1`` ints: a record may ask for weight 10**12 on one even
+    generator, whose basis is a handful of monomials.
     """
     if slots == 0:
         if total == 0:
             yield ()
+        return
+    if slots == 1:
+        yield (total,)
         return
     for cuts in combinations_with_replacement(range(total + 1), slots - 1):
         yield tuple(map(sub, cuts + (total,), (0,) + cuts))

@@ -68,6 +68,12 @@ class TestBasisEnumeration:
         with pytest.raises(ValueError):
             basis_wedge_sym(1, 1, -1, 0)
 
+    def test_one_slot_at_a_huge_degree_is_small(self):
+        # one x or one dt: a handful of monomials, with no pool of degree + 1 cut points
+        n = 10**12
+        assert list(iter_sym_monomials(1, 2, n)) == [((n,), ()), ((n - 1,), (1,)), ((n - 1,), (2,)), ((n - 2,), (1, 2))]
+        assert list(iter_wedge_monomials(2, 1, n)) == [((), (n,)), ((0,), (n - 1,)), ((1,), (n - 1,)), ((0, 1), (n - 2,))]
+
     def test_memos_match_entries_and_are_shared(self):
         """Labels and parities are the ``str`` and the parity of each entry,
         and a second call returns the very same basis from a bounded cache."""
