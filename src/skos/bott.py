@@ -38,8 +38,8 @@ from skos.multilinear import (
     SuperDim,
     ZERO_DIM,
     _compositions,
+    basis_wedge_sym,
     binom,
-    iter_wedge_monomials,
     super_product,
     wedge_rank,
 )
@@ -195,8 +195,8 @@ def local_basis(m: int, n: int, p: int, r: int) -> FreeBasis:
     exponent <= -1, and multiplication by x_i decrements the exponent,
     annihilating the monomial when ``alpha[i]`` is already 0.  The
     coefficient parts (alpha, T) have |alpha| = |T| + p - r - (m + 1)
-    whatever the wedge part, so the basis is a product of its two
-    factors, and only the factors are sorted.
+    whatever the wedge part, so the basis is a product of its two factors,
+    and its wedge factor is ``basis_wedge_sym``'s, which every twist shares.
     """
     gens = GeneratorSet(m + 1, n)
     if p < 0:
@@ -207,7 +207,7 @@ def local_basis(m: int, n: int, p: int, r: int) -> FreeBasis:
         for thetas in combinations(range(1, n + 1), k)
         for alpha in _compositions(k + p - r - (m + 1), m + 1)
     ]
-    return FreeBasis(gens, tuple(sorted(iter_wedge_monomials(m + 1, n, p))), tuple(sorted(coefs)))
+    return FreeBasis(gens, basis_wedge_sym(m + 1, n, p, 0).wedges, tuple(sorted(coefs)))
 
 
 def _cone_times(coef, gen):
@@ -244,12 +244,12 @@ def laurent_basis(n: int, p: int) -> FreeBasis:
     """Model monomials x^(r-p-|T|) * t_T * dx_E * dt^beta on the (0|n)
     space, over (1|n) and stored with an empty x part: the one x exponent
     is fixed by the ambient degree, so the basis is independent of r.
-    Its coefficient factor is every t_T, in order."""
+    Its factors are ``basis_wedge_sym``'s wedges and every t_T, in order."""
     gens = GeneratorSet(1, n)
     if p < 0:
         return FreeBasis(gens)
     coefs = sorted(((), thetas) for k in range(n + 1) for thetas in combinations(range(1, n + 1), k))
-    return FreeBasis(gens, tuple(sorted(iter_wedge_monomials(1, n, p))), tuple(coefs))
+    return FreeBasis(gens, basis_wedge_sym(1, n, p, 0).wedges, tuple(coefs))
 
 
 def _laurent_times(coef, gen):

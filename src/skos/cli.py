@@ -68,6 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     def out_flag(sp, choices=("text", "json")):
         sp.add_argument("--output", choices=choices, default="text")
 
+    def cap_flag(sp, default):  # the window rule of skos.complexes._complex
+        sp.add_argument("--cap", type=int, default=None, help="when b > 0, keep only the positions at most CAP "
+                        f"from 0; a slice of rank (a|0) is finite and always whole (default: {default})")
+
     for name, kind, help_text in (
         ("koszul", "koszul", "weight slice of the contraction (Koszul) complex"),
         ("derham", "derham", "weight slice of the exterior-derivative complex"),
@@ -77,14 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=_cmd_complex, kind=kind)
         sp.add_argument("--rank", type=_rank_pair, required=True, metavar="a,b")
         sp.add_argument("--weight", type=int, required=True)
-        sp.add_argument("--cap", type=int, default=None)
+        cap_flag(sp, "max(6, a + 1)" if kind == "berezinian" else "the whole slice")
         out_flag(sp)
 
     sp = sub.add_parser("specialize", help="classical Koszul complex of a coefficient vector")
     sp.set_defaults(handler=_cmd_complex, kind="specialize")
     sp.add_argument("--rank", type=_rank_pair, required=True, metavar="a,b")
     sp.add_argument("--omega", type=_int_vector, required=True, metavar="w0,w1,...")
-    sp.add_argument("--cap", type=int, default=None)
+    cap_flag(sp, "a + b")
     out_flag(sp)
 
     sp = sub.add_parser("homology", help="exact homology of a built complex")
@@ -95,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weight", type=int, default=None)
     sp.add_argument("--omega", type=_int_vector, default=None, metavar="w0,w1,...")
     sp.add_argument("--position", type=int, default=None)
-    sp.add_argument("--cap", type=int, default=None)
+    cap_flag(sp, "the whole slice; a + b for specialize, max(6, a + 1, POSITION + 1) for berezinian")
     out_flag(sp)
 
     sp = sub.add_parser("ber", help="Berezin determinant of a supermatrix")
@@ -200,10 +204,8 @@ def _build_complex(args, position=None):
         return complexes.build_koszul(a, b, args.weight, args.cap)
     if args.kind == "derham":
         return complexes.build_derham(a, b, args.weight, args.cap)
-    cap = args.cap
-    if cap is None:  # Berezinian positions start at 0, so a negative one needs no more of them
-        cap = max(position + 1, 6) if position is not None else 6
-    return complexes.build_berezinian(a, b, args.weight, cap)
+    cap = max(6, a + 1, -1 if position is None else position + 1)  # homology at a reads a + 1
+    return complexes.build_berezinian(a, b, args.weight, cap if args.cap is None else args.cap)
 
 
 def _head(what: str, C) -> str:

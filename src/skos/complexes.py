@@ -276,10 +276,15 @@ class GradedComplex:
         return cls(kind, gens, weight, basis_at, diff_at, tuple(omega) if special else None)
 
 
-def _complex(kind: str, gens: GeneratorSet, n: int | None, positions: range, op: Callable,
-             stencil: Callable[[int, Callable], dict], times, omega: tuple | None = None) -> GradedComplex:
-    """The enumerated basis of ``kind`` at each position, and the ``assemble``d
-    matrix of ``stencil(pos, op)`` and ``times`` leaving each but the last.
+def _complex(kind: str, a: int, b: int, n: int | None, cap: int | None, op: Callable, stencil: Callable,
+             times: Callable, omega: tuple | None = None, check: Callable = lambda: None) -> GradedComplex:
+    """The enumerated basis of ``kind`` over (a|b) at each position, and the
+    ``assemble``d matrix of ``stencil(gens, pos, op)`` and ``times`` leaving each but the last.
+
+    The positions are the support of the full complex (``_SUPPORT``), cut at
+    ``cap`` positions from 0 only when b > 0 and a cap is given: an (a|0) slice
+    is finite and always whole, and ``cap=None`` is the whole support.  The rank
+    and the cap are checked first, then the builder's ``check``, which may read them.
 
     Each matrix is named ``(kind, gens, n, omega, pos, op)``: these fix it,
     so a rebuild revives the first build's rows and shares its reductions,
@@ -288,9 +293,18 @@ def _complex(kind: str, gens: GeneratorSet, n: int | None, positions: range, op:
     or patched operator never meets another operator's memo.  The window
     (``cap``) is not: it picks the positions, not the matrix at one.
     """
+    if a < 0 or b < 0:
+        raise ValueError("rank components must be nonnegative")
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be nonnegative")
+    check()
+    least, most = _SUPPORT[kind](a, b, n)
+    if b and cap is not None:
+        least, most = (-cap if least is None else max(least, -cap)), (cap if most is None else min(most, cap))
+    gens, positions = GeneratorSet(a, b), range(least, most + 1)
     basis_at = {pos: _basis(kind, gens, n, pos) for pos in positions}
     diff_at = {pos: named((kind, gens, n, omega, pos, op),
-                          lambda pos=pos: assemble(basis_at[pos], basis_at[pos + 1], stencil(pos, op), times))
+                          lambda pos=pos: assemble(basis_at[pos], basis_at[pos + 1], stencil(gens, pos, op), times))
                for pos in positions[:-1]}
     return GradedComplex(kind, gens, n, basis_at, diff_at, omega)
 
@@ -483,37 +497,24 @@ def _dual_stencil(stencil: dict[tuple, tuple]) -> dict[tuple, list]:
     return dual
 
 
-def _check_args(a: int, b: int, cap: int, n: int | None = None) -> None:
-    if a < 0 or b < 0:
-        raise ValueError("rank components must be nonnegative")
-    if n is not None and n < 0:
-        raise ValueError("weight must be nonnegative")
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-
-
 def build_koszul(a: int, b: int, n: int, cap: int | None = None) -> GradedComplex:
     """Weight-n slice of the contraction complex of a rank (a|b) module.
 
     Position -p carries the wedge-degree-p, symmetric-degree-(n-p)
-    basis; the differential is the Euler contraction.  For b = 0 the
-    slice is finite and ``cap`` is ignored; otherwise positions
-    -min(n, cap)..0 are materialized.
+    basis; the differential is the Euler contraction.
     """
-    cap = n if cap is None else cap
-    _check_args(a, b, cap, n)
-    gens = GeneratorSet(a, b)
-    return _complex("koszul", gens, n, range(-min(n, a if b == 0 else cap), 1), contract_euler,
-                    lambda pos, op: contraction_stencil(gens, -pos, op), _polynomial_times)
+    if n < 0:
+        raise ValueError("weight must be nonnegative")
+    return _complex("koszul", a, b, n, cap, contract_euler,
+                    lambda gens, pos, op: contraction_stencil(gens, -pos, op), _polynomial_times)
 
 
 def build_derham(a: int, b: int, n: int, cap: int | None = None) -> GradedComplex:
-    """Weight-n slice of the exterior-derivative complex, positions 0..top."""
-    cap = n if cap is None else cap
-    _check_args(a, b, cap, n)
-    gens = GeneratorSet(a, b)
-    return _complex("derham", gens, n, range(0, min(n, a if b == 0 else cap) + 1), exterior_d,
-                    lambda pos, op: _derivative_stencil(gens, n - pos, op), _wedge_times)
+    """Weight-n slice of the exterior-derivative complex, over the window of ``_complex``."""
+    if n < 0:
+        raise ValueError("weight must be nonnegative")
+    return _complex("derham", a, b, n, cap, exterior_d,
+                    lambda gens, pos, op: _derivative_stencil(gens, n - pos, op), _wedge_times)
 
 
 def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:
@@ -522,15 +523,11 @@ def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:
     Position i carries the dual of the wedge-degree-i piece tensored
     with the symmetric-degree-(n+i) piece; basis entries are written as
     combined monomials whose dx/dt part is to be read as a dual basis
-    element.  The slice is unbounded above when a > 0 and b > 0, so
-    positions 0..cap are materialized.
+    element.  The slice is unbounded above when a > 0 and b > 0, where
+    ``cap`` bounds the window (``_complex``).
     """
-    _check_args(a, b, cap)
-    top = _SUPPORT["berezinian"](a, b, n)[1]
-    top = cap if top is None else min(cap, top)
-    gens = GeneratorSet(a, b)
-    return _complex("berezinian", gens, n, range(0, top + 1), contract_euler,
-                    lambda pos, op: _dual_stencil(contraction_stencil(gens, pos + 1, op)), _polynomial_times)
+    return _complex("berezinian", a, b, n, cap, contract_euler,
+                    lambda gens, pos, op: _dual_stencil(contraction_stencil(gens, pos + 1, op)), _polynomial_times)
 
 
 def specialize_koszul(a: int, b: int, omega: tuple[int, ...], cap: int | None = None) -> GradedComplex:
@@ -541,18 +538,17 @@ def specialize_koszul(a: int, b: int, omega: tuple[int, ...], cap: int | None = 
     directions.  The even slots of ``omega`` are integers (canonical
     lifts into any supported base ring); the b odd slots must be zero.
     """
-    cap = a + b if cap is None else cap
-    _check_args(a, b, cap)
     omega = tuple(omega)
-    if len(omega) != a + b:
-        raise ValueError(f"omega must have {a + b} entries, got {len(omega)}")
-    if not all(isinstance(v, int) for v in omega[:a]):
-        raise ValueError("even slots of omega must be integers")
-    if any(v != 0 for v in omega[a:]):
-        raise ValueError("nonzero odd slot rejected: base rings here have no odd part")
-    gens = GeneratorSet(a, b)
+
+    def check():
+        if len(omega) != a + b:
+            raise ValueError(f"omega must have {a + b} entries, got {len(omega)}")
+        if not all(isinstance(v, int) for v in omega[:a]):
+            raise ValueError("even slots of omega must be integers")
+        if any(v != 0 for v in omega[a:]):
+            raise ValueError("nonzero odd slot rejected: base rings here have no odd part")
 
     def times(coef, gen):  # x_i becomes the scalar omega_i; t_j and a zero omega_i vanish
         return (omega[gen[1]], coef) if gen[0] == X and omega[gen[1]] else None
-    return _complex("specialized", gens, None, range(-a if b == 0 else -cap, 1), contract_euler,
-                    lambda pos, op: contraction_stencil(gens, -pos, op), times, omega)
+    return _complex("specialized", a, b, None, a + b if cap is None else cap, contract_euler,
+                    lambda gens, pos, op: contraction_stencil(gens, -pos, op), times, omega, check)

@@ -22,7 +22,7 @@ from skos.bott import (
     twisted_form_rank,
 )
 from skos.exact_linalg import ExactMatrix, rank
-from skos.multilinear import SuperDim, iter_sym_monomials, iter_wedge_monomials, sym_rank
+from skos.multilinear import SuperDim, basis_wedge_sym, iter_sym_monomials, iter_wedge_monomials, sym_rank
 from skos.super_poly import SuperMonomial
 
 
@@ -182,6 +182,14 @@ class TestLocalModel:
 
     def test_laurent_basis_independent_of_twist(self):
         assert len(laurent_basis(2, 1)) == 4 * 3  # wedge choices times theta subsets
+
+    def test_models_share_the_wedge_factor_of_the_basis_cache(self):
+        # past their own caches, which other tests may have filled before the basis cache was cleared
+        for m, n, p in [(1, 0, 1), (1, 2, 2), (2, 1, 3), (3, 1, 0)]:
+            for r in (-3, 0, 2):
+                assert local_basis.__wrapped__(m, n, p, r).wedges is basis_wedge_sym(m + 1, n, p, 0).wedges
+        for n, p in [(0, 1), (2, 0), (2, 3), (4, 2)]:
+            assert laurent_basis.__wrapped__(n, p).wedges is basis_wedge_sym(1, n, p, 0).wedges
 
 
 class TestLaurentMemo:

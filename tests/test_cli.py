@@ -163,6 +163,19 @@ class TestHomologyCommand:
         else:
             assert code == 0 and json.loads(out)["summaries"]
 
+    @pytest.mark.parametrize("rank, weight, key", [("7,0", -7, "even_rank"), ("7,1", -6, "odd_rank"),
+                                                   ("6,1", -5, "odd_rank")])
+    def test_default_berezinian_window_reaches_the_class(self, rank, weight, key):
+        """The Berezinian of (a|b) is one class at position a and weight b - a,
+        of the parity of b; the default window reads it without --position."""
+        a = int(rank.split(",")[0])
+        code, out, err = call(["homology", "--kind", "berezinian", "--rank", rank, "--weight", str(weight),
+                               "--base", "Q", "--output", "json"])
+        assert (code, err) == (0, "")
+        summaries = json.loads(out)["summaries"]
+        assert [s["position"] for s in summaries] == list(range(a + 1))
+        assert [(s["position"], s[key]) for s in summaries if s["even_rank"] or s["odd_rank"]] == [(a, 1)]
+
     def test_far_negative_berezinian_position_exits_at_once(self):
         # a window of |position| + 1 positions would run out of the time and the address space
         resource = pytest.importorskip("resource")

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -300,6 +301,63 @@ class TestSpecializedKoszul:
         for pos in C.positions[:-1]:
             if pos + 1 in C.diff_at:
                 assert (C.diff_at[pos + 1] @ C.diff_at[pos]).is_zero()
+
+
+class TestWindow:
+    """Every builder takes its positions from ``_complex``: the support of the
+    full complex, cut at ``cap`` positions from 0 only when b > 0."""
+
+    CAPS = (0, 1, 2, 3, None)
+
+    @staticmethod
+    def old_positions(kind, a, b, n, cap):
+        """The window each builder once computed on its own; only the
+        Berezinian one differs, as it cut even a finite (a|0) slice at cap."""
+        if kind == "koszul":
+            return range(-min(n, a if b == 0 else n if cap is None else cap), 1)
+        if kind == "derham":
+            return range(0, min(n, a if b == 0 else n if cap is None else cap) + 1)
+        if kind == "specialized":
+            return range(-a if b == 0 else -(a + b if cap is None else cap), 1)
+        top = skos.complexes._SUPPORT["berezinian"](a, b, n)[1]
+        if b > 0 and cap is not None:
+            top = cap if top is None else min(cap, top)
+        return range(0, top + 1)
+
+    def test_every_kind_over_the_envelope(self):
+        for cap in self.CAPS:
+            for a, b, n in envelope():
+                assert build_koszul(a, b, n, cap).positions == tuple(self.old_positions("koszul", a, b, n, cap))
+                assert build_derham(a, b, n, cap).positions == tuple(self.old_positions("derham", a, b, n, cap))
+            for a, b, _ in envelope(weights=(0,)):
+                C = specialize_koszul(a, b, (1,) * a + (0,) * b, cap)
+                assert C.positions == tuple(self.old_positions("specialized", a, b, None, cap))
+            for a, b, n in envelope(weights=range(-5, 6)):
+                if cap is None and a and b:
+                    continue  # unbounded above: a cap is required
+                C = build_berezinian(a, b, n, cap)
+                assert C.positions == tuple(self.old_positions("berezinian", a, b, n, cap)), (a, b, n, cap)
+
+    def test_finite_berezinian_slice_is_whole(self):
+        """A rank (a|0) slice is finite, so a cap below a no longer hides the
+        class of the Berezinian at position a and weight -a."""
+        B = build_berezinian(4, 0, -4, 1)
+        assert B.positions == (0, 1, 2, 3, 4)
+        h = homology(B, "Z", 4)
+        assert h.free == SuperDim(1, 0) and not h.torsion_even and not h.torsion_odd
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: build_koszul(-1, 0, 1), "rank components must be nonnegative"),
+        (lambda: build_koszul(1, 0, -1), "weight must be nonnegative"),
+        (lambda: build_derham(1, 1, 1, -1), "cap must be nonnegative"),
+        (lambda: build_berezinian(0, -1, 0, 2), "rank components must be nonnegative"),
+        (lambda: specialize_koszul(-1, 0, ()), "rank components must be nonnegative"),
+        (lambda: specialize_koszul(1, 1, (1, 0), -1), "cap must be nonnegative"),
+        (lambda: specialize_koszul(1, 0, ()), "omega must have 1 entries, got 0"),
+    ])
+    def test_each_bad_argument_is_named(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 class TestAssemble:
@@ -618,6 +676,18 @@ class TestSerialization:
                       specialize_koszul(a, b, omega, 2)):
                 rec = C.to_record()
                 assert GradedComplex.from_record(json.loads(json.dumps(rec))).to_record() == rec
+
+    def test_short_finite_berezinian_record_still_reads(self):
+        """A (7|0) slice once stopped at its cap 6; such a record, positions
+        0..6 of the support 0..7, is still a window of the slice."""
+        rec = build_berezinian(7, 0, -7, 6).to_record()
+        assert rec["positions"] == list(range(8)) and rec["support"] == [0, 7]
+        rec.update(positions=rec["positions"][:-1], bases=rec["bases"][:-1],
+                   differentials=rec["differentials"][:-1])
+        digest = hashlib.sha256(json.dumps(rec, sort_keys=True).encode()).hexdigest()
+        assert digest == "0c6ba0a0510a77fabafe7a08349ac937336040fc84cfe49b75e2f959945b3c91"
+        C = GradedComplex.from_record(rec)
+        assert C.positions == tuple(range(7)) and C.to_record() == rec
 
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object, got list"):
