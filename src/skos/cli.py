@@ -6,9 +6,13 @@ exhausted), 2 on usage errors.
 Output is byte-deterministic for fixed arguments and seed; JSON is the
 canonical machine format, CSV is available for cohomology tables.
 Dispatch goes through the subparser table: each subcommand binds its handler.
-A known subcommand is parsed by its own parser alone; anything else (no
-arguments, ``-h``, an unknown command) by the full parser.  Messages, exit
-codes and the parsed namespace are the same either way.
+Options are declared once, in ``build_parser``.  A subcommand followed by
+plain ``--option value`` pairs is read straight from that subcommand's
+actions, with their types, choices, defaults and required flags; everything
+else (no arguments, ``-h``, an unknown command or option, ``--opt=value``,
+an abbreviation, a value argparse would refuse) goes through argparse, which
+alone prints usage, help and errors.  Messages, exit codes and the parsed
+namespace are the same either way.
 """
 
 from __future__ import annotations
@@ -23,13 +27,21 @@ import random
 import sys
 
 from skos import berezinian, bott, complexes
-from skos.exact_linalg import homology, parse_base
+from skos.exact_linalg import homology, parse_base, parse_int
 from skos.complexes import WindowError
+
+
+def _int(text: str) -> int:
+    """An integer option, in ASCII digits (``parse_int``), refused with argparse's message for ``int``."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _rank_pair(text: str) -> tuple[int, int]:
     try:
-        a, b = (int(part) for part in text.split(","))
+        a, b = map(parse_int, text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"rank must look like 'a,b', got {text!r}")
     if a < 0 or b < 0:
@@ -41,7 +53,7 @@ def _int_vector(text: str) -> tuple[int, ...]:
     if text.strip() == "":
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(parse_int, text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -69,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", choices=choices, default="text")
 
     def cap_flag(sp, default):  # the window rule of skos.complexes._complex
-        sp.add_argument("--cap", type=int, default=None, help="when b > 0, keep only the positions at most CAP "
+        sp.add_argument("--cap", type=_int, default=None, help="when b > 0, keep only the positions at most CAP "
                         f"from 0; a slice of rank (a|0) is finite and always whole (default: {default})")
 
     for name, kind, help_text in (
@@ -80,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=_cmd_complex, kind=kind)
         sp.add_argument("--rank", type=_rank_pair, required=True, metavar="a,b")
-        sp.add_argument("--weight", type=int, required=True)
+        sp.add_argument("--weight", type=_int, required=True)
         cap_flag(sp, "max(6, a + 1)" if kind == "berezinian" else "the whole slice")
         out_flag(sp)
 
@@ -96,41 +108,41 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("koszul", "derham", "berezinian", "specialize"), required=True)
     sp.add_argument("--rank", type=_rank_pair, required=True, metavar="a,b")
     sp.add_argument("--base", type=_base, default="Z", metavar="Z|Q|Fp:<p>")
-    sp.add_argument("--weight", type=int, default=None)
+    sp.add_argument("--weight", type=_int, default=None)
     sp.add_argument("--omega", type=_int_vector, default=None, metavar="w0,w1,...")
-    sp.add_argument("--position", type=int, default=None)
+    sp.add_argument("--position", type=_int, default=None)
     cap_flag(sp, "the whole slice; a + b for specialize, max(6, a + 1, POSITION + 1) for berezinian")
     out_flag(sp)
 
     sp = sub.add_parser("ber", help="Berezin determinant of a supermatrix")
     sp.set_defaults(handler=_cmd_ber)
     sp.add_argument("--input", metavar="FILE", help="JSON supermatrix record ('-' for stdin)")
-    sp.add_argument("--random-check", type=int, default=None, metavar="COUNT",
+    sp.add_argument("--random-check", type=_int, default=None, metavar="COUNT",
                     help="run COUNT seeded random property checks instead of reading input")
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--gens", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--p", type=_int, default=2)
+    sp.add_argument("--q", type=_int, default=2)
+    sp.add_argument("--gens", type=_int, default=4)
+    sp.add_argument("--seed", type=_int, default=0)
     out_flag(sp)
 
     sp = sub.add_parser("bott", help="cohomology tables of twisted differential forms")
     sp.set_defaults(handler=_cmd_bott)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--p-max", type=int, default=None)
-    sp.add_argument("--r-max", type=int, default=None)
+    sp.add_argument("--m", type=_int, required=True)
+    sp.add_argument("--n", type=_int, required=True)
+    sp.add_argument("--p", type=_int, required=True)
+    sp.add_argument("--r", type=_int, required=True)
+    sp.add_argument("--p-max", type=_int, default=None)
+    sp.add_argument("--r-max", type=_int, default=None)
     sp.add_argument("--method", choices=("formula", "direct", "both"), default="both")
     sp.add_argument("--base", type=_base, default="Q")
     out_flag(sp, ("text", "json", "csv"))
 
     sp = sub.add_parser("line-bundle", help="cohomology of a twisted line bundle")
     sp.set_defaults(handler=_cmd_bott, p=0, p_max=None, method="formula", base="Q")  # the p = 0 tables
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--r-max", type=int, default=None)
+    sp.add_argument("--m", type=_int, required=True)
+    sp.add_argument("--n", type=_int, required=True)
+    sp.add_argument("--r", type=_int, required=True)
+    sp.add_argument("--r-max", type=_int, default=None)
     out_flag(sp, ("text", "json", "csv"))
 
     return parser
@@ -355,28 +367,99 @@ def _emit_tables(tables, output, stdout) -> None:
             )
 
 
-def _parse(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` in one argparse pass when ``argv[0]`` is a subcommand.
-
-    The full parser's own pass only hands ``argv[1:]`` to that subcommand's
-    parser and copies the namespace it gets back, so this calls the same
-    parser object directly.  Any other ``argv`` goes through the full parser.
-    """
+@functools.cache
+def _command_table() -> dict[str, tuple]:
+    """Subcommand -> its parser, its one-value store actions by exact option
+    string, and its actions that set a destination by default (all but
+    ``-h``): what ``_parse`` reads, taken from ``build_parser`` on first use."""
     parser = build_parser()
     commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, sp in commands.items():
+        actions = [a for a in sp._actions if argparse.SUPPRESS not in (a.dest, a.default)]
+        table[name] = (sp, {o: a for a in actions if type(a) is argparse._StoreAction and a.nargs is None
+                            for o in a.option_strings}, actions)
+    return table
+
+
+def _plain(command: str, words, sp, options, actions) -> argparse.Namespace | None:
+    """The namespace ``sp.parse_known_args(words)`` gives, when ``words`` are
+    pairs ``OPTION VALUE`` that parse without a message; None for anything else.
+
+    Each OPTION is an exact option string of a one-value store action, no
+    destination is given twice, and no VALUE starts with "-" unless ASCII
+    digits alone follow it: argparse reads such a value as a value, as no
+    option of skos looks like a negative number.  Each value must pass its action's ``type`` and
+    ``choices``, and every required option must be given.  The rest is
+    argparse's: an action not given gets its default, passed through its
+    ``type`` when the default is a str, and then the parser's ``set_defaults``
+    fill what is left.  A ``type`` that raises raises here too.
+    """
+    if len(words) % 2:
+        return None
+    given = {}
+    for option, value in zip(words[::2], words[1::2]):
+        action = options.get(option)
+        if action is None or value[:1] == "-" and not (value[1:].isdigit() and value[1:].isascii()):
+            return None
+        given[action.dest] = value
+    if 2 * len(given) != len(words):  # an option given twice
+        return None
+    values = {"command": command}
+    for action in actions:
+        if action.dest in given:
+            value = given[action.dest]
+            if action.type is not None:
+                value = action.type(value)
+            if action.choices is not None and value not in action.choices:
+                return None
+        elif action.required:
+            return None
+        else:
+            value = action.default
+            if isinstance(value, str) and action.type is not None:
+                value = action.type(value)
+        values[action.dest] = value
+    for dest, value in sp._defaults.items():
+        values.setdefault(dest, value)
+    args = argparse.Namespace()
+    vars(args).update(values)  # Namespace(**values) sets them one by one, at 3x the cost
+    return args
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read without argparse when it can be.
+
+    When ``argv[0]`` is a subcommand and the rest is plain ``--option value``
+    pairs, ``_plain`` reads them off that subcommand's actions.  Any other
+    rest, or a check of ``_plain`` that fails or raises, goes to that
+    subcommand's parser: the full parser would only hand it ``argv[1:]`` and
+    copy back the namespace it returns.  Without a subcommand the full parser
+    runs.  argparse alone prints usage, help and error messages, so messages,
+    exit codes and namespaces are the same on every path.
+    """
+    commands = _command_table()
     if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
-    args, rest = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        return build_parser().parse_args(argv)
+    sp, options, actions = commands[argv[0]]
+    try:
+        args = _plain(argv[0], argv[1:], sp, options, actions)
+    except Exception:  # argparse reports it, or raises it again
+        args = None
+    if args is not None:
+        return args
+    args, rest = sp.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if rest:
-        parser.error("unrecognized arguments: " + " ".join(rest))
+        build_parser().error("unrecognized arguments: " + " ".join(rest))
     return args
 
 
 def run(argv, stdout=None, stderr=None) -> int:
     """Parse and execute one invocation; returns the exit code.
 
-    A known subcommand is parsed by its own parser, anything else by the
-    full parser, with identical messages and exit codes (see ``_parse``).
+    A plain ``--option value`` argv is read from its subcommand's actions,
+    anything else by argparse, with identical messages, exit codes and
+    namespaces (see ``_parse``).
     """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr

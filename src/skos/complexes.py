@@ -283,8 +283,10 @@ def _complex(kind: str, a: int, b: int, n: int | None, cap: int | None, op: Call
 
     The positions are the support of the full complex (``_SUPPORT``), cut at
     ``cap`` positions from 0 only when b > 0 and a cap is given: an (a|0) slice
-    is finite and always whole, and ``cap=None`` is the whole support.  The rank
-    and the cap are checked first, then the builder's ``check``, which may read them.
+    is finite and always whole, and ``cap=None`` is the whole support.  The rank,
+    weight and cap are checked first (each an ``int``, not a ``bool`` or a float,
+    so the complex reads back through its own record), then the builder's
+    ``check``, which may read them; a support unbounded above needs a cap.
 
     Each matrix is named ``(kind, gens, n, omega, pos, op)``: these fix it,
     so a rebuild revives the first build's rows and shares its reductions,
@@ -293,14 +295,22 @@ def _complex(kind: str, a: int, b: int, n: int | None, cap: int | None, op: Call
     or patched operator never meets another operator's memo.  The window
     (``cap``) is not: it picks the positions, not the matrix at one.
     """
+    if type(a) is not int or type(b) is not int:
+        raise ValueError("rank components must be integers")
     if a < 0 or b < 0:
         raise ValueError("rank components must be nonnegative")
+    if n is not None and type(n) is not int:
+        raise ValueError("weight must be an integer")
+    if cap is not None and type(cap) is not int:
+        raise ValueError("cap must be an integer")
     if cap is not None and cap < 0:
         raise ValueError("cap must be nonnegative")
     check()
     least, most = _SUPPORT[kind](a, b, n)
     if b and cap is not None:
         least, most = (-cap if least is None else max(least, -cap)), (cap if most is None else min(most, cap))
+    if most is None:
+        raise ValueError(f"the {kind} complex of rank ({a}|{b}) is unbounded above: a cap is required")
     gens, positions = GeneratorSet(a, b), range(least, most + 1)
     basis_at = {pos: _basis(kind, gens, n, pos) for pos in positions}
     diff_at = {pos: named((kind, gens, n, omega, pos, op),
@@ -543,10 +553,12 @@ def specialize_koszul(a: int, b: int, omega: tuple[int, ...], cap: int | None = 
     def check():
         if len(omega) != a + b:
             raise ValueError(f"omega must have {a + b} entries, got {len(omega)}")
-        if not all(isinstance(v, int) for v in omega[:a]):
+        if not all(type(v) is int for v in omega[:a]):
             raise ValueError("even slots of omega must be integers")
         if any(v != 0 for v in omega[a:]):
             raise ValueError("nonzero odd slot rejected: base rings here have no odd part")
+        if not all(type(v) is int for v in omega[a:]):
+            raise ValueError("odd slots of omega must be integers")
 
     def times(coef, gen):  # x_i becomes the scalar omega_i; t_j and a zero omega_i vanish
         return (omega[gen[1]], coef) if gen[0] == X and omega[gen[1]] else None

@@ -90,16 +90,25 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def parse_int(text: str) -> int:
+    """``int(text)``, with ASCII digits 0-9 only: ``int`` also reads every
+    other Unicode decimal digit ("٣" is 3), and this refuses them with
+    ``int``'s own message."""
+    if not text.isascii() and any(c.isdecimal() and not c.isascii() for c in text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_base(base: str) -> tuple[str, int | None]:
     """Read a base ring, "Z", "Q" or "Fp:<prime>" (blanks around it allowed,
-    the prime read by ``int``: "Fp:03" is "Fp:3"), as ("Z", None), ("Q", None)
-    or ("Fp", prime).  No other spelling is read."""
+    the prime read by ``parse_int``: "Fp:03" is "Fp:3", "Fp:٣" is refused), as
+    ("Z", None), ("Q", None) or ("Fp", prime).  No other spelling is read."""
     s = str(base).strip()
     if s in ("Z", "Q"):
         return (s, None)
     if not s.startswith("Fp:"):
         raise ValueError(f"unknown base ring {base!r} (expected Z, Q or Fp:<prime>)")
-    p = int(s[3:])
+    p = parse_int(s[3:])
     if not is_prime(p):
         raise ValueError(f"composite modulus rejected: {p}")
     return ("Fp", p)

@@ -490,6 +490,25 @@ class TestUsageErrors:
         code, _, _ = call(argv)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, named", [
+        (["homology", "--kind", "koszul", "--rank", "١,١", "--weight", "٢", "--base", "Fp:٣"], "--rank"),
+        (["homology", "--kind", "koszul", "--rank", "1,1", "--weight", "٢"], "--weight"),
+        (["homology", "--kind", "koszul", "--rank", "1,1", "--weight", "2", "--base", "Fp:٣"], "--base"),
+        (["homology", "--kind", "koszul", "--rank", "1,1", "--weight", "2", "--position", "-٢"], "--position"),
+        (["specialize", "--rank", "2,0", "--omega", "١,2"], "--omega"),
+        (["bott", "--m", "1", "--n", "1", "--p", "0", "--r", "٢"], "--r"),
+    ])
+    def test_non_ascii_digits_are_exit_2(self, argv, named):
+        """``int`` reads every Unicode decimal digit; the command line reads ASCII 0-9 only."""
+        code, out, err = call(argv)
+        assert (code, out) == (2, "")
+        assert f"argument {named}: " in err
+
+    def test_bad_int_message_is_argparse_own(self):
+        code, _, err = call(["homology", "--kind", "koszul", "--rank", "1,1", "--weight", "x"])
+        assert code == 2
+        assert err.endswith("skos homology: error: argument --weight: invalid int value: 'x'\n")
+
 
 def _subcommands():
     parser = build_parser()
@@ -549,7 +568,8 @@ class TestCommandTable:
         assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # Edge cases of the argument paths: no command, top-level help, an unknown
 # command, a missing option, an extra positional, abbreviated options, a
@@ -570,10 +590,19 @@ PARSE_CORPUS = [
     ["ber", "--random-check", "3"],
     ["bott", "--m", "1", "--n", "1", "--p", "0", "--r", "1", "--frob", "2"],
     ["homology", "--kind", "koszul", "--rank", "0,1", "--base", "Fp:4", "--weight", "1"],
+    # a value argparse refuses, then the same option again with a good one: argparse
+    # stops at the first, so a reader that keeps the last value of an option differs
+    ["homology", "--kind", "koszul", "--rank", "0,1", "--weight", "x", "--weight", "1"],
+    ["bott", "--m", "1", "--n", "1", "--p", "0", "--r", "1", "--base", "Fp:4", "--base", "Q"],
+    # "-1,2" is not a negative number, so argparse reads it as an option
+    ["homology", "--kind", "specialize", "--rank", "2,0", "--omega", "-1,2"],
+    # the plain form with every value argparse reads: a negative number, "", a str default left out
+    ["homology", "--kind", "specialize", "--rank", "0,2", "--omega", "", "--position", "-1"],
+    ["line-bundle", "--m", "1", "--n", "0", "--r", "-2", "--r-max", "-1", "--output", "csv"],
 ] + [
     shlex.split(line)[1:] for line in README.read_text().splitlines() if line.startswith("skos ")
 ]
-VALUES = ["0", "1", "2", "-1", "-4", "1,1", "x", "", "Fp:7", "Fp:4"]
+VALUES = ["0", "1", "2", "-1", "-4", "1,1", "x", "", "Fp:7", "Fp:4", "٣", "-٣", "Fp:٣"]
 
 
 def _outcome(parse, argv):
@@ -605,10 +634,43 @@ class TestOneParsePass:
     def test_corpus(self, argv):
         assert _outcome(_parse, argv) == _outcome(build_parser().parse_args, argv)
 
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+    def test_corpus_with_tagged_types(self, monkeypatch, argv):
+        """The corpus again, with every option's ``type`` tagging what it
+        returns.  The str defaults (``--base``'s "Z" and "Q") are their own
+        canonical spellings, so only a tag shows whether a default went
+        through its ``type``, as argparse sends it."""
+        for sp in _subcommands().values():
+            for action in sp._actions:
+                if action.type is not None:
+                    monkeypatch.setattr(action, "type", lambda text, type_=action.type: ("typed", type_(text)))
+        assert _outcome(_parse, argv) == _outcome(build_parser().parse_args, argv)
+
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(_subcommands())).flatmap(_argvs))
     def test_fuzzed_argv(self, argv):
         assert _outcome(_parse, argv) == _outcome(build_parser().parse_args, argv)
+
+    def test_benchmark_argvs_skip_argparse(self, monkeypatch):
+        """Every argv of the CLI workloads in ``perfbench/workloads.py`` is read
+        without a subcommand parser's ``parse_known_args``, except the
+        ``--omega=...`` ones, which take one call; each gives the namespace
+        of ``build_parser().parse_args``."""
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        calls = []
+        for sp in _subcommands().values():
+            monkeypatch.setattr(sp, "parse_known_args",
+                                lambda *a, known=sp.parse_known_args, **k: calls.append(a) or known(*a, **k))
+        argvs = [r.payload for w in ("homology_sweep", "bott_cross", "complex_export")
+                 for r in workloads.build_requests(w, 0)]
+        assert len(argvs) > 800
+        for argv in argvs:
+            calls.clear()
+            args = _parse(argv)
+            assert len(calls) == any(word.startswith("--omega=") for word in argv), argv
+            assert vars(args) == vars(build_parser().parse_args(argv)), argv
 
     @pytest.mark.parametrize(
         "argv, passes",

@@ -354,10 +354,22 @@ class TestWindow:
         (lambda: specialize_koszul(-1, 0, ()), "rank components must be nonnegative"),
         (lambda: specialize_koszul(1, 1, (1, 0), -1), "cap must be nonnegative"),
         (lambda: specialize_koszul(1, 0, ()), "omega must have 1 entries, got 0"),
+        # each of these once built a complex that its own record refused
+        (lambda: build_koszul(1, 1, True), "weight must be an integer"),
+        (lambda: build_koszul(True, 1, 2), "rank components must be integers"),
+        (lambda: specialize_koszul(1, 0, (True,)), "even slots of omega must be integers"),
+        (lambda: specialize_koszul(1, 1, (2, 0.0)), "odd slots of omega must be integers"),
+        # and this one failed inside ``range``
+        (lambda: build_berezinian(1, 1, -1, 2.0), "cap must be an integer"),
     ])
     def test_each_bad_argument_is_named(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
+
+    def test_unbounded_berezinian_slice_needs_a_cap(self):
+        with pytest.raises(ValueError, match="unbounded above: a cap is required"):
+            build_berezinian(1, 1, 0, None)
+        assert build_berezinian(1, 0, 0, None).positions == (0, 1)  # finite: whole without a cap
 
 
 class TestAssemble:

@@ -338,7 +338,7 @@ class TestRanks:
         assert is_prime(2) and is_prime(97) and not is_prime(1) and not is_prime(91)
 
     def test_each_ring_has_one_spelling(self):
-        for alias in ("ZZ", "QQ", "z", "q", "Fp3", "fp:3"):
+        for alias in ("ZZ", "QQ", "z", "q", "Fp3", "fp:3", "Fp:٣", "Fp:1١"):  # ASCII digits only
             with pytest.raises(ValueError):
                 parse_base(alias)
         assert parse_base(" Fp:03 ") == parse_base("Fp:+3") == ("Fp", 3)
