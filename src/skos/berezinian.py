@@ -36,6 +36,18 @@ record entry (rational strings), and ``SuperMatrix.from_blocks`` and
 ``from_record`` end in one checked constructor.  Results of the
 arithmetic are not re-checked, except that ``ber`` hands its Schur
 complements to the public ``det_even``, which checks every entry.
+
+Records and random draws stay on integer numerators over one
+denominator, as the arithmetic does: the reader turns each coefficient
+into a (numerator, denominator) pair and ``random_grassmann`` draws
+such pairs, and each builds its element with one lcm and one gcd;
+``to_record`` writes each coefficient's text from its numerator with
+one gcd.  Past parsing a record's rational strings, only ``terms`` and
+``body`` make ``Fraction`` objects.  A mask's theta tuple comes from a
+cache that keeps only the 2^6 masks on at most ``_PLAN_GENS``
+generators, and ``random_grassmann`` walks the masks of a parity from a
+cache of at most 14 draw orders, kept only up to ``_PLAN_GENS``
+generators; wider masks and orders are made again on each call.
 """
 
 from __future__ import annotations
@@ -88,14 +100,25 @@ def _theta_mask(thetas: tuple, gens: int) -> int:
     return mask
 
 
-def _thetas(mask: int) -> tuple[int, ...]:
-    """The theta indices of ``mask``, increasing: one step per set bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
+class _ThetaTuples(dict):
+    """mask -> its theta indices, increasing.  A missing mask is decoded one
+    step per set bit; only masks on at most ``_PLAN_GENS`` generators are
+    kept, so the cache never holds more than 2^_PLAN_GENS tuples, whatever
+    generator count a record claims."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        out, rest = [], mask
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length())
+            rest ^= low
+        thetas = tuple(out)
+        if mask >> _PLAN_GENS == 0:
+            self[mask] = thetas
+        return thetas
+
+
+_THETAS = _ThetaTuples()
 
 
 class GrassmannElement:
@@ -116,8 +139,7 @@ class GrassmannElement:
 
     @classmethod
     def make(cls, gens: int, terms: dict[tuple[int, ...], Fraction | int]) -> "GrassmannElement":
-        if gens < 0:
-            raise ValueError(f"negative Grassmann generator count: {gens}")
+        _check_gens(gens)
         return _read_terms(gens, terms.items(), _exact)
 
     @classmethod
@@ -130,15 +152,12 @@ class GrassmannElement:
 
     @property
     def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-        return tuple(self._sorted_terms(False))
-
-    def _sorted_terms(self, by_size: bool) -> list[tuple[tuple[int, ...], Fraction]]:
-        """(theta tuple, Fraction) per term, sorted by theta tuple, or by
-        (size, theta tuple) when ``by_size``: one sort of keys taken from
-        the masks, then one Fraction per term."""
         den = self._den
-        keyed = sorted([(m.bit_count() if by_size else 0, _thetas(m), c) for m, c in self._num.items()])
-        return [(thetas, Fraction(c, den)) for _, thetas, c in keyed]
+        return tuple((t, Fraction(c, den)) for t, c in self._sorted_numerators())
+
+    def _sorted_numerators(self) -> list[tuple[tuple[int, ...], int]]:
+        """(theta tuple, numerator) per term, sorted by theta tuple."""
+        return sorted([(_THETAS[m], c) for m, c in self._num.items()])
 
     @property
     def body(self) -> Fraction:
@@ -191,44 +210,58 @@ class GrassmannElement:
             if self.gens != other.gens:
                 raise ValueError("mismatched Grassmann generator counts")
             return _dot(self.gens, ((self, other),))
-        other = _exact(other)
-        return _scaled(self, other.numerator, other.denominator)
+        return _scaled(self, *_exact(other))
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        return format_terms(("*".join(f"t{i}" for i in t) or "1", c) for t, c in self._sorted_terms(True))
+        by_size = sorted(self.terms, key=lambda term: len(term[0]))  # stable: theta order within a size
+        return format_terms(("*".join(f"t{i}" for i in t) or "1", c) for t, c in by_size)
 
     def to_record(self) -> list[dict]:
-        return [{"coeff": str(c), "thetas": list(t)} for t, c in self.terms]
+        """Each coefficient's text is ``str(Fraction(c, den))``, written from
+        the numerator c with one gcd."""
+        den = self._den
+        return [{"coeff": _ratio_text(c, den), "thetas": list(t)} for t, c in self._sorted_numerators()]
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """The text of num / den for a positive ``den``, as ``Fraction`` writes it."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _read_terms(gens: int, pairs, coefficient) -> GrassmannElement:
     """The element on ``gens`` generators of the (thetas, value) ``pairs``,
-    each value read by ``coefficient``; terms on one mask are summed.  A bad
-    theta index is raised once every value has been read, so a bad
-    coefficient anywhere in the element is reported ahead of it."""
-    fracs: dict[int, Fraction] = {}
+    each value read by ``coefficient`` into a (numerator, positive
+    denominator) pair; terms on one mask are summed.  A bad theta index is
+    raised once every value has been read, so a bad coefficient anywhere
+    in the element is reported ahead of it."""
+    ratios = []
     bad = None
     for thetas, value in pairs:
         try:
             mask = _theta_mask(tuple(thetas), gens)
         except ValueError as e:
             bad = bad or e
-        c = coefficient(value)
-        if c and bad is None:
-            fracs[mask] = fracs[mask] + c if mask in fracs else c
+        num, den = coefficient(value)
+        if num and bad is None:
+            ratios.append((mask, num, den))
     if bad is not None:
         raise bad
-    return _from_fractions(gens, fracs)
+    return _from_ratios(gens, ratios)
 
 
-def _exact(value) -> Fraction:
-    """``value`` as a Fraction: only ``int`` and ``Fraction`` themselves are coefficients."""
-    if type(value) is Fraction:
-        return value
-    if type(value) is int:
-        return Fraction(value)
+def _check_gens(gens: int) -> None:
+    if gens < 0:
+        raise ValueError(f"negative Grassmann generator count: {gens}")
+
+
+def _exact(value) -> tuple[int, int]:
+    """``value`` as (numerator, denominator): only ``int`` and ``Fraction``
+    themselves are coefficients."""
+    if type(value) in (int, Fraction):
+        return value.as_integer_ratio()
     raise TypeError(f"Grassmann coefficients must be int or Fraction, got {value!r}")
 
 
@@ -258,9 +291,14 @@ def _reduced(gens: int, raw: dict[int, int], den: int) -> GrassmannElement:
     return _element(gens, num, den)
 
 
-def _from_fractions(gens: int, fracs: dict[int, Fraction]) -> GrassmannElement:
-    den = lcm(*(c.denominator for c in fracs.values()))
-    return _reduced(gens, {m: c.numerator * (den // c.denominator) for m, c in fracs.items()}, den)
+def _from_ratios(gens: int, ratios: list[tuple[int, int, int]]) -> GrassmannElement:
+    """The sum of num / den * t_mask over the (mask, num, den) ``ratios``,
+    each ``den`` positive; a mask may repeat."""
+    den = lcm(*(d for _, _, d in ratios))
+    raw: dict[int, int] = {}
+    for m, num, d in ratios:
+        raw[m] = raw.get(m, 0) + num * (den // d)
+    return _reduced(gens, raw, den)
 
 
 def _scaled(x: GrassmannElement, num: int, den: int) -> GrassmannElement:
@@ -548,9 +586,7 @@ class SuperMatrix:
 
     @classmethod
     def identity(cls, p: int, q: int, gens: int) -> "SuperMatrix":
-        for name, size in (("p", p), ("q", q)):
-            if size < 0:
-                raise ValueError(f"negative supermatrix size {name} = {size}")
+        _check_sizes(p, q)
         one = GrassmannElement.scalar(gens, 1)
         zero = GrassmannElement.zero(gens)
         n = p + q
@@ -605,6 +641,12 @@ class SuperMatrix:
         return cls._checked(p, q, gens, tuple(tuple(elems[i * n : (i + 1) * n]) for i in range(n)))
 
 
+def _check_sizes(p: int, q: int) -> None:
+    for name, size in (("p", p), ("q", q)):
+        if size < 0:
+            raise ValueError(f"negative supermatrix size {name} = {size}")
+
+
 def _integer(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
@@ -612,11 +654,12 @@ def _integer(value) -> int:
 
 
 # Records repeat a few small coefficients; a bounded cache parses each once.
-_parse_coeff = lru_cache(maxsize=1024)(Fraction)
+_parse_coeff = lru_cache(maxsize=1024)(lambda text: Fraction(text).as_integer_ratio())
 
 
-def _coeff(term: dict) -> Fraction:
-    """The coefficient of a record term: the rational string under "coeff"."""
+def _coeff(term: dict) -> tuple[int, int]:
+    """The coefficient of a record term, the rational string under "coeff",
+    as a (numerator, positive denominator) pair."""
     value = term["coeff"]
     if type(value) is not str:
         raise TypeError(f"expected a rational string, got {type(value).__name__}")
@@ -663,21 +706,37 @@ def ber(M: SuperMatrix) -> GrassmannElement:
     return first
 
 
+@lru_cache(maxsize=2 * (_PLAN_GENS + 1), typed=True)  # typed: a float count still fails in range()
+def _draw_order(gens: int, parity: int) -> tuple[int, ...]:
+    """The masks of ``parity`` on ``gens`` generators in the order that
+    ``random_grassmann`` draws them: by size, each size in ``combinations``
+    order.  Cached only up to ``_PLAN_GENS`` generators."""
+    return tuple(
+        sum(1 << i for i in subset)
+        for size in range(parity, gens + 1, 2)
+        for subset in combinations(range(gens), size)
+    )
+
+
 def random_grassmann(rng, gens: int, parity: int) -> GrassmannElement:
     """Random homogeneous element with small rational coefficients, -3..3 over
     1 or 2: each monomial of the parity is kept with chance 1/2."""
-    terms: dict[int, Fraction] = {}
-    for size in range(parity, gens + 1, 2):
-        for subset in combinations(range(gens), size):
-            if rng.random() < 0.5:
-                num = rng.randint(-3, 3)
-                if num:
-                    terms[sum(1 << i for i in subset)] = Fraction(num, rng.randint(1, 2))
-    return _from_fractions(gens, terms)
+    _check_gens(gens)
+    if parity not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {parity!r}")
+    masks = _draw_order(gens, parity) if gens <= _PLAN_GENS else _draw_order.__wrapped__(gens, parity)
+    random, randint = rng.random, rng.randint
+    drawn = []
+    for m in masks:
+        if random() < 0.5 and (num := randint(-3, 3)):
+            drawn.append((m, num, randint(1, 2)))
+    return _from_ratios(gens, drawn)
 
 
 def random_invertible_supermatrix(rng, p: int, q: int, gens: int) -> SuperMatrix:
     """Seeded random even supermatrix with invertible diagonal-block bodies."""
+    _check_sizes(p, q)
+    _check_gens(gens)
     while True:
         def block(rows, cols, parity):
             return [

@@ -284,9 +284,10 @@ def _complex(kind: str, a: int, b: int, n: int | None, cap: int | None, op: Call
     The positions are the support of the full complex (``_SUPPORT``), cut at
     ``cap`` positions from 0 only when b > 0 and a cap is given: an (a|0) slice
     is finite and always whole, and ``cap=None`` is the whole support.  The rank,
-    weight and cap are checked first (each an ``int``, not a ``bool`` or a float,
-    so the complex reads back through its own record), then the builder's
-    ``check``, which may read them; a support unbounded above needs a cap.
+    weight (which every kind but ``specialized`` has) and cap are checked first
+    (each an ``int``, not a ``bool`` or a float, so the complex reads back
+    through its own record), then the builder's ``check``, which may compare
+    them; a support unbounded above needs a cap.
 
     Each matrix is named ``(kind, gens, n, omega, pos, op)``: these fix it,
     so a rebuild revives the first build's rows and shares its reductions,
@@ -299,7 +300,7 @@ def _complex(kind: str, a: int, b: int, n: int | None, cap: int | None, op: Call
         raise ValueError("rank components must be integers")
     if a < 0 or b < 0:
         raise ValueError("rank components must be nonnegative")
-    if n is not None and type(n) is not int:
+    if type(n) is not int and kind != "specialized":  # the specialized complex has no weight
         raise ValueError("weight must be an integer")
     if cap is not None and type(cap) is not int:
         raise ValueError("cap must be an integer")
@@ -513,18 +514,21 @@ def build_koszul(a: int, b: int, n: int, cap: int | None = None) -> GradedComple
     Position -p carries the wedge-degree-p, symmetric-degree-(n-p)
     basis; the differential is the Euler contraction.
     """
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
     return _complex("koszul", a, b, n, cap, contract_euler,
-                    lambda gens, pos, op: contraction_stencil(gens, -pos, op), _polynomial_times)
+                    lambda gens, pos, op: contraction_stencil(gens, -pos, op), _polynomial_times,
+                    check=lambda: _nonnegative_weight(n))
 
 
 def build_derham(a: int, b: int, n: int, cap: int | None = None) -> GradedComplex:
     """Weight-n slice of the exterior-derivative complex, over the window of ``_complex``."""
+    return _complex("derham", a, b, n, cap, exterior_d,
+                    lambda gens, pos, op: _derivative_stencil(gens, n - pos, op), _wedge_times,
+                    check=lambda: _nonnegative_weight(n))
+
+
+def _nonnegative_weight(n: int) -> None:
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    return _complex("derham", a, b, n, cap, exterior_d,
-                    lambda gens, pos, op: _derivative_stencil(gens, n - pos, op), _wedge_times)
 
 
 def build_berezinian(a: int, b: int, n: int, cap: int) -> GradedComplex:

@@ -594,6 +594,23 @@ class TestSuperMatrixLayout:
             SuperMatrix.identity(p, q, 2)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("draw, message", [
+        (lambda rng: random_grassmann(rng, -2, 0), "negative Grassmann generator count: -2"),
+        (lambda rng: random_grassmann(rng, 2, 2), "parity must be 0 or 1, got 2"),
+        (lambda rng: random_grassmann(rng, 0, -1), "parity must be 0 or 1, got -1"),
+        (lambda rng: random_invertible_supermatrix(rng, -1, 1, 2), "negative supermatrix size p = -1"),
+        (lambda rng: random_invertible_supermatrix(rng, 1, -2, 2), "negative supermatrix size q = -2"),
+        (lambda rng: random_invertible_supermatrix(rng, 0, 0, -1), "negative Grassmann generator count: -1"),
+    ], ids=["gens", "parity-2", "parity-minus-1", "p", "q", "matrix-gens"])
+    def test_random_draws_refuse_impossible_sizes_before_drawing(self, draw, message):
+        """Each message is the one ``make`` or ``identity`` gives, and the
+        generator is left untouched, so valid draws are unchanged."""
+        rng = random.Random(0)
+        with pytest.raises(ValueError) as info:
+            draw(rng)
+        assert str(info.value) == message
+        assert rng.random() == random.Random(0).random()
+
     @pytest.mark.parametrize("p, q", [(2, 1), (0, 2), (3, 0)])
     def test_identity_blocks(self, p, q):
         M = SuperMatrix.identity(p, q, 4)

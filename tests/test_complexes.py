@@ -361,6 +361,14 @@ class TestWindow:
         (lambda: specialize_koszul(1, 1, (2, 0.0)), "odd slots of omega must be integers"),
         # and this one failed inside ``range``
         (lambda: build_berezinian(1, 1, -1, 2.0), "cap must be an integer"),
+        # these failed with a raw TypeError: the weight was compared before its type was checked
+        pytest.param(lambda: build_koszul(1, 1, "2"), "weight must be an integer", id="koszul-str-weight"),
+        pytest.param(lambda: build_derham(1, 1, None), "weight must be an integer", id="derham-no-weight"),
+        pytest.param(lambda: build_berezinian(1, 1, None, 2), "weight must be an integer",
+                     id="berezinian-no-weight"),
+        pytest.param(lambda: build_berezinian(0, 1, None, 2), "weight must be an integer",
+                     id="berezinian-0-1-no-weight"),
+        pytest.param(lambda: build_derham(1, 0, -1), "weight must be nonnegative", id="derham-negative-weight"),
     ])
     def test_each_bad_argument_is_named(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -15,8 +15,12 @@ way.
 import hashlib
 import json
 import random
+from fractions import Fraction
+from itertools import combinations
 
-from skos.berezinian import ber, random_invertible_supermatrix
+import pytest
+
+from skos.berezinian import GrassmannElement, ber, random_grassmann, random_invertible_supermatrix
 
 GOLDEN = "b1d5e1b3db591fb790c60c7d8ff44866088aa6805bf3103193eb6ab932e09ce6"
 
@@ -39,3 +43,27 @@ def test_ber_and_input_digest():
     lines = list(_lines())
     assert len(lines) == 4 * 4 * 7 * 3 * 3
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN
+
+
+def _reference_draw(rng, gens, parity):
+    """The draw loop the digest was recorded with: masks from ``combinations``
+    by size, one ``Fraction`` per kept monomial."""
+    terms = {}
+    for size in range(parity, gens + 1, 2):
+        for subset in combinations(range(gens), size):
+            if rng.random() < 0.5:
+                num = rng.randint(-3, 3)
+                if num:
+                    terms[tuple(i + 1 for i in subset)] = Fraction(num, rng.randint(1, 2))
+    return GrassmannElement.make(gens, terms)
+
+
+@pytest.mark.parametrize("gens", [7, 8])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_draws_past_six_generators_follow_the_reference_loop(gens, parity):
+    """The digest pins draws on at most six generators; past them, each draw
+    equals the reference loop's and leaves the generator in the same state."""
+    for seed in range(4):
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert random_grassmann(ours, gens, parity) == _reference_draw(ref, gens, parity)
+        assert ours.random() == ref.random()

@@ -7,13 +7,18 @@ The same file checks the product plans: each lists every disjoint
 mask pair with the oracle's sign, is built once per generator count and
 only up to ``_PLAN_GENS`` generators, so large generator counts cost
 nothing up front: their signs come from the terms themselves, not from
-a table sized by ``gens``, and nothing of them is kept.
+a table sized by ``gens``, and nothing of them is kept.  The record
+writer, which works on integer numerators, is checked against
+``str`` of each ``Fraction`` of ``terms``, and its caches against a
+record that claims a million generators.
 """
 
 import gc
 import os
+import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -346,3 +351,50 @@ def test_products_on_high_generators_retain_nothing():
     finally:
         tracemalloc.stop()
     assert after - before < 100_000  # bytes
+
+
+@st.composite
+def _wide_terms(draw):
+    """(gens, terms) on 0..8 generators: int and Fraction coefficients,
+    negative, zero, with denominators above 2 and numerators past 64 bits."""
+    gens = draw(st.integers(0, 8))
+    monos = st.lists(st.booleans(), min_size=gens, max_size=gens).map(
+        lambda bits: tuple(i + 1 for i, bit in enumerate(bits) if bit))
+    coeffs = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70),
+                       st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)))
+    return gens, draw(st.dictionaries(monos, coeffs, max_size=10))
+
+
+@LAWS
+@given(_wide_terms())
+def test_writer_matches_the_fraction_text_and_reads_back(gens_terms):
+    gens, terms = gens_terms
+    e = GrassmannElement.make(gens, terms)
+    assert e.to_record() == [{"coeff": str(c), "thetas": list(t)} for t, c in e.terms]
+    even = GrassmannElement.make(gens, {t: c for t, c in terms.items() if len(t) % 2 == 0})
+    odd = GrassmannElement.make(gens, {t: c for t, c in terms.items() if len(t) % 2})
+    M = SuperMatrix.from_blocks(1, 1, gens, [[even]], [[odd]], [[-odd]], [[even * 3]])
+    assert SuperMatrix.from_record(M.to_record()) == M
+
+
+def test_record_on_a_million_generators_reads_and_writes_back_at_once(monkeypatch):
+    """A record may claim any generator count: reading it, its ``ber`` and
+    writing both back take milliseconds, and neither the theta cache nor the
+    draw-order cache keeps anything past ``_PLAN_GENS`` generators."""
+    monkeypatch.setattr(berezinian, "_THETAS", type(berezinian._THETAS)())
+    orders = lru_cache(maxsize=2 * (berezinian._PLAN_GENS + 1), typed=True)(berezinian._draw_order.__wrapped__)
+    monkeypatch.setattr(berezinian, "_draw_order", orders)
+    terms = [{"coeff": "1/2", "thetas": []}, {"coeff": "3", "thetas": [5, 999999]}]
+    rec = {"p": 1, "q": 0, "grassmann_gens": 10**6, "entries": [terms[::-1]]}
+    start = time.perf_counter()
+    M = SuperMatrix.from_record(rec)
+    value = ber(M)
+    written = M.to_record(), value.to_record(), str(value)
+    assert time.perf_counter() - start < 1.0  # seconds; about 3 ms on a 2-core Xeon
+    assert written == ({**rec, "entries": [terms]}, terms, "1/2 + 3*t5*t999999")
+    assert list(berezinian._THETAS) == [0]
+    rng = random.Random(0)
+    for gens in (7, 8, 6):
+        berezinian.random_grassmann(rng, gens, 1).to_record()
+    assert orders.cache_info().currsize == 1
+    assert max(berezinian._THETAS) < 1 << berezinian._PLAN_GENS
